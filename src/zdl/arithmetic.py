@@ -28,7 +28,7 @@ class ArithmeticTable:
 
     Attributes:
         n_max: inclusive upper bound of the table.
-        smallest_prime_factor: int64, smallest_prime_factor[n] is the least
+        smallest_prime_factor: int32, smallest_prime_factor[n] is the least
             prime dividing n (and 1 at n = 1).
         omega: int16 prime-factor counts with multiplicity, omega[1] = 0.
         liouville: int8 values in {-1, +1}, liouville[n] = (-1)**omega[n].
@@ -42,41 +42,60 @@ class ArithmeticTable:
     beta: np.ndarray
 
 
+def _primes_up_to(limit: int) -> np.ndarray:
+    """Primes p <= limit in increasing order (int64), by Eratosthenes."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64)
+
+
 def build_table(n_max: int) -> ArithmeticTable:
     """Sieve all tables up to n_max.
 
-    The smallest-prime-factor array is filled by walking primes in
-    increasing order, so the first write to a slot wins.  Omega is then
-    accumulated by adding 1 along every prime-power progression, which
-    counts multiplicity exactly.
+    Walks the primes p <= isqrt(n_max) in increasing order.  Each fills the
+    still-empty smallest-prime-factor slots along p::p (first write wins),
+    and along every p**k::p**k adds 1 to Omega and divides an int32
+    cofactor array (initially n) by p.  A cofactor left > 1 is the one
+    prime factor above isqrt(n_max) and adds 1 more to Omega; an n with no
+    small factor is prime, its own smallest factor.  The Python loop runs
+    pi(isqrt(n_max)) times (303 at 4e6), not n_max times; the cost is the
+    strided passes, about n_max * (sum of 1/p**k) element operations.
 
     Args:
-        n_max: inclusive bound, at least 1.
+        n_max: inclusive bound, 1 <= n_max <= 2**31 - 1 (int32 storage).
 
     Returns:
         ArithmeticTable with all four arrays populated.
 
     Raises:
-        InvalidBoundError: if n_max < 1.
+        InvalidBoundError: if n_max < 1 or n_max > 2**31 - 1, before
+            anything is allocated.
     """
     if n_max < 1:
         raise InvalidBoundError(f"table bound must be >= 1, got {n_max}")
+    if n_max > 2**31 - 1:
+        raise InvalidBoundError(f"table bound must be <= 2**31 - 1 (int32 storage), got {n_max}")
 
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    if n_max >= 1:
-        spf[1] = 1
-    for p in range(2, n_max + 1):
-        if spf[p] == 0:
-            stride = spf[p::p]
-            stride[stride == 0] = p
-
+    spf = np.zeros(n_max + 1, dtype=np.int32)
     omega = np.zeros(n_max + 1, dtype=np.int16)
-    for p in range(2, n_max + 1):
-        if spf[p] == p:
-            pk = p
-            while pk <= n_max:
-                omega[pk::pk] += 1
-                pk *= p
+    cofactor = np.arange(n_max + 1, dtype=np.int32)
+    for p in _primes_up_to(isqrt(n_max)).tolist():
+        stride = spf[p::p]
+        stride[stride == 0] = p
+        pk = p
+        while pk <= n_max:
+            omega[pk::pk] += 1
+            cofactor[pk::pk] //= p
+            pk *= p
+    omega += cofactor > 1
+    # Still-empty slots are 0, 1 and the primes above isqrt(n_max).
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset
 
     liouville = (1 - 2 * (omega & 1)).astype(np.int8)
     liouville[0] = 0

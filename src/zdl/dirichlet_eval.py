@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import ArithmeticTable
+from .arithmetic import ArithmeticTable, _primes_up_to
 from .errors import (
     DomainError,
     ExceptionalPointError,
@@ -246,17 +246,6 @@ def zeta_at_exceptional(k: int) -> EvalResult:
     # Richardson defect plus finite-difference amplification of eta noise.
     estimate = (abs(d2 - d1) / 3.0 + 1e-15 / h) / ln2
     return EvalResult(value, estimate, terms)
-
-
-def _primes_up_to(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def euler_product_partial(s: complex, p_max: int) -> complex:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zdl import (
+    arithmetic,
     beta_by_definition,
     beta_closed_form,
     beta_definition_table,
@@ -17,7 +18,7 @@ from zdl import (
 )
 from zdl.errors import InvalidBoundError, TableRangeError
 
-from oracles import beta_brute, divisors_brute, liouville_brute, omega_brute
+from oracles import beta_brute, divisors_brute, liouville_brute, omega_brute, spf_brute
 
 
 def test_build_table_basics(table2k):
@@ -27,6 +28,25 @@ def test_build_table_basics(table2k):
     assert table2k.smallest_prime_factor[91] == 7
     assert omega(table2k, 1) == 0
     assert liouville(table2k, 1) == 1
+
+
+def test_sieve_matches_trial_division_across_square_steps():
+    # The loop bound isqrt(n_max) steps at p**2 = 4, 9, 25, 49, 121 and 961,
+    # so these bounds put each such p just outside and just inside the loop.
+    for n_max in [*range(1, 131), 960, 961, 962]:
+        table = build_table(n_max)
+        ns = range(1, n_max + 1)
+        assert table.smallest_prime_factor.tolist() == [0] + [spf_brute(n) for n in ns], n_max
+        assert table.omega.tolist() == [0] + [omega_brute(n) for n in ns], n_max
+        assert table.liouville.tolist() == [0] + [liouville_brute(n) for n in ns], n_max
+
+
+def test_sieve_large_prime_leftovers(table1m):
+    spf = table1m.smallest_prime_factor
+    assert spf[999983] == 999983 and omega(table1m, 999983) == 1
+    for n, p in ((2 * 499979, 2), (3 * 333331, 3)):
+        assert spf[n] == p == spf_brute(n)
+        assert omega(table1m, n) == 2 == omega_brute(n)
 
 
 def test_omega_matches_brute_force(table2k):
@@ -69,6 +89,16 @@ def test_divisors_sorted_and_complete(table2k):
 def test_rejects_nonpositive_bound():
     with pytest.raises(InvalidBoundError):
         build_table(0)
+
+
+def test_rejects_bound_beyond_int32_before_allocating(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used before the bound check")
+
+    monkeypatch.setattr(arithmetic, "np", NoNumpy())
+    with pytest.raises(InvalidBoundError, match=r"<= 2\*\*31 - 1"):
+        build_table(2**31)
 
 
 def test_rejects_out_of_range_index(table2k):
