@@ -479,7 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zdl",
         description="Numerical experiments on Dirichlet series and double arrays.",
-        epilog="Set ZDL_THREADS to parallelize uniformity scans.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,7 +1,14 @@
 """Double arrays and the three summation orders applied to them.
 
 A double array here is a map (m, n) -> a(m, n) over positive integer
-pairs.  Three ways of attaching a value to the whole array are compared:
+pairs.  Every array meets one contract (DoubleArray): vectorized entries
+terms(m, n), the nonzero entries of a rectangle as COO arrays
+pairs(m_lo, m_hi, n_max), and the row and column limits row_limits and
+column_limits.  Grids, the rectangle trace and both uniformity scans
+reach an array only through that contract, so each keeps one code path
+for every array.
+
+Three ways of attaching a value to the whole array are compared:
 
 * row-iterated: sum each row to its limit, then add the row sums,
 * column-iterated: sum each column to its limit, then add the column sums,
@@ -14,26 +21,28 @@ The arrays provided:
   hits m | n, else 0.  Rows collapse to liouville(m) * m**(-s) * eta(s);
   column n is a finite sum equal to the signed divisor transform of n
   over n**s.  The three orders agree where everything converges
-  absolutely and pull apart as re(s) shrinks.
+  absolutely and pull apart as re(s) shrinks.  Its pairs enumerate the
+  divisor hits directly instead of scanning the rectangle.
 * CesaroArray: the classical counterexample whose rows sum to 2**(-m)
   (total 1) while its columns sum to (-1)**(n+1) (oscillating partials).
 * SyntheticArray: calibration rules with known behavior ("zeros" and the
   interchange counterexample whose partial sums are m/(m+n)).
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import ArithmeticTable, divisors
+from .arithmetic import ArithmeticTable
 from .dirichlet_eval import eta
 from .errors import DomainError, InvalidBoundError, TableRangeError
 
 # Largest number of grid cells a dense partial-sum grid may hold (~1 GB).
 MAX_GRID_CELLS = 1 << 26
+
+_SLAB_CELLS = 1 << 16
 
 ROW_ITERATED = "row_iterated"
 COLUMN_ITERATED = "column_iterated"
@@ -109,45 +118,53 @@ def classify_trace(trace: np.ndarray, tolerance: float = 1e-6) -> Verdict:
 
 
 class DoubleArray:
-    """Shared fallbacks; concrete arrays override what they can do faster."""
+    """The one contract every array meets and every consumer goes through.
+
+    * terms(m, n): entries at broadcast integer index arrays (all >= 1),
+      complex128, 0 where the array has no support.
+    * pairs(m_lo, m_hi, n_max): the nonzero entries of the rectangle
+      m_lo <= m <= m_hi, 1 <= n <= n_max as COO arrays (m, n, value),
+      sorted by m and then n.
+    * row_limits(m_max) / column_limits(n_max): each row (column) summed
+      to its limit, in slots 1..m_max (1..n_max); slot 0 is 0.
+
+    pairs evaluates terms over the whole rectangle and keeps the
+    nonzeros; an array with sparse support overrides it with a direct
+    enumeration that must return the same entries bit for bit.
+    """
 
     label = "generic"
 
-    def term(self, m: int, n: int) -> complex:
+    def terms(self, m, n) -> np.ndarray:
         raise NotImplementedError
-
-    def row_limit(self, m: int) -> complex:
-        raise NotImplementedError
-
-    def column_limit(self, n: int) -> complex:
-        raise NotImplementedError
-
-    def row_values(self, m: int, n_max: int) -> np.ndarray:
-        """Dense row a(m, 1..n_max) as a length n_max+1 array; slot 0 is 0."""
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        for n in range(1, n_max + 1):
-            out[n] = self.term(m, n)
-        return out
 
     def row_limits(self, m_max: int) -> np.ndarray:
-        out = np.zeros(m_max + 1, dtype=np.complex128)
-        for m in range(1, m_max + 1):
-            out[m] = self.row_limit(m)
-        return out
+        raise NotImplementedError
 
     def column_limits(self, n_max: int) -> np.ndarray:
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        for n in range(1, n_max + 1):
-            out[n] = self.column_limit(n)
-        return out
+        raise NotImplementedError
 
-    def row_partial(self, m: int, n_upto: int) -> complex:
-        return complex(np.sum(self.row_values(m, n_upto)))
+    def pairs(self, m_lo: int, m_hi: int, n_max: int):
+        rows = max(m_hi - m_lo + 1, 0)
+        if rows * max(n_max, 0) > MAX_GRID_CELLS:
+            raise InvalidBoundError(
+                f"rectangle of {rows} x {n_max} terms exceeds the dense limit"
+            )
+        m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
+        n = np.arange(1, n_max + 1, dtype=np.int64)
+        values = self.terms(m[:, None], n)
+        hit_m, hit_n = np.nonzero(values)
+        return m[hit_m], n[hit_n], values[hit_m, hit_n]
 
 
-def _check_pair(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise InvalidBoundError(f"array indices start at 1, got ({m}, {n})")
+def _indices(m, n):
+    """Integer index arrays for terms; raises on an index below 1."""
+    m = np.asarray(m, dtype=np.int64)
+    n = np.asarray(n, dtype=np.int64)
+    for idx in (m, n):
+        if idx.size and idx.min() < 1:
+            raise InvalidBoundError(f"array indices start at 1, got {int(idx.min())}")
+    return m, n
 
 
 class LeeArray(DoubleArray):
@@ -169,109 +186,60 @@ class LeeArray(DoubleArray):
         self.table = table
         self._eta_value = eta(s).value
 
-    def term(self, m: int, n: int) -> complex:
-        _check_pair(m, n)
-        if n > self.table.n_max:
+    def _check_reach(self, index: int, name: str = "n") -> None:
+        if index > self.table.n_max:
             raise TableRangeError(
-                f"n = {n} beyond sieve bound {self.table.n_max}"
+                f"{name} = {index} beyond sieve bound {self.table.n_max}"
             )
-        if n % m != 0:
-            return 0j
-        j = n // m
-        sign = 1.0 if j % 2 == 1 else -1.0
-        lam = float(self.table.liouville[m])
-        return lam * sign * cmath.exp(-self.s * math.log(n))
 
-    def row_limit(self, m: int) -> complex:
-        if not 1 <= m <= self.table.n_max:
-            raise TableRangeError(f"m = {m} beyond sieve bound {self.table.n_max}")
-        lam = float(self.table.liouville[m])
-        return lam * cmath.exp(-self.s * math.log(m)) * self._eta_value
+    def _entries(self, m, j, n) -> np.ndarray:
+        """a(m, n) at divisor hits n = m * j."""
+        signs = np.where(j % 2 == 1, 1.0, -1.0)
+        lam = self.table.liouville[m]
+        return lam * signs * np.exp(-self.s * np.log(n.astype(np.float64)))
+
+    def terms(self, m, n) -> np.ndarray:
+        m, n = np.broadcast_arrays(*_indices(m, n))
+        if n.size:
+            self._check_reach(int(n.max()))
+        out = np.zeros(m.shape, dtype=np.complex128)
+        hit = n % m == 0
+        m, n = m[hit], n[hit]
+        out[hit] = self._entries(m, n // m, n)
+        return out
 
     def row_limits(self, m_max: int) -> np.ndarray:
-        if m_max > self.table.n_max:
-            raise TableRangeError(f"m = {m_max} beyond sieve bound {self.table.n_max}")
+        self._check_reach(m_max, "m")
         out = np.zeros(m_max + 1, dtype=np.complex128)
         m = np.arange(1, m_max + 1, dtype=np.float64)
         lam = self.table.liouville[1 : m_max + 1]
         out[1:] = lam * np.exp(-self.s * np.log(m)) * self._eta_value
         return out
 
-    def column_limit(self, n: int) -> complex:
-        """Exact column sum: a finite sum over the divisors of n.
-
-        The integer part sum(liouville(d) * (-1)**(n/d + 1)) is computed
-        exactly, then scaled by n**(-s).
-        """
-        if not 1 <= n <= self.table.n_max:
-            raise TableRangeError(f"n = {n} beyond sieve bound {self.table.n_max}")
-        lam = self.table.liouville
-        coeff = 0
-        for d in divisors(self.table, n):
-            co = n // d
-            coeff += int(lam[d]) * (1 if co % 2 == 1 else -1)
-        return coeff * cmath.exp(-self.s * math.log(n))
-
     def column_limits(self, n_max: int) -> np.ndarray:
-        """Vectorized column sums through the stored divisor transform."""
-        if n_max > self.table.n_max:
-            raise TableRangeError(f"n = {n_max} beyond sieve bound {self.table.n_max}")
+        """Column sums through the stored divisor transform.
+
+        Column n is the finite sum over the divisors of n; its exact
+        integer part sum(liouville(d) * (-1)**(n/d + 1)) = beta(n) is
+        scaled by n**(-s).
+        """
+        self._check_reach(n_max)
         out = np.zeros(n_max + 1, dtype=np.complex128)
         n = np.arange(1, n_max + 1, dtype=np.float64)
         out[1:] = self.table.beta[1 : n_max + 1] * np.exp(-self.s * np.log(n))
         return out
 
-    def row_values(self, m: int, n_max: int) -> np.ndarray:
-        if n_max > self.table.n_max:
-            raise TableRangeError(f"n = {n_max} beyond sieve bound {self.table.n_max}")
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        count = n_max // m
-        if count == 0:
-            return out
-        j = np.arange(1, count + 1, dtype=np.float64)
-        n = m * j
-        signs = np.where(np.arange(1, count + 1) % 2 == 1, 1.0, -1.0)
-        lam = float(self.table.liouville[m])
-        out[m :: m] = lam * signs * np.exp(-self.s * np.log(n))
-        return out
-
-    def row_partial(self, m: int, n_upto: int) -> complex:
-        if n_upto > self.table.n_max:
-            raise TableRangeError(
-                f"n = {n_upto} beyond sieve bound {self.table.n_max}"
-            )
-        count = n_upto // m
-        if count == 0:
-            return 0j
-        j = np.arange(1, count + 1, dtype=np.float64)
-        signs = np.where(np.arange(1, count + 1) % 2 == 1, 1.0, -1.0)
-        lam = float(self.table.liouville[m])
-        return complex(np.sum(lam * signs * np.exp(-self.s * np.log(m * j))))
-
     def pairs(self, m_lo: int, m_hi: int, n_max: int):
-        """All nonzero entries with m_lo <= m <= m_hi and n <= n_max.
-
-        Returns (m, j, n, value) arrays with n = m * j; the workhorse for
-        scans and sparse rectangle traces, which never touch the dense
-        grid.
-        """
-        if n_max > self.table.n_max:
-            raise TableRangeError(f"n = {n_max} beyond sieve bound {self.table.n_max}")
-        m_hi = min(m_hi, n_max)
-        if m_lo > m_hi:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, np.empty(0, dtype=np.complex128)
-        mv = np.arange(m_lo, m_hi + 1, dtype=np.int64)
+        """Divisor enumeration: row m holds n = m * j for j <= n_max // m."""
+        _indices(m_lo, 1)
+        self._check_reach(n_max)
+        mv = np.arange(m_lo, min(m_hi, n_max) + 1, dtype=np.int64)
         counts = n_max // mv
-        total = int(counts.sum())
         m_col = np.repeat(mv, counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        j_col = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
+        offsets = np.cumsum(counts) - counts
+        j_col = np.arange(len(m_col), dtype=np.int64) - np.repeat(offsets, counts) + 1
         n_col = m_col * j_col
-        signs = np.where(j_col % 2 == 1, 1.0, -1.0)
-        lam = self.table.liouville[m_col]
-        values = lam * signs * np.exp(-self.s * np.log(n_col.astype(np.float64)))
-        return m_col, j_col, n_col, values
+        return m_col, n_col, self._entries(m_col, j_col, n_col)
 
 
 class CesaroArray(DoubleArray):
@@ -284,29 +252,11 @@ class CesaroArray(DoubleArray):
 
     label = "cesaro"
 
-    @staticmethod
-    def _b(n):
-        return 2.0 ** (-(n // 2) - 1)
-
-    def term(self, m: int, n: int) -> complex:
-        _check_pair(m, n)
-        b = self._b(n)
-        sign = 1.0 if n % 2 == 1 else -1.0
-        return complex(sign * b * (1.0 - b) ** (m - 1))
-
-    def row_limit(self, m: int) -> complex:
-        return complex(2.0 ** (-m))
-
-    def column_limit(self, n: int) -> complex:
-        return complex(1.0 if n % 2 == 1 else -1.0)
-
-    def row_values(self, m: int, n_max: int) -> np.ndarray:
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        b = self._b(n)
+    def terms(self, m, n) -> np.ndarray:
+        m, n = _indices(m, n)
+        b = 2.0 ** (-(n // 2) - 1)
         signs = np.where(n % 2 == 1, 1.0, -1.0)
-        out[1:] = signs * b * (1.0 - b) ** (m - 1)
-        return out
+        return ((signs * b) * (1.0 - b) ** (m - 1)).astype(np.complex128)
 
     def row_limits(self, m_max: int) -> np.ndarray:
         out = np.zeros(m_max + 1, dtype=np.complex128)
@@ -318,14 +268,6 @@ class CesaroArray(DoubleArray):
         n = np.arange(1, n_max + 1)
         out[1:] = np.where(n % 2 == 1, 1.0, -1.0)
         return out
-
-    def block_matrix(self, m_values: np.ndarray, n_values: np.ndarray) -> np.ndarray:
-        """Terms on a small m x n index grid, vectorized for scans."""
-        n = np.asarray(n_values, dtype=np.int64)
-        m = np.asarray(m_values, dtype=np.int64)
-        b = self._b(n)
-        signs = np.where(n % 2 == 1, 1.0, -1.0)
-        return (signs * b) * (1.0 - b) ** (m[:, None] - 1)
 
 
 class SyntheticArray(DoubleArray):
@@ -357,32 +299,22 @@ class SyntheticArray(DoubleArray):
             out = np.where((m >= 1) & (n >= 1), m / np.maximum(m + n, 1.0), 0.0)
         return out
 
-    def term(self, m: int, n: int) -> complex:
-        _check_pair(m, n)
+    def terms(self, m, n) -> np.ndarray:
+        m, n = _indices(m, n)
         if self.rule == "zeros":
-            return 0j
+            return np.zeros(np.broadcast_shapes(m.shape, n.shape), dtype=np.complex128)
         f = self._ratio
-        return complex(
-            float(f(m, n)) - float(f(m - 1, n)) - float(f(m, n - 1)) + float(f(m - 1, n - 1))
-        )
+        return (f(m, n) - f(m - 1, n) - f(m, n - 1) + f(m - 1, n - 1)).astype(np.complex128)
 
-    def row_limit(self, m: int) -> complex:
+    def row_limits(self, m_max: int) -> np.ndarray:
         # Both rules have vanishing row tails; the ratio rows telescope to
         # lim_N [f(m, N) - f(m-1, N)] = 0.
-        return 0j
+        return np.zeros(m_max + 1, dtype=np.complex128)
 
-    def column_limit(self, n: int) -> complex:
-        if self.rule == "zeros":
-            return 0j
-        return complex(1.0 if n == 1 else 0.0)
-
-    def row_values(self, m: int, n_max: int) -> np.ndarray:
+    def column_limits(self, n_max: int) -> np.ndarray:
         out = np.zeros(n_max + 1, dtype=np.complex128)
-        if self.rule == "zeros":
-            return out
-        n = np.arange(1, n_max + 1, dtype=np.int64)
-        f = self._ratio
-        out[1:] = f(m, n) - f(m - 1, n) - f(m, n - 1) + f(m - 1, n - 1)
+        if self.rule == "interchange_ratio":
+            out[1:2] = 1.0
         return out
 
 
@@ -417,9 +349,10 @@ class PartialSumGrid:
     def recompute_cell(self, m: int, n: int) -> complex:
         self.cell(m, n)  # bounds check
         acc = np.complex128(0.0)
+        row = np.zeros(n + 1, dtype=np.complex128)
         for r in range(1, m + 1):
-            row = np.cumsum(self.array.row_values(r, self.n_max))
-            acc = acc + row[n]
+            row[1:] = self.array.terms(r, np.arange(1, n + 1))
+            acc = acc + np.cumsum(row)[n]
         return complex(acc)
 
     def to_csv(self, fileobj) -> None:
@@ -443,8 +376,12 @@ def build_grid(array: DoubleArray, m_max: int, n_max: int) -> PartialSumGrid:
             "use the sparse scan paths instead"
         )
     a = np.zeros((m_max + 1, n_max + 1), dtype=np.complex128)
-    for m in range(1, m_max + 1):
-        a[m] = array.row_values(m, n_max)
+    n = np.arange(1, n_max + 1)
+    # Slabs of rows keep the temporaries of terms small next to the grid.
+    step = max(1, _SLAB_CELLS // n_max)
+    for lo in range(1, m_max + 1, step):
+        m = np.arange(lo, min(lo + step, m_max + 1))
+        a[lo : lo + len(m), 1:] = array.terms(m[:, None], n)
     np.cumsum(a, axis=1, out=a)
     np.cumsum(a, axis=0, out=a)
     return PartialSumGrid(array, m_max, n_max, a)
@@ -452,7 +389,7 @@ def build_grid(array: DoubleArray, m_max: int, n_max: int) -> PartialSumGrid:
 
 def term(array: DoubleArray, m: int, n: int) -> complex:
     """Single array entry a(m, n)."""
-    return array.term(m, n)
+    return complex(array.terms(m, n))
 
 
 def row_sum(array: DoubleArray, m: int, n_upto: int | None = None) -> complex:
@@ -460,17 +397,17 @@ def row_sum(array: DoubleArray, m: int, n_upto: int | None = None) -> complex:
     if m < 1:
         raise InvalidBoundError(f"row index starts at 1, got {m}")
     if n_upto is None:
-        return array.row_limit(m)
+        return complex(array.row_limits(m)[m])
     if n_upto < 1:
         raise InvalidBoundError(f"truncation point must be >= 1, got {n_upto}")
-    return array.row_partial(m, n_upto)
+    return complex(np.sum(array.pairs(m, m, n_upto)[2]))
 
 
 def column_sum(array: DoubleArray, n: int) -> complex:
     """Column n summed to its limit (exact where the column is finite)."""
     if n < 1:
         raise InvalidBoundError(f"column index starts at 1, got {n}")
-    return array.column_limit(n)
+    return complex(array.column_limits(n)[n])
 
 
 def iterated_sum(
@@ -539,10 +476,7 @@ def pringsheim_trace(
     if aspect <= 0:
         raise InvalidBoundError(f"aspect must be positive, got {aspect}")
 
-    if isinstance(array, LeeArray):
-        trace, corners = _pringsheim_sparse(array, k_max, aspect)
-    else:
-        trace, corners = _pringsheim_dense(array, k_max, aspect)
+    trace, corners = _rectangle_trace(array, k_max, aspect)
 
     verdict = classify_trace(trace, tolerance)
     spread = _box_diameter(np.array([v for _, _, v in corners]))
@@ -558,45 +492,27 @@ def pringsheim_trace(
     return SummationReport(PRINGSHEIM_DIAGONAL, trace, verdict, notes)
 
 
-def _pringsheim_sparse(array: LeeArray, k_max: int, aspect: Fraction):
-    """Event-driven rectangle trace for divisor-supported arrays.
+def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
+    """Event-driven rectangle trace over the nonzero entries.
 
     Entry (m, n) joins the rectangle at the first K with n <= K and
     ceil(aspect*K) >= m; the trace is a sorted cumulative sum over those
-    activation keys, never materializing a dense grid.
+    activation keys, never materializing a dense grid.  Every entry of
+    pairs(1, ceil(aspect*k_max), k_max) joins by K = k_max.
     """
-    m_col, _, n_col, values = array.pairs(1, k_max, k_max)
+    m_col, n_col, values = array.pairs(1, _ceil_fraction(k_max, aspect), k_max)
     p, q = aspect.numerator, aspect.denominator
-    row_key = (m_col - 1) * q // p + 1
-    enter = np.maximum(n_col, row_key)
-    keep = enter <= k_max
-    enter = enter[keep]
-    vals = values[keep]
-    mk = m_col[keep]
-    nk = n_col[keep]
+    enter = np.maximum(n_col, (m_col - 1) * q // p + 1)
     order = np.argsort(enter, kind="stable")
     enter = enter[order]
-    vals = vals[order]
-    mk = mk[order]
-    nk = nk[order]
-    csum = np.cumsum(vals)
-    idx = np.searchsorted(enter, np.arange(1, k_max + 1), side="right")
-    trace = np.where(idx > 0, csum[np.maximum(idx - 1, 0)], 0j)
+    values = values[order]
+    m_col = m_col[order]
+    n_col = n_col[order]
+    csum = np.concatenate(([0j], np.cumsum(values)))
+    trace = csum[np.searchsorted(enter, np.arange(1, k_max + 1), side="right")]
 
     corners = []
     for mm, nn in _corner_points(k_max, aspect):
-        mask = (mk <= mm) & (nk <= nn)
-        corners.append((mm, nn, complex(np.sum(vals[mask]))))
-    return trace, corners
-
-
-def _pringsheim_dense(array: DoubleArray, k_max: int, aspect: Fraction):
-    m_cap = _ceil_fraction(k_max, aspect)
-    grid = build_grid(array, m_cap, k_max)
-    ks = np.arange(1, k_max + 1)
-    rows = np.array([_ceil_fraction(int(k), aspect) for k in ks])
-    trace = grid.sums[rows, ks]
-    corners = [
-        (mm, nn, complex(grid.sums[mm, nn])) for mm, nn in _corner_points(k_max, aspect)
-    ]
+        mask = (m_col <= mm) & (n_col <= nn)
+        corners.append((mm, nn, complex(np.sum(values[mask]))))
     return trace, corners

@@ -24,22 +24,19 @@ stalls while the second decays, which is the whole story told by this
 package in one pair of curves.
 """
 
-import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import ordered_map
-from .arithmetic import divisors
 from .double_array import (
+    MAX_GRID_CELLS,
     DoubleArray,
     LeeArray,
     PartialSumGrid,
     build_grid,
     _box_diameter,
 )
-from .errors import InsufficientWindowError, InvalidBoundError, TableRangeError
+from .errors import InsufficientWindowError, InvalidBoundError
 
 PROBE_KINDS = (
     "first_partial",
@@ -283,17 +280,24 @@ def _check_outer_list(values, name):
     return arr
 
 
-def _needed_sup_lee(array: LeeArray, m_start: int, block: int, n_reach: int) -> float:
-    m_col, _, n_col, vals = array.pairs(m_start, m_start + block, n_reach)
-    if len(n_col) == 0:
-        return 0.0
+def _default_reach(array: DoubleArray) -> int:
+    """Scan reach in n: the sieve bound (at most 10**6) for Lee, else 4096."""
+    if isinstance(array, LeeArray):
+        return min(array.table.n_max, 10**6)
+    return 4096
+
+
+def _needed_sup(array: DoubleArray, m_start: int, block: int, n_reach: int) -> float:
+    m_col, n_col, vals = array.pairs(m_start, m_start + block, n_reach)
     order = np.argsort(n_col, kind="stable")
     m_s = m_col[order]
     n_s = n_col[order]
     v_s = vals[order]
+    in_tail = n_s >= m_s  # row m enters the block tail at n = m
     best = 0.0
     for q in range(block + 1):
         take = m_s <= m_start + q
+        take &= in_tail
         if not np.any(take):
             continue
         nq = n_s[take]
@@ -304,18 +308,6 @@ def _needed_sup_lee(array: LeeArray, m_start: int, block: int, n_reach: int) -> 
         idx = np.concatenate([group_end, [len(nq) - 1]])
         best = max(best, float(np.max(np.abs(csum[idx]))))
     return best
-
-
-def _needed_sup_dense(array: DoubleArray, m_start: int, block: int, n_reach: int) -> float:
-    rows = np.zeros((block + 1, n_reach + 1), dtype=np.complex128)
-    for r in range(block + 1):
-        m = m_start + r
-        row = array.row_values(m, n_reach)
-        row[:m] = 0.0
-        rows[r] = row
-    np.cumsum(rows, axis=1, out=rows)
-    np.cumsum(rows, axis=0, out=rows)
-    return float(np.max(np.abs(rows)))
 
 
 def needed_uniformity_scan(
@@ -336,56 +328,17 @@ def needed_uniformity_scan(
     if block < 0:
         raise InvalidBoundError(f"block length must be >= 0, got {block}")
     if n_reach is None:
-        n_reach = min(array.table.n_max, 10**6) if isinstance(array, LeeArray) else 4096
-    if isinstance(array, LeeArray):
-        if n_reach > array.table.n_max:
-            raise TableRangeError(
-                f"scan reach {n_reach} beyond sieve bound {array.table.n_max}"
-            )
-        sups = ordered_map(
-            lambda m: _needed_sup_lee(array, m, block, n_reach), m_list
-        )
-    else:
-        if (block + 1) * (n_reach + 1) > (1 << 26):
-            raise InvalidBoundError(
-                f"dense scan of {block + 1} x {n_reach} terms is too large"
-            )
-        sups = ordered_map(
-            lambda m: _needed_sup_dense(array, m, block, n_reach), m_list
-        )
+        n_reach = _default_reach(array)
+    sups = [_needed_sup(array, m, block, n_reach) for m in m_list]
     window = {"block": block, "n_reach": int(n_reach)}
     return _scan_verdict(NEEDED_CRITERION, "M", m_list, sups, threshold, window)
 
 
-def _verified_sup_lee(array: LeeArray, n_start: int, block: int, m_reach: int) -> float:
-    table = array.table
-    per_row: dict[int, list] = {}
-    for n in range(n_start, n_start + block + 1):
-        scale = cmath.exp(-array.s * math.log(n))
-        for d in divisors(table, n):
-            if d > m_reach:
-                continue
-            j = n // d
-            sign = 1.0 if j % 2 == 1 else -1.0
-            val = float(table.liouville[d]) * sign * scale
-            per_row.setdefault(d, []).append(val)
-    best = 0.0
-    for vals in per_row.values():
-        csum = np.cumsum(np.asarray(vals))
-        best = max(best, float(np.max(np.abs(csum))))
-    return best
-
-
-def _verified_sup_dense(array: DoubleArray, n_start: int, block: int, m_reach: int) -> float:
-    ns = np.arange(n_start, n_start + block + 1, dtype=np.int64)
-    if hasattr(array, "block_matrix"):
-        terms = array.block_matrix(np.arange(1, m_reach + 1), ns)
-    else:
-        terms = np.array(
-            [[array.term(m, int(n)) for n in ns] for m in range(1, m_reach + 1)]
-        )
-    csum = np.cumsum(terms, axis=1)
-    return float(np.max(np.abs(csum)))
+def _verified_sup(array: DoubleArray, n_start: int, block: int, m_reach: int) -> float:
+    block_terms = array.terms(
+        np.arange(1, m_reach + 1)[:, None], np.arange(n_start, n_start + block + 1)
+    )
+    return float(np.max(np.abs(np.cumsum(block_terms, axis=1))))
 
 
 def lee_verified_scan(
@@ -408,19 +361,11 @@ def lee_verified_scan(
         raise InvalidBoundError(f"block length must be >= 0, got {block}")
     if m_reach < 1:
         raise InvalidBoundError(f"m_reach must be >= 1, got {m_reach}")
-    if isinstance(array, LeeArray):
-        if n_list[-1] + block > array.table.n_max:
-            raise TableRangeError(
-                f"scan block past {n_list[-1] + block} exceeds sieve bound "
-                f"{array.table.n_max}"
-            )
-        sups = ordered_map(
-            lambda n: _verified_sup_lee(array, n, block, m_reach), n_list
+    if m_reach * (block + 1) > MAX_GRID_CELLS:
+        raise InvalidBoundError(
+            f"row-tail block of {m_reach} x {block + 1} terms exceeds the dense limit"
         )
-    else:
-        sups = ordered_map(
-            lambda n: _verified_sup_dense(array, n, block, m_reach), n_list
-        )
+    sups = [_verified_sup(array, n, block, m_reach) for n in n_list]
     window = {"block": block, "m_reach": int(m_reach)}
     return _scan_verdict(VERIFIED_CRITERION, "N", n_list, sups, threshold, window)
 
@@ -685,10 +630,7 @@ def diagnostics_report(
     checks = _classify_from(probes, row_profile, col_profile, tolerance)
 
     if scan_reach is None:
-        if isinstance(array, LeeArray):
-            scan_reach = min(array.table.n_max, 10**6)
-        else:
-            scan_reach = 4096
+        scan_reach = _default_reach(array)
     outer = _default_outer(scan_reach, block)
     needed_outer = outer
     if isinstance(array, LeeArray):

@@ -138,6 +138,55 @@ def lee_term_brute(s: complex, m: int, n: int) -> complex:
     return liouville_brute(m) * sign * cmath.exp(-complex(s) * math.log(n))
 
 
+def cesaro_term(m: int, n: int) -> float:
+    """(-1)**(n+1) * b(n) * (1 - b(n))**(m-1) with b(n) = 2**(-(n//2) - 1)."""
+    b = 2.0 ** (-(n // 2) - 1)
+    sign = 1.0 if n % 2 == 1 else -1.0
+    return sign * b * (1.0 - b) ** (m - 1)
+
+
+def ratio_term(m: int, n: int) -> float:
+    """Second difference of f(m, n) = m / (m + n), with f = 0 off m, n >= 1."""
+
+    def f(i, k):
+        return i / (i + k) if i >= 1 and k >= 1 else 0.0
+
+    return f(m, n) - f(m - 1, n) - f(m, n - 1) + f(m - 1, n - 1)
+
+
+def needed_sup_brute(term, m_start: int, block: int, n_reach: int) -> float:
+    """Block-tail sup by its definition, one term at a time.
+
+    max over q <= block and N <= n_reach of
+    |sum_{m=M}^{M+q} sum_{n=m}^{N} term(m, n)| with M = m_start.
+    """
+    block_sums = [0j] * (n_reach + 1)
+    best = 0.0
+    for m in range(m_start, m_start + block + 1):
+        row = 0j
+        for n in range(1, n_reach + 1):
+            if n >= m:
+                row += term(m, n)
+            block_sums[n] += row
+            best = max(best, abs(block_sums[n]))
+    return best
+
+
+def verified_sup_brute(term, n_start: int, block: int, m_reach: int) -> float:
+    """Row-tail sup by its definition, one term at a time.
+
+    max over m <= m_reach and q <= block of |sum_{n=N}^{N+q} term(m, n)|
+    with N = n_start.
+    """
+    best = 0.0
+    for m in range(1, m_reach + 1):
+        run = 0j
+        for n in range(n_start, n_start + block + 1):
+            run += term(m, n)
+            best = max(best, abs(run))
+    return best
+
+
 # Frozen targets derived from the oracles above (and only from them).
 ZETA2 = zeta_direct_even(2)
 ZETA4 = zeta_direct_even(4)

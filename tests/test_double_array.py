@@ -1,8 +1,6 @@
 """Double arrays, partial-sum grids, and the three summation modes."""
 
-import cmath
 import io
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +21,13 @@ from zdl import (
 )
 from zdl.errors import DomainError, InvalidBoundError, TableRangeError
 
-from oracles import beta_brute, cesaro_rectangle, lee_term_brute, liouville_brute
+from oracles import (
+    beta_brute,
+    cesaro_rectangle,
+    cesaro_term,
+    lee_term_brute,
+    liouville_brute,
+)
 
 S_TEST = 0.8 + 0.5j
 
@@ -45,41 +49,91 @@ def test_term_supported_on_divisors(lee):
 
 
 def test_column_limit_is_exact_coefficient(lee):
-    for n in (1, 2, 4, 8, 12, 50, 98):
+    limits = lee.column_limits(200)
+    for n in (1, 2, 4, 8, 12, 37, 50, 98, 200):
         # same scaling route as the implementation, so the integer
         # combination in front must match exactly for equality to hold
-        expected = beta_brute(n) * cmath.exp(-S_TEST * math.log(n))
-        assert lee.column_limit(n) == expected
-    vec = lee.column_limits(200)
-    for n in (1, 37, 200):
-        assert abs(vec[n] - lee.column_limit(n)) <= 1e-15
+        expected = beta_brute(n) * np.exp(-S_TEST * np.log(float(n)))
+        assert limits[n] == expected
+        assert column_sum(lee, n) == limits[n]
 
 
 def test_row_limit_factorizes_through_eta(lee):
     base = eta(S_TEST).value
+    limits = lee.row_limits(16)
     for m in (1, 3, 7, 16):
         expected = liouville_brute(m) * m ** -S_TEST * base
-        assert abs(lee.row_limit(m) - expected) <= 1e-14
+        assert abs(limits[m] - expected) <= 1e-14
+        assert row_sum(lee, m) == limits[m]
 
 
 def test_row_values_supported_on_multiples(lee):
-    values = lee.row_values(6, 100)
+    values = lee.terms(6, np.arange(1, 101))
     for n in range(1, 101):
         if n % 6:
-            assert values[n] == 0
+            assert values[n - 1] == 0
         else:
-            assert abs(values[n] - lee_term_brute(S_TEST, 6, n)) <= 1e-15
+            assert abs(values[n - 1] - lee_term_brute(S_TEST, 6, n)) <= 1e-15
     partial = np.cumsum(values)
-    assert abs(lee.row_partial(6, 100) - partial[-1]) <= 1e-15
     assert abs(row_sum(lee, 6, 100) - partial[-1]) <= 1e-15
 
 
 def test_pairs_enumerates_divisor_hits(lee):
-    m_arr, j_arr, n_arr, v_arr = lee.pairs(1, 40, 300)
-    assert np.all(j_arr * m_arr == n_arr)
+    m_arr, n_arr, v_arr = lee.pairs(1, 40, 300)
+    assert np.all(n_arr % m_arr == 0)
     for i in (0, len(m_arr) // 2, len(m_arr) - 1):
         brute = lee_term_brute(S_TEST, int(m_arr[i]), int(n_arr[i]))
         assert abs(v_arr[i] - brute) <= 1e-15
+
+
+@pytest.fixture(params=["lee", "cesaro", "zeros", "interchange_ratio"])
+def any_array(request, lee):
+    if request.param == "lee":
+        return lee
+    if request.param == "cesaro":
+        return CesaroArray()
+    return SyntheticArray(request.param)
+
+
+# (m_lo, m_hi, n_max): from row 1, from a later row, rows past n_max,
+# rows that Lee leaves empty, and an empty rectangle.
+@pytest.mark.parametrize(
+    "m_lo, m_hi, n_max", [(1, 12, 40), (5, 9, 60), (3, 50, 20), (30, 40, 20), (6, 5, 10)]
+)
+def test_pairs_are_the_nonzero_terms(any_array, m_lo, m_hi, n_max):
+    m_col, n_col, values = any_array.pairs(m_lo, m_hi, n_max)
+    rect = any_array.terms(np.arange(m_lo, m_hi + 1)[:, None], np.arange(1, n_max + 1))
+    hit_m, hit_n = np.nonzero(rect)
+    assert np.array_equal(m_col, hit_m + m_lo)
+    assert np.array_equal(n_col, hit_n + 1)
+    assert values.dtype == np.complex128
+    assert values.tobytes() == rect[hit_m, hit_n].tobytes()
+
+
+def test_pairs_rejects_row_zero(any_array):
+    with pytest.raises(InvalidBoundError):
+        any_array.pairs(0, 3, 10)
+
+
+def test_term_is_bitwise_the_pairs_and_grid_value(table100k):
+    lee = LeeArray(0.5 + 14.134725j, table100k)
+    # At n = 9170, cmath.exp and np.exp differ in the last bit.
+    n = 9170
+    m_col, n_col, values = lee.pairs(1, n, n)
+    at_n = n_col == n
+    assert np.array_equal(m_col[at_n], [1, 2, 5, 7, 10, 14, 35, 70, 131, 262, 655,
+                                        917, 1310, 1834, 4585, 9170])
+    for m, v in zip(m_col[at_n], values[at_n]):
+        assert term(lee, int(m), n) == v
+    # A grid cell replays row-then-column running sums of the same terms.
+    grid = build_grid(lee, 6, 40)
+    total = 0j
+    for m in range(1, 7):
+        row = 0j
+        for k in range(1, 41):
+            row += term(lee, m, k)
+        total += row
+    assert grid.cell(6, 40) == total
 
 
 def test_grid_matches_brute_double_sum(lee_grid):
@@ -145,20 +199,26 @@ def test_cesaro_grid_matches_closed_form():
 
 def test_cesaro_row_and_column_limits():
     ces = CesaroArray()
+    rows = ces.row_limits(10)
+    cols = ces.column_limits(8)
     for m in (1, 2, 10):
-        assert ces.row_limit(m) == 2.0 ** -m
+        assert rows[m] == 2.0 ** -m
+        assert row_sum(ces, m) == 2.0 ** -m
     for n in (1, 2, 3, 8):
-        assert ces.column_limit(n) == (1.0 if n % 2 else -1.0)
+        assert cols[n] == (1.0 if n % 2 else -1.0)
+        assert column_sum(ces, n) == cols[n]
 
 
-def test_cesaro_block_matrix_matches_terms():
+def test_cesaro_terms_match_closed_form():
     ces = CesaroArray()
     ms = np.array([1, 4, 9])
     ns = np.array([2, 3, 10, 11])
-    block = ces.block_matrix(ms, ns)
+    block = ces.terms(ms[:, None], ns)
+    assert block.shape == (3, 4) and block.dtype == np.complex128
     for i, m in enumerate(ms):
         for j, n in enumerate(ns):
-            assert abs(block[i, j] - term(ces, int(m), int(n))) <= 1e-18
+            assert abs(block[i, j] - cesaro_term(int(m), int(n))) <= 1e-18
+            assert term(ces, int(m), int(n)) == block[i, j]
 
 
 def test_zeros_array_is_identically_zero():
@@ -182,7 +242,11 @@ def test_lee_rejects_bad_parameters(table2k):
     with pytest.raises(TableRangeError):
         term(lee, 1, 2001)
     with pytest.raises(TableRangeError):
-        lee.row_values(3, 5000)
+        lee.terms(3, np.arange(1, 5001))
+    with pytest.raises(TableRangeError):
+        lee.pairs(3, 3, 5000)
+    with pytest.raises(InvalidBoundError):
+        lee.terms(np.arange(0, 4), 12)
 
 
 def test_synthetic_rejects_unknown_rule():
@@ -260,6 +324,25 @@ def test_pringsheim_aspect_changes_the_answer():
         finals[aspect] = rep.trace[-1]
         assert abs(rep.trace[-1] - expected) <= 1e-9
     assert len({complex(v) for v in finals.values()}) == 3
+
+
+def test_pringsheim_on_the_zero_array_converges_to_zero():
+    rep = pringsheim_trace(SyntheticArray("zeros"), 16)
+    assert rep.verdict.kind == "converged"
+    assert rep.verdict.value == 0
+    assert not np.any(rep.trace)
+
+
+@pytest.mark.parametrize("aspect", [Fraction(1), Fraction(3, 2), Fraction(2, 3)])
+def test_pringsheim_trace_matches_closed_forms(aspect):
+    ces = pringsheim_trace(CesaroArray(), 64, aspect)
+    ratio = pringsheim_trace(SyntheticArray("interchange_ratio"), 64, aspect)
+    for k in range(1, 65):
+        m = -((-k * aspect.numerator) // aspect.denominator)
+        assert abs(ces.trace[k - 1] - cesaro_rectangle(m, k)) <= 1e-13
+        assert abs(ratio.trace[k - 1] - m / (m + k)) <= 1e-13
+    for corner in ces.notes["corner_samples"]:
+        assert abs(corner["value"] - cesaro_rectangle(corner["m"], corner["n"])) <= 1e-13
 
 
 def test_pringsheim_needs_a_real_rectangle():

@@ -1,5 +1,6 @@
 """Limit probes, uniformity scans, and the interchange-theorem classifier."""
 
+import functools
 import json
 
 import numpy as np
@@ -19,7 +20,14 @@ from zdl import (
 from zdl.errors import InsufficientWindowError, InvalidBoundError, TableRangeError
 from zdl.summation_diagnostics import PROBE_KINDS
 
-from oracles import LEE_COMMON_VALUE_AT_2
+from oracles import (
+    LEE_COMMON_VALUE_AT_2,
+    cesaro_term,
+    lee_term_brute,
+    needed_sup_brute,
+    ratio_term,
+    verified_sup_brute,
+)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +156,27 @@ def test_verified_scan_decays_for_the_divisor_array(table2k):
     assert scan.window == {"block": 8, "m_reach": 256}
 
 
+@pytest.mark.parametrize("name", ["lee", "cesaro", "interchange_ratio"])
+def test_scans_match_brute_oracles(name, table2k):
+    if name == "lee":
+        array = LeeArray(0.6 + 3.0j, table2k)
+        brute = functools.partial(lee_term_brute, 0.6 + 3.0j)
+    elif name == "cesaro":
+        array, brute = CesaroArray(), cesaro_term
+    else:
+        array, brute = SyntheticArray(name), ratio_term
+    needed = needed_uniformity_scan(array, (1, 5, 16), block=4, n_reach=200)
+    for m, sup in zip(needed.outer_values, needed.sup_trace):
+        expected = needed_sup_brute(brute, int(m), 4, 200)
+        assert expected > 0
+        assert abs(sup - expected) <= 1e-12 * expected
+    verified = lee_verified_scan(array, (1, 7, 30), block=4, m_reach=50)
+    for n, sup in zip(verified.outer_values, verified.sup_trace):
+        expected = verified_sup_brute(brute, int(n), 4, 50)
+        assert expected > 0
+        assert abs(sup - expected) <= 1e-12 * expected
+
+
 def test_scan_input_guards(table2k):
     lee = LeeArray(2.0 + 0j, table2k)
     with pytest.raises(InvalidBoundError):
@@ -156,6 +185,8 @@ def test_scan_input_guards(table2k):
         needed_uniformity_scan(lee, (64, 16), block=8, n_reach=512)
     with pytest.raises(TableRangeError):
         lee_verified_scan(lee, (1999,), block=8, m_reach=64)
+    with pytest.raises(InvalidBoundError):
+        lee_verified_scan(lee, (16,), block=1 << 14, m_reach=1 << 13)
 
 
 def test_diagnostics_report_shape():
