@@ -1,8 +1,11 @@
 """Command-line behavior through the in-process entry point."""
 
+import csv
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +209,119 @@ def test_output_is_deterministic_and_file_equal(capsys, tmp_path):
     code, piped, _ = run(capsys, *args, "--out", str(out_path))
     assert piped == ""
     assert out_path.read_text() == first
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (argv, exit status).  Status 0 goldens hold stdout, status 2
+# goldens hold the JSON error line written to stderr.
+GOLDEN_CASES = {
+    "beta": (("beta", "--n-max", "30"), 0),
+    "identity": (("identity", "--s", "0.75", "--K", "1000"), 0),
+    "modes_lee": (("modes", "--array", "lee", "--s", "2", "--outer", "2000",
+                   "--k-max", "500"), 0),
+    "modes_lee_zero": (("modes", "--array", "lee", "--s", "0.5+14.134725i",
+                        "--outer", "2000", "--k-max", "500", "--tolerance", "1e-3"), 0),
+    "modes_cesaro": (("modes", "--array", "cesaro"), 0),
+    "modes_zeros": (("modes", "--array", "zeros", "--aspect", "2"), 0),
+    "modes_ratio": (("modes", "--array", "interchange_ratio", "--aspect", "2/3"), 0),
+    "uniformity_lee_zero": (("uniformity", "--array", "lee", "--s", "0.5+14.134725i",
+                             "--window", "64x256", "--reach", "20000"), 0),
+    "uniformity_lee_s2": (("uniformity", "--array", "lee", "--s", "2",
+                           "--window", "64x256", "--reach", "20000"), 0),
+    "uniformity_cesaro": (("uniformity", "--array", "cesaro", "--window", "64x256",
+                           "--reach", "2000"), 0),
+    "uniformity_zeros": (("uniformity", "--array", "zeros", "--window", "32x32",
+                          "--reach", "64", "--block", "4"), 0),
+    "uniformity_ratio": (("uniformity", "--array", "interchange_ratio",
+                          "--window", "64x64", "--tolerance", "0.02",
+                          "--threshold", "0.05", "--reach", "1000"), 0),
+    "zeros": (("zeros", "--t-lo", "14", "--t-hi", "40"), 0),
+    "eta": (("eta", "--s", "0.5+14.13i"), 0),
+    "eta_order": (("eta", "--s", "0.75+3i", "--order", "80"), 0),
+    "zeta": (("zeta", "--s", "2"), 0),
+    "zeta_k": (("zeta", "--k", "1"), 0),
+    "identity_domain_error": (("identity", "--s", "0.4"), 2),
+}
+
+_INT = re.compile(r"-?\d+")
+
+
+def _same_float(got, want, where):
+    # numpy's SIMD exp/log may differ in the last bit between CPUs; values
+    # at roundoff level (zero residuals, tail diameters) get an absolute floor.
+    assert isinstance(got, float), where
+    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-13), (where, got, want)
+
+
+def _same_json(got, want, where="$"):
+    if isinstance(want, float):
+        _same_float(got, want, where)
+        return
+    assert type(got) is type(want), (where, got, want)
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_json(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, (where, got, want)
+
+
+def _same_csv(got, want):
+    got_rows = list(csv.reader(got.splitlines()))
+    want_rows = list(csv.reader(want.splitlines()))
+    assert got_rows[0] == want_rows[0]
+    assert len(got_rows) == len(want_rows)
+    for r, (g_row, w_row) in enumerate(zip(got_rows, want_rows)):
+        assert len(g_row) == len(w_row), r
+        for c, (g, w) in enumerate(zip(g_row, w_row)):
+            where = (r, want_rows[0][c])
+            if w == "" or _INT.fullmatch(w):
+                assert g == w, where
+                continue
+            try:
+                w_float = float(w)
+            except ValueError:
+                assert g == w, where
+                continue
+            assert not _INT.fullmatch(g), where
+            _same_float(float(g), w_float, where)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(capsys, name, fmt):
+    argv, status = GOLDEN_CASES[name]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == status
+    got, silent = (err, out) if status == 2 else (out, err)
+    assert silent == ""
+    want = (GOLDEN / f"{name}.{fmt}").read_text()
+    if fmt == "json":
+        def indents(text):
+            return [len(line) - len(line.lstrip()) for line in text.splitlines()]
+
+        assert indents(got) == indents(want)
+        _same_json(json.loads(got), json.loads(want))
+    else:
+        _same_csv(got, want)
+
+
+if __name__ == "__main__":
+    # Rewrite the golden files from the code on PYTHONPATH:
+    #   PYTHONPATH=src python tests/test_cli.py
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, status) in GOLDEN_CASES.items():
+        for fmt in ("json", "csv"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main([*argv, "--format", fmt]) == status, name
+            text = (err if status == 2 else out).getvalue()
+            (GOLDEN / f"{name}.{fmt}").write_text(text)
