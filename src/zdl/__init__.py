@@ -60,6 +60,7 @@ from .errors import (
     InsufficientWindowError,
     InvalidBoundError,
     NotAZeroError,
+    OutputError,
     PoleError,
     ScanStepError,
     TableRangeError,
@@ -98,6 +99,7 @@ __all__ = [
     "LeeArray",
     "LimitProbe",
     "NotAZeroError",
+    "OutputError",
     "PartialSumGrid",
     "PoleError",
     "ScanStepError",

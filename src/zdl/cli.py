@@ -9,10 +9,13 @@ Subcommands map one-to-one onto the library layers:
 * zeros       critical-line zero table plus the exceptional pair
 * eta, zeta   single evaluations with error estimates
 
-Output is deterministic for a fixed invocation: fixed key order in JSON,
-repr-formatted floats in CSV, newline line endings.  Domain failures
-print one machine-readable JSON object to stderr and exit with status 2;
-a beta table mismatch exits with status 1.
+Each cmd_* computes once and returns (payload, csv_header, csv_rows);
+_write is the only writer.  JSON opens with "schema" and "command" and
+carries complex numbers as {"re", "im"}; CSV cells are repr for floats,
+empty for None and 0/1 for flags.  Output is deterministic for a fixed
+invocation.  Domain failures, an unwritable --out included, print one
+JSON object to stderr and exit with status 2; a beta table mismatch
+exits with status 1.
 """
 
 import argparse
@@ -41,8 +44,8 @@ from .double_array import (
     iterated_sum,
     pringsheim_trace,
 )
-from .errors import DomainError, ZdlError
-from .summation_diagnostics import diagnostics_report
+from .errors import DomainError, OutputError, ZdlError
+from .summation_diagnostics import _jsonable, diagnostics_report
 from .zero_finder import exceptional_zero, zeros_between
 
 ARRAY_CHOICES = ("lee", "cesaro", "zeros", "interchange_ratio")
@@ -88,104 +91,72 @@ def parse_aspect(text: str) -> Fraction:
     return aspect
 
 
-def _c(value) -> dict | None:
-    if value is None:
-        return None
-    value = complex(value)
-    return {"re": float(value.real), "im": float(value.imag)}
+def parse_positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise DomainError(f"expected a positive number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"value must be positive and finite, got {text!r}")
+    return value
 
 
-def _fmt(value) -> str:
-    """CSV cell: repr for floats (round-trip exact), empty for None."""
+def _parts(value) -> tuple:
+    """(re, im) of a complex CSV field, (None, None) when absent."""
+    return (None, None) if value is None else (value.real, value.imag)
+
+
+def _cell(value) -> str:
+    """CSV cell: repr for floats (round-trip exact), empty for None, 0/1 for flags."""
     if value is None:
         return ""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as handle:
-            handle.write(text)
+def _write(args, payload: dict, header, rows) -> None:
+    """The one writer: JSON record or CSV table to stdout or --out."""
+    if args.format == "json":
+        record = _jsonable({"schema": 1, "command": args.command, **payload})
+        text = json.dumps(record, indent=2) + "\n"
     else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(cell) for cell in row] for row in rows)
+        text = buf.getvalue()
+    if not args.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise OutputError(f"cannot write --out {args.out!r}: {err.strerror or err}") from None
 
 
-def _emit_json(payload: dict, out_path) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+_BETA_HEADER = ("n", "omega", "liouville", "beta_definition", "beta_closed", "mismatch")
 
 
-def _emit_csv(header, rows, out_path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-    _emit(buf.getvalue(), out_path)
-
-
-def _verdict_json(verdict) -> dict:
-    band = None
-    if verdict.band is not None:
-        band = {"low": _c(verdict.band[0]), "high": _c(verdict.band[1])}
-    return {
-        "kind": verdict.kind,
-        "value": _c(verdict.value),
-        "residual": None if verdict.residual is None else float(verdict.residual),
-        "band": band,
-    }
-
-
-def cmd_beta(args) -> int:
+def cmd_beta(args) -> tuple:
     table = build_table(args.n_max)
     by_def = beta_definition_table(table)
-    closed = table.beta[1:]
-    mismatch = by_def[1:] != closed
-    count = int(np.count_nonzero(mismatch))
-    if args.format == "json":
-        rows = [
-            {
-                "n": n,
-                "omega": int(table.omega[n]),
-                "liouville": int(table.liouville[n]),
-                "beta_definition": int(by_def[n]),
-                "beta_closed": int(table.beta[n]),
-                "mismatch": bool(mismatch[n - 1]),
-            }
-            for n in range(1, args.n_max + 1)
-        ]
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "beta",
-                "n_max": int(args.n_max),
-                "mismatches": count,
-                "rows": rows,
-            },
-            args.out,
-        )
-    else:
-        rows = (
-            (
-                n,
-                int(table.omega[n]),
-                int(table.liouville[n]),
-                int(by_def[n]),
-                int(table.beta[n]),
-                int(mismatch[n - 1]),
-            )
-            for n in range(1, args.n_max + 1)
-        )
-        _emit_csv(
-            ("n", "omega", "liouville", "beta_definition", "beta_closed", "mismatch"),
-            rows,
-            args.out,
-        )
-    return 1 if count else 0
+    mismatch = by_def[1:] != table.beta[1:]
+    columns = (table.omega, table.liouville, by_def, table.beta)
+    rows = list(zip(range(1, args.n_max + 1), *(c[1:].tolist() for c in columns),
+                    mismatch.tolist()))
+    payload = {
+        "n_max": args.n_max,
+        "mismatches": int(np.count_nonzero(mismatch)),
+        "rows": [dict(zip(_BETA_HEADER, row)) for row in rows],
+    }
+    return payload, _BETA_HEADER, rows
 
 
-def cmd_identity(args) -> int:
+def cmd_identity(args) -> tuple:
     s = args.s
     if s.real <= 0.5:
         raise DomainError(
@@ -196,35 +167,20 @@ def cmd_identity(args) -> int:
     residual = abs(series - bridge)
     sigma = s.real
     tail_bound = float(args.K) ** (1.0 - 2.0 * sigma) / (2.0 * sigma - 1.0)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "identity",
-                "s": _c(s),
-                "K": int(args.K),
-                "series": _c(series),
-                "bridge_product": _c(bridge),
-                "residual": residual,
-                "tail_bound": tail_bound,
-            },
-            args.out,
-        )
-    else:
-        _emit_csv(
-            (
-                "re_s", "im_s", "K", "series_re", "series_im",
-                "bridge_re", "bridge_im", "residual", "tail_bound",
-            ),
-            [
-                (
-                    s.real, s.imag, args.K, series.real, series.imag,
-                    bridge.real, bridge.imag, residual, tail_bound,
-                )
-            ],
-            args.out,
-        )
-    return 0
+    payload = {
+        "s": s,
+        "K": args.K,
+        "series": series,
+        "bridge_product": bridge,
+        "residual": residual,
+        "tail_bound": tail_bound,
+    }
+    header = (
+        "re_s", "im_s", "K", "series_re", "series_im",
+        "bridge_re", "bridge_im", "residual", "tail_bound",
+    )
+    row = (*_parts(s), args.K, *_parts(series), *_parts(bridge), residual, tail_bound)
+    return payload, header, [row]
 
 
 _MODES_DEFAULTS = {
@@ -252,7 +208,7 @@ def _make_array(name, s, sieve_need, n_max_flag):
     return SyntheticArray(name)
 
 
-def cmd_modes(args) -> int:
+def cmd_modes(args) -> tuple:
     outer_default, k_default = _MODES_DEFAULTS[args.array]
     outer = args.outer if args.outer is not None else outer_default
     k_max = args.k_max if args.k_max is not None else k_default
@@ -262,60 +218,38 @@ def cmd_modes(args) -> int:
         iterated_sum(array, "columns_then_n", outer, args.tolerance),
         pringsheim_trace(array, k_max, args.aspect, args.tolerance),
     ]
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "command": "modes",
-            "array": array.label,
-            "s": _c(getattr(array, "s", None)),
-            "outer_limit": int(outer),
-            "k_max": int(k_max),
-            "aspect": str(args.aspect),
-            "tolerance": float(args.tolerance),
-            "reports": [
-                {
-                    "mode": rep.mode,
-                    "verdict": _verdict_json(rep.verdict),
-                    "final": _c(rep.trace[-1]),
-                    "trace_length": int(len(rep.trace)),
-                }
-                for rep in reports
-            ],
-        }
-        _emit_json(payload, args.out)
-    else:
-        rows = []
-        for rep in reports:
-            v = rep.verdict
-            band_lo = v.band[0] if v.band else None
-            band_hi = v.band[1] if v.band else None
-            rows.append(
-                (
-                    rep.mode,
-                    v.kind,
-                    None if v.value is None else v.value.real,
-                    None if v.value is None else v.value.imag,
-                    v.residual,
-                    None if band_lo is None else band_lo.real,
-                    None if band_lo is None else band_lo.imag,
-                    None if band_hi is None else band_hi.real,
-                    None if band_hi is None else band_hi.imag,
-                    len(rep.trace),
-                )
-            )
-        _emit_csv(
-            (
-                "mode", "verdict", "value_re", "value_im", "residual",
-                "band_lo_re", "band_lo_im", "band_hi_re", "band_hi_im",
-                "trace_length",
-            ),
-            rows,
-            args.out,
-        )
-    return 0
+    records, rows = [], []
+    for rep in reports:
+        v = rep.verdict
+        low, high = v.band or (None, None)
+        band = None if v.band is None else {"low": low, "high": high}
+        records.append({
+            "mode": rep.mode,
+            "verdict": {"kind": v.kind, "value": v.value, "residual": v.residual,
+                        "band": band},
+            "final": rep.trace[-1],
+            "trace_length": len(rep.trace),
+        })
+        rows.append((rep.mode, v.kind, *_parts(v.value), v.residual,
+                     *_parts(low), *_parts(high), len(rep.trace)))
+    payload = {
+        "array": array.label,
+        "s": getattr(array, "s", None),
+        "outer_limit": outer,
+        "k_max": k_max,
+        "aspect": str(args.aspect),
+        "tolerance": args.tolerance,
+        "reports": records,
+    }
+    header = (
+        "mode", "verdict", "value_re", "value_im", "residual",
+        "band_lo_re", "band_lo_im", "band_hi_re", "band_hi_im",
+        "trace_length",
+    )
+    return payload, header, rows
 
 
-def cmd_uniformity(args) -> int:
+def cmd_uniformity(args) -> tuple:
     m_max, n_max = args.window
     reach = args.reach
     sieve_need = n_max
@@ -331,143 +265,66 @@ def cmd_uniformity(args) -> int:
         scan_reach=reach,
         threshold=args.threshold,
     )
-    if args.format == "json":
-        payload = {"schema": 1, "command": "uniformity"}
-        payload.update((k, v) for k, v in report.items() if k != "schema")
-        _emit_json(payload, args.out)
-    else:
-        rows = []
-        for scan in report["scans"]:
-            for outer_value, sup in zip(scan["outer_values"], scan["sup_trace"]):
-                rows.append(
-                    (
-                        scan["quantity"],
-                        scan["outer_label"],
-                        outer_value,
-                        sup,
-                        scan["threshold"],
-                        scan["verdict"],
-                    )
-                )
-        _emit_csv(
-            ("quantity", "outer_label", "outer_value", "sup", "threshold", "verdict"),
-            rows,
-            args.out,
-        )
-    return 0
+    header = ("quantity", "outer_label", "outer_value", "sup", "threshold", "verdict")
+    rows = [
+        (scan["quantity"], scan["outer_label"], outer_value, sup,
+         scan["threshold"], scan["verdict"])
+        for scan in report["scans"]
+        for outer_value, sup in zip(scan["outer_values"], scan["sup_trace"])
+    ]
+    return report, header, rows
 
 
-def cmd_zeros(args) -> int:
+def cmd_zeros(args) -> tuple:
     candidates = zeros_between(args.t_lo, args.t_hi, args.step)
     candidates.extend(exceptional_zero(k) for k in (1, -1))
-    if args.format == "json":
-        _emit_json(
+    payload = {
+        "window": {"t_lo": args.t_lo, "t_hi": args.t_hi, "step": args.step},
+        "zeros": [
             {
-                "schema": 1,
-                "command": "zeros",
-                "window": {
-                    "t_lo": float(args.t_lo),
-                    "t_hi": float(args.t_hi),
-                    "step": float(args.step),
-                },
-                "zeros": [
-                    {
-                        "kind": c.kind,
-                        "k": c.k,
-                        "t": None if c.kind != "critical_line" else float(c.s.imag),
-                        "s": _c(c.s),
-                        "residual": float(c.residual),
-                    }
-                    for c in candidates
-                ],
-            },
-            args.out,
-        )
-    else:
-        rows = [
-            (
-                c.kind,
-                c.s.imag if c.kind == "critical_line" else c.k,
-                c.s.real,
-                c.s.imag,
-                c.residual,
-            )
+                "kind": c.kind,
+                "k": c.k,
+                "t": c.s.imag if c.kind == "critical_line" else None,
+                "s": c.s,
+                "residual": c.residual,
+            }
             for c in candidates
-        ]
-        _emit_csv(("kind", "k_or_t", "re_s", "im_s", "residual"), rows, args.out)
-    return 0
+        ],
+    }
+    rows = [
+        (c.kind, c.s.imag if c.kind == "critical_line" else c.k, *_parts(c.s), c.residual)
+        for c in candidates
+    ]
+    return payload, ("kind", "k_or_t", "re_s", "im_s", "residual"), rows
 
 
-def cmd_eta(args) -> int:
-    result = eta(args.s, args.order)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "eta",
-                "s": _c(args.s),
-                "value": _c(result.value),
-                "error_estimate": float(result.error_estimate),
-                "terms_used": int(result.terms_used),
-            },
-            args.out,
-        )
-    else:
-        _emit_csv(
-            ("re_s", "im_s", "value_re", "value_im", "error_estimate", "terms_used"),
-            [
-                (
-                    args.s.real, args.s.imag, result.value.real,
-                    result.value.imag, result.error_estimate, result.terms_used,
-                )
-            ],
-            args.out,
-        )
-    return 0
+def _evaluation(s, result, **selector) -> tuple:
+    """Record of one eta or zeta evaluation; zeta's exceptional_k follows s."""
+    payload = {
+        "s": s,
+        **selector,
+        "value": result.value,
+        "error_estimate": result.error_estimate,
+        "terms_used": result.terms_used,
+    }
+    header = ("re_s", "im_s", *selector, "value_re", "value_im",
+              "error_estimate", "terms_used")
+    row = (*_parts(s), *selector.values(), *_parts(result.value),
+           result.error_estimate, result.terms_used)
+    return payload, header, [row]
 
 
-def cmd_zeta(args) -> int:
+def cmd_eta(args) -> tuple:
+    return _evaluation(args.s, eta(args.s, args.order))
+
+
+def cmd_zeta(args) -> tuple:
     if (args.s is None) == (args.k is None):
         raise DomainError("zeta needs exactly one of --s or --k")
     if args.k is not None:
-        result = zeta_at_exceptional(args.k)
         s = complex(1.0, args.k * EXCEPTIONAL_SPACING)
-    else:
-        result = zeta(args.s)
-        s = args.s
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "zeta",
-                "s": _c(s),
-                "exceptional_k": args.k,
-                "value": _c(result.value),
-                "error_estimate": float(result.error_estimate),
-                "terms_used": int(result.terms_used),
-            },
-            args.out,
-        )
-    else:
-        _emit_csv(
-            (
-                "re_s", "im_s", "exceptional_k", "value_re", "value_im",
-                "error_estimate", "terms_used",
-            ),
-            [
-                (
-                    None if s is None else s.real,
-                    None if s is None else s.imag,
-                    args.k,
-                    result.value.real,
-                    result.value.imag,
-                    result.error_estimate,
-                    result.terms_used,
-                )
-            ],
-            args.out,
-        )
-    return 0
+        return _evaluation(s, zeta_at_exceptional(args.k), exceptional_k=args.k)
+    return _evaluation(args.s, zeta(args.s), exceptional_k=None)
 
 
 def _add_common(sub):
@@ -499,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", type=int, default=None, help="iterated outer limit")
     p.add_argument("--k-max", type=int, default=None, help="rectangle trace length")
     p.add_argument("--aspect", type=parse_aspect, default=Fraction(1))
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=parse_positive, default=1e-6)
     p.add_argument("--n-max", type=int, default=None, help="sieve bound override")
     _add_common(p)
     p.set_defaults(func=cmd_modes)
@@ -509,10 +366,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=parse_complex, default=None)
     p.add_argument("--window", type=parse_window, default=(512, 4096),
                    help="grid extents as MxN")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=parse_positive, default=1e-6)
     p.add_argument("--block", type=int, default=8)
     p.add_argument("--reach", type=int, default=None, help="scan reach in N")
-    p.add_argument("--threshold", type=float, default=1e-2)
+    p.add_argument("--threshold", type=parse_positive, default=1e-2)
     p.add_argument("--n-max", type=int, default=None, help="sieve bound override")
     _add_common(p)
     p.set_defaults(func=cmd_uniformity)
@@ -543,11 +400,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, header, rows = args.func(args)
+        _write(args, payload, header, rows)
     except ZdlError as err:
-        payload = {"schema": 1, "error": type(err).__name__, "message": str(err)}
-        sys.stderr.write(json.dumps(payload) + "\n")
+        failure = {"schema": 1, "error": type(err).__name__, "message": str(err)}
+        sys.stderr.write(json.dumps(failure) + "\n")
         return 2
+    return 1 if payload.get("mismatches") else 0  # beta table mismatch
 
 
 if __name__ == "__main__":

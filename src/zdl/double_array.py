@@ -355,15 +355,6 @@ class PartialSumGrid:
             acc = acc + np.cumsum(row)[n]
         return complex(acc)
 
-    def to_csv(self, fileobj) -> None:
-        """Write rows "M,N,re,im" for the whole grid, header included."""
-        fileobj.write("M,N,re_S,im_S\n")
-        for m in range(1, self.m_max + 1):
-            row = self.sums[m]
-            for n in range(1, self.n_max + 1):
-                v = complex(row[n])
-                fileobj.write(f"{m},{n},{v.real!r},{v.imag!r}\n")
-
 
 def build_grid(array: DoubleArray, m_max: int, n_max: int) -> PartialSumGrid:
     """Dense partial-sum grid over [1..m_max] x [1..n_max]."""
@@ -422,8 +413,10 @@ def iterated_sum(
     sums over m; "columns_then_n" does the transpose.  The verdict is the
     trace classification at the given tolerance.
     """
-    if outer_limit < 2:
-        raise InvalidBoundError(f"outer limit must be >= 2, got {outer_limit}")
+    if not 2 <= outer_limit <= MAX_GRID_CELLS:
+        raise InvalidBoundError(
+            f"outer limit must be in 2..{MAX_GRID_CELLS}, got {outer_limit}"
+        )
     if order == "rows_then_m":
         limits = array.row_limits(outer_limit)
         mode = ROW_ITERATED

@@ -49,3 +49,7 @@ class NotAZeroError(ZdlError):
 
 class InsufficientWindowError(ZdlError):
     """The partial-sum window is too small for the requested diagnostic."""
+
+
+class OutputError(ZdlError):
+    """The report could not be written to the requested output path."""

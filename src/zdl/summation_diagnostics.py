@@ -24,7 +24,7 @@ stalls while the second decays, which is the whole story told by this
 package in one pair of curves.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -253,6 +253,7 @@ def probe_limits(grid: PartialSumGrid, tolerance: float = 1e-6) -> dict:
 
 
 def _scan_verdict(quantity, outer_label, outer_values, sups, threshold, window):
+    threshold = float(threshold)
     sups = np.asarray(sups, dtype=np.float64)
     outer_values = np.asarray(outer_values, dtype=np.int64)
     below = sups < threshold
@@ -543,70 +544,28 @@ def _classify_from(probes, row_profile, col_profile, tolerance):
     return checks
 
 
-def _json_complex(v):
-    if v is None:
-        return None
-    return {"re": float(v.real), "im": float(v.imag)}
+_PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
-def _json_detail(detail):
-    out = {}
-    for key, val in detail.items():
-        if isinstance(val, (np.floating, float)):
-            out[key] = float(val)
-        elif isinstance(val, (np.integer, int)):
-            out[key] = int(val)
-        else:
-            out[key] = val
-    return out
+def _jsonable(value):
+    """Plain JSON data: complex -> {"re", "im"}, numpy values -> Python.
 
-
-def _probe_json(probe: LimitProbe) -> dict:
-    return {
-        "kind": probe.kind,
-        "verdict": probe.verdict,
-        "value": _json_complex(probe.value),
-        "residual": None if probe.residual is None else float(probe.residual),
-        "trace_length": int(len(probe.trace)),
-        "detail": _json_detail(probe.detail),
-    }
-
-
-def _scan_json(scan: UniformityScan) -> dict:
-    return {
-        "quantity": scan.quantity,
-        "outer_label": scan.outer_label,
-        "outer_values": [int(v) for v in scan.outer_values],
-        "sup_trace": [float(v) for v in scan.sup_trace],
-        "threshold": float(scan.threshold),
-        "verdict": scan.verdict,
-        "at_index": scan.at_index,
-        "floor": scan.floor,
-        "window": scan.window,
-    }
-
-
-def _check_json(check: TheoremCheck) -> dict:
-    return {
-        "theorem": check.theorem,
-        "hypotheses": [
-            {
-                "name": h["name"],
-                "status": h["status"],
-                "evidence": _json_detail(
-                    {
-                        k: (_json_complex(v) if isinstance(v, complex) else v)
-                        for k, v in h["evidence"].items()
-                    }
-                ),
-            }
-            for h in check.hypotheses
-        ],
-        "conclusion": check.conclusion,
-        "asserted": check.asserted,
-        "observed": {k: _json_complex(v) for k, v in check.observed.items()},
-        "consistent": check.consistent,
-    }
+    A dict or list whose values are all plain already is returned as it
+    is, so a long list of flat records costs one cheap call per record.
+    """
+    if isinstance(value, dict):
+        if _PLAIN.issuperset(map(type, value.values())):
+            return value
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        if type(value) is list and _PLAIN.issuperset(map(type, value)):
+            return value
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _jsonable(value.tolist())
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    return value
 
 
 def _default_outer(limit: int, block: int):
@@ -645,13 +604,22 @@ def diagnostics_report(
         array, outer, block, min(m_max, 4096), threshold
     )
 
-    s = getattr(array, "s", None)
-    return {
+    return _jsonable({
         "schema": 1,
         "array": array.label,
-        "s": _json_complex(s),
-        "window": {"m_max": int(m_max), "n_max": int(n_max), "tolerance": float(tolerance)},
-        "probes": [_probe_json(probes[kind]) for kind in PROBE_KINDS],
-        "scans": [_scan_json(needed), _scan_json(verified)],
-        "classification": [_check_json(c) for c in checks],
-    }
+        "s": getattr(array, "s", None),
+        "window": {"m_max": m_max, "n_max": n_max, "tolerance": float(tolerance)},
+        "probes": [
+            {
+                "kind": p.kind,
+                "verdict": p.verdict,
+                "value": p.value,
+                "residual": p.residual,
+                "trace_length": len(p.trace),
+                "detail": p.detail,
+            }
+            for p in (probes[kind] for kind in PROBE_KINDS)
+        ],
+        "scans": [asdict(needed), asdict(verified)],
+        "classification": [asdict(c) for c in checks],
+    })

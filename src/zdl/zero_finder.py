@@ -54,14 +54,15 @@ def scan_critical_line(t_lo: float, t_hi: float, step: float) -> list:
     Returns (a, b) intervals around strict local minima whose value is
     below 0.5; everything else on the critical line sits well above that.
     """
-    if not 0.0 < t_lo < t_hi:
+    if not 0.0 < t_lo < t_hi < math.inf:
         raise InvalidBoundError(
-            f"need 0 < t_lo < t_hi, got t_lo={t_lo}, t_hi={t_hi}"
+            f"need 0 < t_lo < t_hi finite, got t_lo={t_lo}, t_hi={t_hi}"
         )
-    if step <= 0.0 or step > 0.1:
+    if not 0.0 < step <= 0.1:
         raise ScanStepError(
             f"grid step must be in (0, 0.1], got {step}; coarser grids skip zeros"
         )
+    default_order(complex(0.5, t_hi))  # DomainError past the evaluator's reach
     ts = np.arange(t_lo, t_hi + 0.5 * step, step)
     if len(ts) < 3:
         return []
@@ -148,10 +149,12 @@ def off_line_sweep(
     well above zero: these lines host no zeros, which is exactly why the
     critical-line zeros are used as the stand-in experimental regime.
     """
-    if step <= 0.0 or step > 0.1:
+    if not 0.0 < step <= 0.1:
         raise ScanStepError(f"grid step must be in (0, 0.1], got {step}")
-    if t_max <= 0.0:
-        raise InvalidBoundError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise InvalidBoundError(f"t_max must be positive and finite, got {t_max}")
+    for sigma in sigmas:
+        default_order(complex(sigma, t_max))  # DomainError past the evaluator's reach
     ts = np.arange(0.0, t_max + 0.5 * step, step)
     out = []
     for sigma in sigmas:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from zdl import zeta_at_exceptional
-from zdl.cli import main, parse_aspect, parse_complex, parse_window
+from zdl.cli import main, parse_aspect, parse_complex, parse_positive, parse_window
 from zdl.errors import DomainError
 
 from oracles import ZETA2
@@ -209,6 +209,55 @@ def test_output_is_deterministic_and_file_equal(capsys, tmp_path):
     code, piped, _ = run(capsys, *args, "--out", str(out_path))
     assert piped == ""
     assert out_path.read_text() == first
+
+
+
+def test_parse_positive():
+    assert parse_positive("1e-6") == 1e-6
+    assert parse_positive("0.02") == 0.02
+    for bad in ("nan", "inf", "-1", "0", "-0.0", "small"):
+        with pytest.raises(DomainError):
+            parse_positive(bad)
+
+
+@pytest.mark.parametrize("bad", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("modes", "--array", "zeros", "--tolerance"),
+        ("uniformity", "--array", "zeros", "--tolerance"),
+        ("uniformity", "--array", "zeros", "--threshold"),
+    ],
+)
+def test_tolerance_and_threshold_must_be_positive_and_finite(capsys, argv, bad):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, bad])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "positive" in err
+
+
+def test_unwritable_out_exits_two(capsys, tmp_path):
+    for fmt in ("json", "csv"):
+        target = tmp_path / "missing" / f"beta.{fmt}"
+        code, out, err = run(capsys, "beta", "--n-max", "5", "--format", fmt,
+                             "--out", str(target))
+        assert code == 2
+        assert out == ""
+        failure = json.loads(err)
+        assert list(failure) == ["schema", "error", "message"]
+        assert failure["error"] == "OutputError"
+        assert str(target) in failure["message"]
+        assert not target.exists()
+
+
+def test_json_opens_with_schema_then_command(capsys):
+    for argv in (("beta", "--n-max", "2"), ("eta", "--s", "2"),
+                 ("uniformity", "--array", "zeros", "--window", "16x16", "--reach", "32")):
+        code, out, err = run(capsys, *argv)
+        assert list(json.loads(out))[:2] == ["schema", "command"]
+        assert json.loads(out)["command"] == argv[0]
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,6 +1,5 @@
 """Double arrays, partial-sum grids, and the three summation modes."""
 
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +18,7 @@ from zdl import (
     row_sum,
     term,
 )
+from zdl.double_array import MAX_GRID_CELLS
 from zdl.errors import DomainError, InvalidBoundError, TableRangeError
 
 from oracles import (
@@ -177,19 +177,6 @@ def test_grid_size_guards(lee):
         build_grid(SyntheticArray("zeros"), 1 << 14, 1 << 13)
 
 
-def test_csv_round_trip():
-    grid = build_grid(SyntheticArray("interchange_ratio"), 3, 4)
-    buf = io.StringIO()
-    grid.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "M,N,re_S,im_S"
-    assert len(lines) == 1 + 3 * 4
-    m, n, re, im = lines[-1].split(",")
-    assert (int(m), int(n)) == (3, 4)
-    assert float(re) == grid.cell(3, 4).real
-    assert float(im) == 0.0
-
-
 def test_cesaro_grid_matches_closed_form():
     grid = build_grid(CesaroArray(), 64, 64)
     for m in (1, 3, 17, 64):
@@ -305,6 +292,11 @@ def test_iterated_sum_guards():
         iterated_sum(CesaroArray(), "sideways", 16)
     with pytest.raises(InvalidBoundError):
         iterated_sum(CesaroArray(), "rows_then_m", 1)
+    # refused before the limits array is allocated
+    with pytest.raises(InvalidBoundError):
+        iterated_sum(CesaroArray(), "rows_then_m", MAX_GRID_CELLS + 1)
+    with pytest.raises(InvalidBoundError):
+        iterated_sum(SyntheticArray("zeros"), "columns_then_n", 10**12)
 
 
 def test_pringsheim_diagonal_trap_demoted():

@@ -1,7 +1,10 @@
 """Critical-line zero location and the exceptional family."""
 
+import math
+
 import pytest
 
+import zdl.zero_finder as zero_finder
 from zdl import (
     EXCEPTIONAL_SPACING,
     eta,
@@ -11,7 +14,7 @@ from zdl import (
     scan_critical_line,
     zeros_between,
 )
-from zdl.errors import InvalidBoundError, NotAZeroError, ScanStepError
+from zdl.errors import DomainError, InvalidBoundError, NotAZeroError, ScanStepError
 
 from oracles import FIRST_ZERO_T, SECOND_ZERO_T
 
@@ -84,6 +87,44 @@ def test_scan_guards():
         scan_critical_line(1.0, 5.0, 0.0)
     with pytest.raises(ScanStepError):
         scan_critical_line(1.0, 5.0, 0.2)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the input check")
+
+
+@pytest.mark.parametrize(
+    "t_lo, t_hi, step, error",
+    [
+        (10.0, 25.0, math.nan, ScanStepError),
+        (10.0, math.inf, 0.01, InvalidBoundError),
+        (math.nan, 25.0, 0.01, InvalidBoundError),
+        (10.0, math.nan, 0.01, InvalidBoundError),
+        (10.0, 1e9, 0.01, DomainError),  # past eta's reach, t ~ 414
+    ],
+)
+def test_scan_rejects_bad_input_before_allocating(monkeypatch, t_lo, t_hi, step, error):
+    monkeypatch.setattr(zero_finder, "np", _NoNumpy())
+    with pytest.raises(error):
+        scan_critical_line(t_lo, t_hi, step)
+
+
+@pytest.mark.parametrize(
+    "t_max, step, error",
+    [
+        (math.nan, 0.05, InvalidBoundError),
+        (math.inf, 0.05, InvalidBoundError),
+        (1e9, 0.05, DomainError),
+        (50.0, math.nan, ScanStepError),
+    ],
+)
+def test_off_line_sweep_rejects_bad_input_before_allocating(
+    monkeypatch, t_max, step, error
+):
+    monkeypatch.setattr(zero_finder, "np", _NoNumpy())
+    with pytest.raises(error):
+        off_line_sweep(t_max=t_max, step=step)
 
 
 def test_off_line_sweep_stays_well_above_zero():
