@@ -45,7 +45,7 @@ from .double_array import (
     pringsheim_trace,
 )
 from .errors import DomainError, OutputError, ZdlError
-from .summation_diagnostics import _jsonable, diagnostics_report
+from .summation_diagnostics import LEE_DEFAULT_REACH, _jsonable, diagnostics_report
 from .zero_finder import exceptional_zero, zeros_between
 
 ARRAY_CHOICES = ("lee", "cesaro", "zeros", "interchange_ratio")
@@ -191,16 +191,11 @@ _MODES_DEFAULTS = {
 }
 
 
-def _make_array(name, s, sieve_need, n_max_flag):
+def _make_array(name, s, sieve_need):
     if name == "lee":
         if s is None:
             raise DomainError("the lee array needs --s")
-        bound = n_max_flag if n_max_flag is not None else sieve_need
-        if bound < sieve_need:
-            raise DomainError(
-                f"--n-max {bound} is below the requested range {sieve_need}"
-            )
-        return LeeArray(s, build_table(bound))
+        return LeeArray(s, build_table(sieve_need))
     if s is not None:
         raise DomainError(f"--s applies only to the lee array, not {name!r}")
     if name == "cesaro":
@@ -212,7 +207,7 @@ def cmd_modes(args) -> tuple:
     outer_default, k_default = _MODES_DEFAULTS[args.array]
     outer = args.outer if args.outer is not None else outer_default
     k_max = args.k_max if args.k_max is not None else k_default
-    array = _make_array(args.array, args.s, max(outer, k_max), args.n_max)
+    array = _make_array(args.array, args.s, max(outer, k_max))
     reports = [
         iterated_sum(array, "rows_then_m", outer, args.tolerance),
         iterated_sum(array, "columns_then_n", outer, args.tolerance),
@@ -254,8 +249,8 @@ def cmd_uniformity(args) -> tuple:
     reach = args.reach
     sieve_need = n_max
     if args.array == "lee":
-        sieve_need = max(n_max, reach if reach is not None else 10**6)
-    array = _make_array(args.array, args.s, sieve_need, args.n_max)
+        sieve_need = max(n_max, reach if reach is not None else LEE_DEFAULT_REACH)
+    array = _make_array(args.array, args.s, sieve_need)
     report = diagnostics_report(
         array,
         m_max,
@@ -332,6 +327,18 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+def _arg(parse):
+    """argparse type from `parse`; the usage error keeps its DomainError text."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except DomainError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zdl",
@@ -345,32 +352,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_beta)
 
     p = sub.add_parser("identity", help="squared-argument identity check")
-    p.add_argument("--s", type=parse_complex, required=True)
+    p.add_argument("--s", type=_arg(parse_complex), required=True)
     p.add_argument("--K", type=int, default=1000, help="square-index cutoff")
     _add_common(p)
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("modes", help="three summation modes on one array")
     p.add_argument("--array", choices=ARRAY_CHOICES, default="lee")
-    p.add_argument("--s", type=parse_complex, default=None)
+    p.add_argument("--s", type=_arg(parse_complex), default=None)
     p.add_argument("--outer", type=int, default=None, help="iterated outer limit")
     p.add_argument("--k-max", type=int, default=None, help="rectangle trace length")
-    p.add_argument("--aspect", type=parse_aspect, default=Fraction(1))
-    p.add_argument("--tolerance", type=parse_positive, default=1e-6)
-    p.add_argument("--n-max", type=int, default=None, help="sieve bound override")
+    p.add_argument("--aspect", type=_arg(parse_aspect), default=Fraction(1))
+    p.add_argument("--tolerance", type=_arg(parse_positive), default=1e-6)
     _add_common(p)
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("uniformity", help="limit probes, scans, classification")
     p.add_argument("--array", choices=ARRAY_CHOICES, default="lee")
-    p.add_argument("--s", type=parse_complex, default=None)
-    p.add_argument("--window", type=parse_window, default=(512, 4096),
+    p.add_argument("--s", type=_arg(parse_complex), default=None)
+    p.add_argument("--window", type=_arg(parse_window), default=(512, 4096),
                    help="grid extents as MxN")
-    p.add_argument("--tolerance", type=parse_positive, default=1e-6)
+    p.add_argument("--tolerance", type=_arg(parse_positive), default=1e-6)
     p.add_argument("--block", type=int, default=8)
     p.add_argument("--reach", type=int, default=None, help="scan reach in N")
-    p.add_argument("--threshold", type=parse_positive, default=1e-2)
-    p.add_argument("--n-max", type=int, default=None, help="sieve bound override")
+    p.add_argument("--threshold", type=_arg(parse_positive), default=1e-2)
     _add_common(p)
     p.set_defaults(func=cmd_uniformity)
 
@@ -382,13 +387,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("eta", help="evaluate the alternating series")
-    p.add_argument("--s", type=parse_complex, required=True)
+    p.add_argument("--s", type=_arg(parse_complex), required=True)
     p.add_argument("--order", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("zeta", help="evaluate zeta, or its exceptional-point value")
-    p.add_argument("--s", type=parse_complex, default=None)
+    p.add_argument("--s", type=_arg(parse_complex), default=None)
     p.add_argument("--k", type=int, default=None,
                    help="exceptional point index instead of --s")
     _add_common(p)

@@ -25,6 +25,7 @@ package in one pair of curves.
 """
 
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -54,6 +55,10 @@ VERIFIED_CRITERION = "lee_verified_criterion"
 _UNIFORM_EDGE_FRACTION = 0.75
 
 _SLAB_ROWS = 256
+
+# Default scan reach in n for the divisor-supported array; the CLI sieves
+# at least this far when no --reach is given.
+LEE_DEFAULT_REACH = 10**6
 
 
 @dataclass
@@ -158,17 +163,18 @@ def _profile_detail(profile: _SettleProfile) -> dict:
     }
 
 
+def _probe(kind, trace, worst, tolerance, detail) -> LimitProbe:
+    """Verdict from the worst diameter measured on a limit's trace."""
+    if worst <= tolerance:
+        return LimitProbe(kind, trace, "exists", complex(trace[-1]), worst, detail)
+    verdict = "fails_to_settle" if worst > 10.0 * tolerance else "inconclusive"
+    return LimitProbe(kind, trace, verdict, None, worst, detail)
+
+
 def _probe_from_trace(kind, trace, tolerance, detail=None) -> LimitProbe:
     trace = np.asarray(trace, dtype=np.complex128)
-    tail = trace[len(trace) // 2 :]
-    diam = _box_diameter(tail)
-    detail = dict(detail or {})
-    detail["tail_diameter"] = diam
-    if diam <= tolerance:
-        return LimitProbe(kind, trace, "exists", complex(trace[-1]), diam, detail)
-    if diam > 10.0 * tolerance:
-        return LimitProbe(kind, trace, "fails_to_settle", None, diam, detail)
-    return LimitProbe(kind, trace, "inconclusive", None, diam, detail)
+    diam = _box_diameter(trace[len(trace) // 2 :])
+    return _probe(kind, trace, diam, tolerance, {**(detail or {}), "tail_diameter": diam})
 
 
 def _iterated_probe(kind, profile, tolerance) -> LimitProbe:
@@ -211,12 +217,7 @@ def _double_probe(grid: PartialSumGrid, tolerance: float) -> LimitProbe:
         "corner_spread": spread,
         "tail_diameter": tail_diam,
     }
-    worst = max(spread, tail_diam)
-    if worst <= tolerance:
-        return LimitProbe("double", trace, "exists", complex(trace[-1]), worst, detail)
-    if worst > 10.0 * tolerance:
-        return LimitProbe("double", trace, "fails_to_settle", None, worst, detail)
-    return LimitProbe("double", trace, "inconclusive", None, worst, detail)
+    return _probe("double", trace, max(spread, tail_diam), tolerance, detail)
 
 
 def _analyze(grid: PartialSumGrid, tolerance: float):
@@ -282,9 +283,9 @@ def _check_outer_list(values, name):
 
 
 def _default_reach(array: DoubleArray) -> int:
-    """Scan reach in n: the sieve bound (at most 10**6) for Lee, else 4096."""
+    """Scan reach in n: min(sieve bound, LEE_DEFAULT_REACH) for Lee, else 4096."""
     if isinstance(array, LeeArray):
-        return min(array.table.n_max, 10**6)
+        return min(array.table.n_max, LEE_DEFAULT_REACH)
     return 4096
 
 
@@ -324,12 +325,19 @@ def needed_uniformity_scan(
     over N <= n_reach of |sum_{m=M}^{M+q} sum_{n=m}^{N} a(m, n)|.  Rows
     enter the inner sum at n = m, matching the triangular tail whose
     uniform smallness in M is the missing step this scan makes visible.
+    An n_reach below the largest M raises InvalidBoundError: rows past
+    the reach hold no terms, so their sup of 0 would certify nothing.
     """
     m_list = _check_outer_list(m_list, "m_list")
     if block < 0:
         raise InvalidBoundError(f"block length must be >= 0, got {block}")
     if n_reach is None:
         n_reach = _default_reach(array)
+    if n_reach < m_list[-1]:
+        raise InvalidBoundError(
+            f"n_reach {n_reach} is below the largest M {m_list[-1]}; "
+            "the block tails there would be empty"
+        )
     sups = [_needed_sup(array, m, block, n_reach) for m in m_list]
     window = {"block": block, "n_reach": int(n_reach)}
     return _scan_verdict(NEEDED_CRITERION, "M", m_list, sups, threshold, window)
@@ -407,28 +415,39 @@ def _probe_status(probe: LimitProbe):
     return status, evidence
 
 
-def _hyp(name, status_evidence):
-    status, evidence = status_evidence
-    return {"name": name, "status": status, "evidence": evidence}
-
-
-def _gap(a: LimitProbe, b: LimitProbe) -> float | None:
-    if a.value is None or b.value is None:
-        return None
-    return abs(a.value - b.value)
-
-
-def _consistency(asserted: bool, gaps, tolerance: float) -> bool | None:
-    gaps = [g for g in gaps if g is not None]
-    if not asserted or not gaps:
-        return None
-    return max(gaps) <= 10.0 * tolerance
+# theorem -> (hypotheses, conclusion, limits whose values it equates).
+THEOREMS = {
+    "uniform_rows_give_double": (
+        ("row_limits_settle_uniformly", "second_iterated_limit_settles"),
+        "double limit exists and equals the second iterated limit",
+        ("double", "second_iterated"),
+    ),
+    "uniform_rows_transfer_double_to_iterated": (
+        ("row_limits_settle_uniformly", "double_limit_settles"),
+        "second iterated limit exists and equals the double limit",
+        ("double", "second_iterated"),
+    ),
+    "two_sided_uniform_limits_equate_iterated": (
+        (
+            "second_iterated_limit_settles",
+            "row_limits_settle_uniformly",
+            "column_limits_settle_uniformly",
+        ),
+        "first iterated limit exists and equals the second",
+        ("first_iterated", "second_iterated"),
+    ),
+    "moore_symmetric_limits": (
+        ("row_limits_settle_pointwise", "column_limits_settle_uniformly"),
+        "double and both iterated limits exist and coincide",
+        ("double", "first_iterated", "second_iterated"),
+    ),
+}
 
 
 def classify(grid: PartialSumGrid, tolerance: float = 1e-6) -> list:
     """Check the interchange theorems hypothesis by hypothesis.
 
-    Four checks, named by what they claim:
+    Four checks, one per row of THEOREMS, named by what they claim:
 
     * uniform_rows_give_double: row limits settling uniformly plus a
       settled second iterated limit would force the double limit.
@@ -451,96 +470,27 @@ def classify(grid: PartialSumGrid, tolerance: float = 1e-6) -> list:
 
 
 def _classify_from(probes, row_profile, col_profile, tolerance):
-    rows_uniform = _uniform_status(row_profile)
-    cols_uniform = _uniform_status(col_profile)
-    rows_pointwise = _pointwise_status(row_profile, tolerance)
-    second_iter = probes["second_iterated"]
-    first_iter = probes["first_iterated"]
-    double = probes["double"]
-
+    statuses = {
+        "row_limits_settle_uniformly": _uniform_status(row_profile),
+        "column_limits_settle_uniformly": _uniform_status(col_profile),
+        "row_limits_settle_pointwise": _pointwise_status(row_profile, tolerance),
+        "second_iterated_limit_settles": _probe_status(probes["second_iterated"]),
+        "double_limit_settles": _probe_status(probes["double"]),
+    }
     checks = []
-
-    hyps = [
-        _hyp("row_limits_settle_uniformly", rows_uniform),
-        _hyp("second_iterated_limit_settles", _probe_status(second_iter)),
-    ]
-    asserted = all(h["status"] == "holds" for h in hyps)
-    checks.append(
-        TheoremCheck(
-            theorem="uniform_rows_give_double",
-            hypotheses=hyps,
-            conclusion="double limit exists and equals the second iterated limit",
-            asserted=asserted,
-            observed={"double": double.value, "second_iterated": second_iter.value},
-            consistent=_consistency(asserted, [_gap(double, second_iter)], tolerance),
+    for theorem, (names, conclusion, compared) in THEOREMS.items():
+        hypotheses = [
+            {"name": name, "status": statuses[name][0], "evidence": statuses[name][1]}
+            for name in names
+        ]
+        asserted = all(h["status"] == "holds" for h in hypotheses)
+        observed = {kind: probes[kind].value for kind in compared}
+        settled = [v for v in observed.values() if v is not None]
+        gaps = [abs(a - b) for a, b in combinations(settled, 2)]
+        consistent = max(gaps) <= 10.0 * tolerance if asserted and gaps else None
+        checks.append(
+            TheoremCheck(theorem, hypotheses, conclusion, asserted, observed, consistent)
         )
-    )
-
-    hyps = [
-        _hyp("row_limits_settle_uniformly", rows_uniform),
-        _hyp("double_limit_settles", _probe_status(double)),
-    ]
-    asserted = all(h["status"] == "holds" for h in hyps)
-    checks.append(
-        TheoremCheck(
-            theorem="uniform_rows_transfer_double_to_iterated",
-            hypotheses=hyps,
-            conclusion="second iterated limit exists and equals the double limit",
-            asserted=asserted,
-            observed={"double": double.value, "second_iterated": second_iter.value},
-            consistent=_consistency(asserted, [_gap(double, second_iter)], tolerance),
-        )
-    )
-
-    hyps = [
-        _hyp("second_iterated_limit_settles", _probe_status(second_iter)),
-        _hyp("row_limits_settle_uniformly", rows_uniform),
-        _hyp("column_limits_settle_uniformly", cols_uniform),
-    ]
-    asserted = all(h["status"] == "holds" for h in hyps)
-    checks.append(
-        TheoremCheck(
-            theorem="two_sided_uniform_limits_equate_iterated",
-            hypotheses=hyps,
-            conclusion="first iterated limit exists and equals the second",
-            asserted=asserted,
-            observed={
-                "first_iterated": first_iter.value,
-                "second_iterated": second_iter.value,
-            },
-            consistent=_consistency(
-                asserted, [_gap(first_iter, second_iter)], tolerance
-            ),
-        )
-    )
-
-    hyps = [
-        _hyp("row_limits_settle_pointwise", rows_pointwise),
-        _hyp("column_limits_settle_uniformly", cols_uniform),
-    ]
-    asserted = all(h["status"] == "holds" for h in hyps)
-    checks.append(
-        TheoremCheck(
-            theorem="moore_symmetric_limits",
-            hypotheses=hyps,
-            conclusion="double and both iterated limits exist and coincide",
-            asserted=asserted,
-            observed={
-                "double": double.value,
-                "first_iterated": first_iter.value,
-                "second_iterated": second_iter.value,
-            },
-            consistent=_consistency(
-                asserted,
-                [
-                    _gap(double, first_iter),
-                    _gap(double, second_iter),
-                    _gap(first_iter, second_iter),
-                ],
-                tolerance,
-            ),
-        )
-    )
     return checks
 
 

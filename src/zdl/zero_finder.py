@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet_eval import EXCEPTIONAL_SPACING, default_order, eta, eta_line
+from .dirichlet_eval import _MAX_ORDER, EXCEPTIONAL_SPACING, default_order, eta, eta_line
 from .errors import InvalidBoundError, NotAZeroError, ScanStepError
 
 # A grid local minimum of |eta| must dip below this to count as a bracket.
@@ -82,9 +82,10 @@ def refine(bracket) -> ZeroCandidate:
 
     Golden-section minimization of |eta(1/2 + it)|**2 down to an interval
     of width 1e-11.  The reported residual is |eta| re-evaluated at twice
-    the acceleration order, so an evaluator artifact cannot masquerade as
-    a zero; a residual above 1e-9 raises NotAZeroError instead of
-    returning a candidate.
+    the acceleration order (at most the evaluator's cap of 380, reached
+    from t ~ 189.7 on), so an evaluator artifact cannot masquerade as a
+    zero; a residual above 1e-9 raises NotAZeroError instead of returning
+    a candidate.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if not b > a:
@@ -109,7 +110,7 @@ def refine(bracket) -> ZeroCandidate:
             fd = _abs_eta_sq(d, order)
     t = 0.5 * (a + b)
     s = complex(0.5, t)
-    residual = abs(eta(s, 2 * order).value)
+    residual = abs(eta(s, min(2 * order, _MAX_ORDER)).value)
     if residual > REFINE_TOL:
         raise NotAZeroError(
             f"|eta| stalls at {residual:.3e} near t = {t:.9f}; "

@@ -1,4 +1,4 @@
-"""Shared fixtures: sieve tables at three sizes and the first refined zero."""
+"""Shared fixtures: sieve tables, the first refined zero and a numpy stub."""
 
 import pytest
 
@@ -25,3 +25,18 @@ def first_zero():
     brackets = scan_critical_line(14.0, 14.3, 0.01)
     assert len(brackets) == 1
     return refine(brackets[0])
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """Call with a module to swap its numpy for a stub that fails on any use.
+
+    A guard tested under the stub provably rejects its input before
+    allocating anything.
+    """
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"numpy.{name} used before the input check")
+
+    return lambda module: monkeypatch.setattr(module, "np", NoNumpy())

@@ -196,3 +196,16 @@ LEE_COMMON_VALUE_AT_2 = 0.5 * ZETA4           # (1 - 2**(1-2)) * zeta(4)
 # Known low critical-line zero ordinates, to the precision the suite needs.
 FIRST_ZERO_T = 14.134725
 SECOND_ZERO_T = 21.022040
+
+# Ordinates of zeros 72 through 79, the ones in [185, 200], printed to 20
+# digits by mpmath.zetazero; refinement there runs at the order cap.
+ZEROS_185_200 = (
+    185.59878367770747332,
+    187.22892258350185557,
+    189.41615865601693258,
+    192.02665636071378685,
+    193.07972660384569963,
+    195.26539667952923196,
+    196.87648184095831994,
+    198.01530967625191693,
+)

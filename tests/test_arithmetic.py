@@ -91,12 +91,8 @@ def test_rejects_nonpositive_bound():
         build_table(0)
 
 
-def test_rejects_bound_beyond_int32_before_allocating(monkeypatch):
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"numpy.{name} used before the bound check")
-
-    monkeypatch.setattr(arithmetic, "np", NoNumpy())
+def test_rejects_bound_beyond_int32_before_allocating(no_numpy):
+    no_numpy(arithmetic)
     with pytest.raises(InvalidBoundError, match=r"<= 2\*\*31 - 1"):
         build_table(2**31)
 

@@ -199,6 +199,50 @@ def test_zeros_command(capsys):
     assert len(lines) == 4
 
 
+def test_zeros_command_past_the_doubled_order_cap(capsys):
+    code, out, err = run(capsys, "zeros", "--t-lo", "185", "--t-hi", "200")
+    assert code == 0
+    kinds = [z["kind"] for z in json.loads(out)["zeros"]]
+    assert kinds.count("critical_line") == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a reach below the largest M would leave empty block tails at a zero
+        ("uniformity", "--array", "lee", "--s", "0.5+14.134725i",
+         "--window", "64x256", "--reach", "0"),
+        ("uniformity", "--array", "lee", "--s", "0.5+14.134725i",
+         "--window", "64x256", "--reach", "-5"),
+        ("identity", "--s", "2", "--K", "10000000000000"),
+    ],
+)
+def test_refused_bounds_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidBoundError"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("eta", "--s", "nan"), "argument --s: complex parameter must be finite, got 'nan'"),
+        (("uniformity", "--window", "5x"),
+         "argument --window: window must look like 512x4096, got '5x'"),
+        (("modes", "--n-max", "10"), "unrecognized arguments: --n-max 10"),
+        (("uniformity", "--n-max", "10"), "unrecognized arguments: --n-max 10"),
+    ],
+)
+def test_usage_errors_say_what_to_change(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_output_is_deterministic_and_file_equal(capsys, tmp_path):
     args = ("modes", "--array", "cesaro", "--outer", "16", "--k-max", "8")
     code, first, _ = run(capsys, *args)

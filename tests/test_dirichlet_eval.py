@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import zdl.dirichlet_eval as dirichlet_eval
 from zdl import (
     EXCEPTIONAL_SPACING,
     beta_series_partial,
@@ -18,6 +19,7 @@ from zdl import (
     zeta,
     zeta_at_exceptional,
 )
+from zdl.dirichlet_eval import MAX_SQUARE_INDEX
 from zdl.errors import (
     DomainError,
     ExceptionalPointError,
@@ -155,3 +157,10 @@ def test_beta_series_guards():
         beta_series_partial(-1.0, 100)
     with pytest.raises(InvalidBoundError):
         beta_series_partial(2.0, 0)
+
+
+@pytest.mark.parametrize("K", [MAX_SQUARE_INDEX + 1, 10**13])
+def test_beta_series_rejects_K_above_the_cap_before_allocating(no_numpy, K):
+    no_numpy(dirichlet_eval)
+    with pytest.raises(InvalidBoundError, match=r"1\.\.4194304"):
+        beta_series_partial(2.0, K)

@@ -183,6 +183,9 @@ def test_scan_input_guards(table2k):
         needed_uniformity_scan(lee, (), block=8, n_reach=512)
     with pytest.raises(InvalidBoundError):
         needed_uniformity_scan(lee, (64, 16), block=8, n_reach=512)
+    for reach in (63, 0, -5):  # rows past the reach would read sup 0
+        with pytest.raises(InvalidBoundError):
+            needed_uniformity_scan(lee, (16, 64), block=8, n_reach=reach)
     with pytest.raises(TableRangeError):
         lee_verified_scan(lee, (1999,), block=8, m_reach=64)
     with pytest.raises(InvalidBoundError):

@@ -16,7 +16,7 @@ from zdl import (
 )
 from zdl.errors import DomainError, InvalidBoundError, NotAZeroError, ScanStepError
 
-from oracles import FIRST_ZERO_T, SECOND_ZERO_T
+from oracles import FIRST_ZERO_T, SECOND_ZERO_T, ZEROS_185_200
 
 
 def test_scan_brackets_the_first_zero():
@@ -38,6 +38,15 @@ def test_first_two_zeros_refined():
     for z in zeros:
         assert z.s.real == 0.5
         assert z.kind == "critical_line"
+        assert z.residual <= 1e-9
+
+
+def test_zeros_past_the_doubled_order_cap():
+    # From t ~ 189.7 twice the default order exceeds the evaluator's cap.
+    zeros = zeros_between(185.0, 200.0)
+    assert len(zeros) == len(ZEROS_185_200)
+    for z, t in zip(zeros, ZEROS_185_200):
+        assert abs(z.s.imag - t) <= 1e-9
         assert z.residual <= 1e-9
 
 
@@ -89,11 +98,6 @@ def test_scan_guards():
         scan_critical_line(1.0, 5.0, 0.2)
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} used before the input check")
-
-
 @pytest.mark.parametrize(
     "t_lo, t_hi, step, error",
     [
@@ -104,8 +108,8 @@ class _NoNumpy:
         (10.0, 1e9, 0.01, DomainError),  # past eta's reach, t ~ 414
     ],
 )
-def test_scan_rejects_bad_input_before_allocating(monkeypatch, t_lo, t_hi, step, error):
-    monkeypatch.setattr(zero_finder, "np", _NoNumpy())
+def test_scan_rejects_bad_input_before_allocating(no_numpy, t_lo, t_hi, step, error):
+    no_numpy(zero_finder)
     with pytest.raises(error):
         scan_critical_line(t_lo, t_hi, step)
 
@@ -120,9 +124,9 @@ def test_scan_rejects_bad_input_before_allocating(monkeypatch, t_lo, t_hi, step,
     ],
 )
 def test_off_line_sweep_rejects_bad_input_before_allocating(
-    monkeypatch, t_max, step, error
+    no_numpy, t_max, step, error
 ):
-    monkeypatch.setattr(zero_finder, "np", _NoNumpy())
+    no_numpy(zero_finder)
     with pytest.raises(error):
         off_line_sweep(t_max=t_max, step=step)
 
