@@ -1,6 +1,7 @@
 """Accelerated alternating-series evaluator against an Euler-Maclaurin oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,57 @@ def test_eta_line_matches_pointwise():
     line = eta_line(0.5, ts)
     for i, t in enumerate(ts):
         assert abs(line[i] - eta(complex(0.5, t)).value) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "sigma, ts", [(0.5, [math.nan]), (math.nan, [14.0]), (math.inf, [1.0])]
+)
+def test_eta_line_refuses_non_finite_points(sigma, ts):
+    with pytest.raises(DomainError):
+        eta_line(sigma, ts)
+
+
+@pytest.mark.parametrize("order", [0, -3, 1000])
+def test_eta_line_refuses_orders_eta_refuses(order):
+    with pytest.raises(InvalidBoundError, match=r"1\.\.380"):
+        eta_line(0.5, [14.0], order)
+
+
+C = dirichlet_eval._LINE_CHUNK
+
+
+@pytest.mark.parametrize("length", [0, 1, C - 1, C, C + 1, 2 * C + 3])
+def test_eta_line_rows_do_not_depend_on_chunking(length):
+    # slices start mid-chunk, so every length but 0 and 1 crosses a boundary
+    ts = 10.0 + 0.01 * np.arange(3 * C)
+    full = eta_line(0.5, ts, order=120)
+    i = C // 2 + 7
+    part = eta_line(0.5, ts[i : i + length], order=120)
+    assert part.tobytes() == full[i : i + length].tobytes()
+
+
+def test_eta_line_peak_memory_is_one_chunk():
+    # a whole-grid phase matrix traces 58.6 MB on this grid
+    ts = np.arange(10.5, 60.0, 0.002)
+    eta_line(0.5, ts[-3:])  # same order: weights cached outside the trace
+    tracemalloc.start()
+    try:
+        eta_line(0.5, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
+def test_eta_line_against_mpmath_across_a_chunk_boundary():
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.linspace(150.0, 184.2, C + 500)
+    line = eta_line(0.5, ts)
+    picks = sorted(set(np.linspace(0, len(ts) - 1, 23).astype(int)) | {C - 1, C})
+    with mpmath.workdps(30):
+        for i in picks:
+            expected = complex(mpmath.altzeta(mpmath.mpc(0.5, float(ts[i]))))
+            assert abs(line[i] - expected) <= 1e-12, float(ts[i])
 
 
 def test_zeta_through_the_bridge():
