@@ -17,11 +17,9 @@ The package splits into five layers:
 
 from .arithmetic import (
     ArithmeticTable,
-    beta_by_definition,
     beta_closed_form,
     beta_definition_table,
     build_table,
-    divisors,
     liouville,
     omega,
 )
@@ -33,7 +31,6 @@ from .dirichlet_eval import (
     default_order,
     eta,
     eta_line,
-    euler_product_partial,
     lambda_series_partial,
     truncation_bound,
     zeta,
@@ -111,7 +108,6 @@ __all__ = [
     "Verdict",
     "ZdlError",
     "ZeroCandidate",
-    "beta_by_definition",
     "beta_closed_form",
     "beta_definition_table",
     "beta_series_partial",
@@ -123,10 +119,8 @@ __all__ = [
     "column_sum",
     "default_order",
     "diagnostics_report",
-    "divisors",
     "eta",
     "eta_line",
-    "euler_product_partial",
     "exceptional_zero",
     "iterated_sum",
     "lambda_series_partial",

@@ -9,8 +9,8 @@ Builds flat integer tables, indexed by n, of
 
 for 1 <= n <= n_max.  beta(n) collapses to a closed form: it is 1 when n
 is a perfect square, -2 when n is twice a perfect square, and 0 otherwise.
-The table stores the closed form; `beta_by_definition` re-derives single
-values straight from the divisor sum so the two routes can be played off
+The table stores the closed form; `beta_definition_table` re-derives every
+value straight from the divisor sum so the two routes can be played off
 against each other.
 """
 
@@ -28,15 +28,13 @@ class ArithmeticTable:
 
     Attributes:
         n_max: inclusive upper bound of the table.
-        smallest_prime_factor: int32, smallest_prime_factor[n] is the least
-            prime dividing n (and 1 at n = 1).
-        omega: int16 prime-factor counts with multiplicity, omega[1] = 0.
+        omega: int8 prime-factor counts with multiplicity, omega[1] = 0.
+            Omega(n) <= 30 < 2**7 for every n <= 2**31 - 1.
         liouville: int8 values in {-1, +1}, liouville[n] = (-1)**omega[n].
         beta: int8 values in {1, -2, 0} via the square / twice-square rule.
     """
 
     n_max: int
-    smallest_prime_factor: np.ndarray
     omega: np.ndarray
     liouville: np.ndarray
     beta: np.ndarray
@@ -55,22 +53,22 @@ def _primes_up_to(limit: int) -> np.ndarray:
 
 
 def build_table(n_max: int) -> ArithmeticTable:
-    """Sieve all tables up to n_max.
+    """Sieve Omega, liouville and beta up to n_max.
 
-    Walks the primes p <= isqrt(n_max) in increasing order.  Each fills the
-    still-empty smallest-prime-factor slots along p::p (first write wins),
-    and along every p**k::p**k adds 1 to Omega and divides an int32
-    cofactor array (initially n) by p.  A cofactor left > 1 is the one
-    prime factor above isqrt(n_max) and adds 1 more to Omega; an n with no
-    small factor is prime, its own smallest factor.  The Python loop runs
-    pi(isqrt(n_max)) times (303 at 4e6), not n_max times; the cost is the
-    strided passes, about n_max * (sum of 1/p**k) element operations.
+    Walks the primes p <= isqrt(n_max).  Along every p**k::p**k each adds
+    1 to Omega and divides an int32 cofactor array (initially n) by p.  A
+    cofactor left > 1 is the one prime factor above isqrt(n_max) and adds
+    1 more to Omega.  The Python loop runs pi(isqrt(n_max)) times (303 at
+    4e6), not n_max times; the cost is the strided passes, about
+    n_max * (sum of 1/p**k) element operations.  The int32 cofactor is
+    dropped once Omega is known; the table keeps 3 bytes per n (int8
+    omega, liouville and beta).
 
     Args:
         n_max: inclusive bound, 1 <= n_max <= 2**31 - 1 (int32 storage).
 
     Returns:
-        ArithmeticTable with all four arrays populated.
+        ArithmeticTable with all three arrays populated.
 
     Raises:
         InvalidBoundError: if n_max < 1 or n_max > 2**31 - 1, before
@@ -81,23 +79,18 @@ def build_table(n_max: int) -> ArithmeticTable:
     if n_max > 2**31 - 1:
         raise InvalidBoundError(f"table bound must be <= 2**31 - 1 (int32 storage), got {n_max}")
 
-    spf = np.zeros(n_max + 1, dtype=np.int32)
-    omega = np.zeros(n_max + 1, dtype=np.int16)
+    omega = np.zeros(n_max + 1, dtype=np.int8)
     cofactor = np.arange(n_max + 1, dtype=np.int32)
     for p in _primes_up_to(isqrt(n_max)).tolist():
-        stride = spf[p::p]
-        stride[stride == 0] = p
         pk = p
         while pk <= n_max:
             omega[pk::pk] += 1
             cofactor[pk::pk] //= p
             pk *= p
     omega += cofactor > 1
-    # Still-empty slots are 0, 1 and the primes above isqrt(n_max).
-    unset = np.flatnonzero(spf == 0)
-    spf[unset] = unset
+    del cofactor
 
-    liouville = (1 - 2 * (omega & 1)).astype(np.int8)
+    liouville = 1 - 2 * (omega & 1)
     liouville[0] = 0
 
     beta = np.zeros(n_max + 1, dtype=np.int8)
@@ -106,7 +99,7 @@ def build_table(n_max: int) -> ArithmeticTable:
     twice = 2 * np.arange(1, isqrt(n_max // 2) + 1, dtype=np.int64) ** 2
     beta[twice] = -2
 
-    return ArithmeticTable(n_max, spf, omega, liouville, beta)
+    return ArithmeticTable(n_max, omega, liouville, beta)
 
 
 def _check_index(table: ArithmeticTable, n: int) -> None:
@@ -124,38 +117,6 @@ def liouville(table: ArithmeticTable, m: int) -> int:
     """Liouville function (-1)**Omega(m)."""
     _check_index(table, m)
     return int(table.liouville[m])
-
-
-def divisors(table: ArithmeticTable, n: int) -> list:
-    """All divisors of n in increasing order, from the stored factorization."""
-    _check_index(table, n)
-    divs = [1]
-    spf = table.smallest_prime_factor
-    while n > 1:
-        p = int(spf[n])
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        divs = [d * p**e for d in divs for e in range(k + 1)]
-    divs.sort()
-    return divs
-
-
-def beta_by_definition(table: ArithmeticTable, n: int) -> int:
-    """Signed divisor transform evaluated term by term.
-
-    Sums liouville(d) * (-1)**(n/d + 1) over every divisor d of n.  Kept
-    deliberately independent of the closed form stored in the table.
-    """
-    _check_index(table, n)
-    lam = table.liouville
-    total = 0
-    for d in divisors(table, n):
-        co = n // d
-        sign = -1 if co % 2 == 0 else 1
-        total += int(lam[d]) * sign
-    return total
 
 
 def beta_closed_form(n: int) -> int:

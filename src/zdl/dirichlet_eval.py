@@ -13,9 +13,9 @@ factor, s = 1 + 2*pi*i*k/log(2) for k != 0.  At those exceptional points
 zeta is instead the limit eta'(s) / log(2), computed by central finite
 differences with one Richardson step.
 
-Also provided: truncated Euler products and partial sums of the Liouville
-Dirichlet series and of the sparse signed-square series, the two series
-whose comparison drives the double-array experiments.
+Also provided: partial sums of the Liouville Dirichlet series and of the
+sparse signed-square series, the two series whose comparison drives the
+double-array experiments.
 """
 
 import cmath
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import ArithmeticTable, _primes_up_to
+from .arithmetic import ArithmeticTable
 from .errors import (
     DomainError,
     ExceptionalPointError,
@@ -287,21 +287,6 @@ def zeta_at_exceptional(k: int) -> EvalResult:
     # Richardson defect plus finite-difference amplification of eta noise.
     estimate = (abs(d2 - d1) / 3.0 + 1e-15 / h) / ln2
     return EvalResult(value, estimate, terms)
-
-
-def euler_product_partial(s: complex, p_max: int) -> complex:
-    """Product of (1 - p**(-s))**(-1) over primes p <= p_max.
-
-    Only meaningful where the product converges, so re(s) > 1 is required.
-    """
-    s = _require_point(s)
-    if s.real <= 1.0:
-        raise DomainError(f"Euler product requires re(s) > 1, got {s}")
-    if p_max < 2:
-        raise InvalidBoundError(f"p_max must be at least 2, got {p_max}")
-    primes = _primes_up_to(p_max).astype(np.float64)
-    factors = 1.0 / (1.0 - np.exp(-s * np.log(primes)))
-    return complex(np.prod(factors))
 
 
 def lambda_series_partial(s: complex, M: int, table: ArithmeticTable) -> complex:

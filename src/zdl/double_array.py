@@ -167,6 +167,21 @@ def _indices(m, n):
     return m, n
 
 
+def _divisor_hits(m_lo: int, m_hi: int, n_max: int) -> int:
+    """Sum of n_max // m over m_lo <= m <= m_hi (1 <= m_lo, m_hi <= n_max).
+
+    Steps over runs of equal quotient, at most 2 * isqrt(n_max) of them.
+    """
+    total = 0
+    m = m_lo
+    while m <= m_hi:
+        q = n_max // m
+        last = min(m_hi, n_max // q)
+        total += q * (last - m + 1)
+        m = last + 1
+    return total
+
+
 class LeeArray(DoubleArray):
     """Divisor-supported array tying the Liouville series to eta.
 
@@ -230,10 +245,22 @@ class LeeArray(DoubleArray):
         return out
 
     def pairs(self, m_lo: int, m_hi: int, n_max: int):
-        """Divisor enumeration: row m holds n = m * j for j <= n_max // m."""
-        _indices(m_lo, 1)
+        """Divisor enumeration: row m holds n = m * j for j <= n_max // m.
+
+        The entry count, sum of n_max // m over the rows, is checked
+        against MAX_GRID_CELLS before any array is allocated.
+        """
+        if m_lo < 1:
+            raise InvalidBoundError(f"array indices start at 1, got {m_lo}")
         self._check_reach(n_max)
-        mv = np.arange(m_lo, min(m_hi, n_max) + 1, dtype=np.int64)
+        m_hi = min(m_hi, n_max)
+        entries = _divisor_hits(m_lo, m_hi, n_max)
+        if entries > MAX_GRID_CELLS:
+            raise InvalidBoundError(
+                f"rows {m_lo}..{m_hi} up to n = {n_max} hold {entries} divisor "
+                f"hits, above the limit of {MAX_GRID_CELLS}; use a smaller window"
+            )
+        mv = np.arange(m_lo, m_hi + 1, dtype=np.int64)
         counts = n_max // mv
         m_col = np.repeat(mv, counts)
         offsets = np.cumsum(counts) - counts
@@ -364,7 +391,7 @@ def build_grid(array: DoubleArray, m_max: int, n_max: int) -> PartialSumGrid:
     if cells > MAX_GRID_CELLS:
         raise InvalidBoundError(
             f"grid of {m_max} x {n_max} cells exceeds the dense limit; "
-            "use the sparse scan paths instead"
+            f"use a window with (m_max + 1) * (n_max + 1) <= {MAX_GRID_CELLS}"
         )
     a = np.zeros((m_max + 1, n_max + 1), dtype=np.complex128)
     n = np.arange(1, n_max + 1)

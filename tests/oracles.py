@@ -66,16 +66,6 @@ def eta_reference(s: complex) -> complex:
     return (1.0 - cmath.exp((1.0 - s) * math.log(2.0))) * zeta_em(s)
 
 
-def spf_brute(n: int) -> int:
-    """Smallest prime factor by trial division; 1 at n = 1."""
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
-
-
 def omega_brute(n: int) -> int:
     """Prime factors with multiplicity, by trial division."""
     count = 0

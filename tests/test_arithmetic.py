@@ -1,6 +1,7 @@
 """Sieve table and the divisor-transform coefficient against brute force."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,24 +9,19 @@ from hypothesis import given, strategies as st
 
 from zdl import (
     arithmetic,
-    beta_by_definition,
     beta_closed_form,
     beta_definition_table,
     build_table,
-    divisors,
     liouville,
     omega,
 )
 from zdl.errors import InvalidBoundError, TableRangeError
 
-from oracles import beta_brute, divisors_brute, liouville_brute, omega_brute, spf_brute
+from oracles import beta_brute, liouville_brute, omega_brute
 
 
 def test_build_table_basics(table2k):
     assert table2k.n_max == 2000
-    assert table2k.smallest_prime_factor[2] == 2
-    assert table2k.smallest_prime_factor[97] == 97
-    assert table2k.smallest_prime_factor[91] == 7
     assert omega(table2k, 1) == 0
     assert liouville(table2k, 1) == 1
 
@@ -36,17 +32,30 @@ def test_sieve_matches_trial_division_across_square_steps():
     for n_max in [*range(1, 131), 960, 961, 962]:
         table = build_table(n_max)
         ns = range(1, n_max + 1)
-        assert table.smallest_prime_factor.tolist() == [0] + [spf_brute(n) for n in ns], n_max
         assert table.omega.tolist() == [0] + [omega_brute(n) for n in ns], n_max
         assert table.liouville.tolist() == [0] + [liouville_brute(n) for n in ns], n_max
 
 
 def test_sieve_large_prime_leftovers(table1m):
-    spf = table1m.smallest_prime_factor
-    assert spf[999983] == 999983 and omega(table1m, 999983) == 1
-    for n, p in ((2 * 499979, 2), (3 * 333331, 3)):
-        assert spf[n] == p == spf_brute(n)
+    assert omega(table1m, 999983) == 1 == omega_brute(999983)
+    for n in (2 * 499979, 3 * 333331):
         assert omega(table1m, n) == 2 == omega_brute(n)
+        assert liouville(table1m, n) == 1 == liouville_brute(n)
+
+
+def test_sieve_keeps_three_bytes_per_n():
+    # int8 omega, liouville and beta; the int32 cofactor is the peak.
+    n_max = 10**6
+    tracemalloc.start()
+    try:
+        table = build_table(n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_max, peak / n_max
+    assert table.omega.dtype == np.int8
+    assert table.liouville.dtype == np.int8
+    assert table.beta.dtype == np.int8
 
 
 def test_omega_matches_brute_force(table2k):
@@ -59,9 +68,9 @@ def test_liouville_matches_brute_force(table2k):
         assert liouville(table2k, n) == liouville_brute(n)
 
 
-def test_beta_by_definition_matches_brute_force(table2k):
-    for n in range(1, 501):
-        assert beta_by_definition(table2k, n) == beta_brute(n)
+def test_beta_definition_table_matches_brute_force(table2k):
+    by_def = beta_definition_table(table2k)
+    assert by_def[1:].tolist() == [beta_brute(n) for n in range(1, 2001)]
 
 
 def test_beta_closed_form_trichotomy():
@@ -79,11 +88,6 @@ def test_beta_closed_form_trichotomy():
 def test_beta_routes_agree_in_bulk(table2k):
     by_def = beta_definition_table(table2k)
     assert np.array_equal(by_def[1:], table2k.beta[1:])
-
-
-def test_divisors_sorted_and_complete(table2k):
-    for n in (1, 2, 12, 97, 360, 1024, 1999):
-        assert divisors(table2k, n) == divisors_brute(n)
 
 
 def test_rejects_nonpositive_bound():

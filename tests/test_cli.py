@@ -215,6 +215,8 @@ def test_zeros_command_past_the_doubled_order_cap(capsys):
         ("uniformity", "--array", "lee", "--s", "0.5+14.134725i",
          "--window", "64x256", "--reach", "-5"),
         ("identity", "--s", "2", "--K", "10000000000000"),
+        # about 7.8e7 divisor hits, above MAX_GRID_CELLS
+        ("modes", "--array", "lee", "--s", "2", "--k-max", "5000000"),
     ],
 )
 def test_refused_bounds_exit_two(capsys, argv):

@@ -14,7 +14,6 @@ from zdl import (
     default_order,
     eta,
     eta_line,
-    euler_product_partial,
     lambda_series_partial,
     truncation_bound,
     zeta,
@@ -172,14 +171,6 @@ def test_exceptional_value_by_independent_route():
 def test_exceptional_rejects_pole_index():
     with pytest.raises(PoleError):
         zeta_at_exceptional(0)
-
-
-def test_euler_product_approaches_zeta():
-    assert abs(euler_product_partial(2.0, 10_000) - ZETA2) <= 1e-4
-    with pytest.raises(DomainError):
-        euler_product_partial(1.0, 100)
-    with pytest.raises(InvalidBoundError):
-        euler_product_partial(2.0, 1)
 
 
 def test_lambda_series_small_prefix(table2k):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from zdl import (
+    ArithmeticTable,
     CesaroArray,
     LeeArray,
     SyntheticArray,
     build_grid,
     classify_trace,
     column_sum,
+    double_array,
     eta,
     iterated_sum,
     pringsheim_trace,
@@ -113,6 +115,26 @@ def test_pairs_are_the_nonzero_terms(any_array, m_lo, m_hi, n_max):
 def test_pairs_rejects_row_zero(any_array):
     with pytest.raises(InvalidBoundError):
         any_array.pairs(0, 3, 10)
+
+
+@pytest.mark.parametrize("m_lo, m_hi, n_max", [(1, 1, 1), (1, 97, 97), (3, 40, 97), (50, 60, 1000)])
+def test_divisor_hits_counts_lee_entries(lee, m_lo, m_hi, n_max):
+    hits = double_array._divisor_hits(m_lo, m_hi, n_max)
+    assert hits == sum(n_max // m for m in range(m_lo, m_hi + 1))
+    assert hits == len(lee.pairs(m_lo, m_hi, n_max)[0])
+
+
+# (m_lo, n_max): more rows than the cap, then 5e6 rows (below the cap)
+# holding about 7.8e7 divisor hits (above it).
+@pytest.mark.parametrize(
+    "m_lo, n_max", [(MAX_GRID_CELLS, 2 * MAX_GRID_CELLS), (1, 5_000_000)]
+)
+def test_lee_pairs_rejects_entries_above_the_cap_before_allocating(no_numpy, m_lo, n_max):
+    # Only the guards run, so the table needs its bound and no arrays.
+    lee = LeeArray(2.0, ArithmeticTable(n_max, None, None, None))
+    no_numpy(double_array)
+    with pytest.raises(InvalidBoundError, match="divisor hits"):
+        lee.pairs(m_lo, n_max, n_max)
 
 
 def test_term_is_bitwise_the_pairs_and_grid_value(table100k):
