@@ -2,11 +2,13 @@
 
 A double array here is a map (m, n) -> a(m, n) over positive integer
 pairs.  Every array meets one contract (DoubleArray): vectorized entries
-terms(m, n), the nonzero entries of a rectangle as COO arrays
-pairs(m_lo, m_hi, n_max), and the row and column limits row_limits and
+terms(m, n), the nonzero entries of a rectangle m_lo..m_hi x n_lo..n_max
+as COO arrays pairs(m_lo, m_hi, n_max, n_lo=1), the bound pair_bound on
+what such a call holds, and the row and column limits row_limits and
 column_limits.  Grids, the rectangle trace and both uniformity scans
 reach an array only through that contract, so each keeps one code path
-for every array.
+for every array; the block-tail scan walks n in windows of pairs sized
+by pair_bound.
 
 Three ways of attaching a value to the whole array are compared:
 
@@ -122,15 +124,21 @@ class DoubleArray:
 
     * terms(m, n): entries at broadcast integer index arrays (all >= 1),
       complex128, 0 where the array has no support.
-    * pairs(m_lo, m_hi, n_max): the nonzero entries of the rectangle
-      m_lo <= m <= m_hi, 1 <= n <= n_max as COO arrays (m, n, value),
-      sorted by m and then n.
+    * pairs(m_lo, m_hi, n_max, n_lo=1): the nonzero entries of the
+      rectangle m_lo <= m <= m_hi, n_lo <= n <= n_max as COO arrays
+      (m, n, value), sorted by m and then n.  A window n_lo > 1 returns
+      bit for bit the entries of the full rectangle that fall in it.
+    * pair_bound(m_lo, m_hi, n_max, n_lo=1): an upper bound on the
+      entries that pairs call holds and on the cells it evaluates to
+      find them; pairs refuses a bound above MAX_GRID_CELLS before it
+      allocates anything.
     * row_limits(m_max) / column_limits(n_max): each row (column) summed
       to its limit, in slots 1..m_max (1..n_max); slot 0 is 0.
 
     pairs evaluates terms over the whole rectangle and keeps the
-    nonzeros; an array with sparse support overrides it with a direct
-    enumeration that must return the same entries bit for bit.
+    nonzeros, so its bound is the cell count; an array with sparse
+    support overrides both with a direct enumeration that must return
+    the same entries bit for bit, and its exact count.
     """
 
     label = "generic"
@@ -144,14 +152,17 @@ class DoubleArray:
     def column_limits(self, n_max: int) -> np.ndarray:
         raise NotImplementedError
 
-    def pairs(self, m_lo: int, m_hi: int, n_max: int):
-        rows = max(m_hi - m_lo + 1, 0)
-        if rows * max(n_max, 0) > MAX_GRID_CELLS:
+    def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
+        return max(m_hi - m_lo + 1, 0) * max(n_max - n_lo + 1, 0)
+
+    def pairs(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1):
+        if self.pair_bound(m_lo, m_hi, n_max, n_lo) > MAX_GRID_CELLS:
             raise InvalidBoundError(
-                f"rectangle of {rows} x {n_max} terms exceeds the dense limit"
+                f"rectangle of rows {m_lo}..{m_hi} x columns {n_lo}..{n_max} "
+                "exceeds the dense limit"
             )
         m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-        n = np.arange(1, n_max + 1, dtype=np.int64)
+        n = np.arange(n_lo, n_max + 1, dtype=np.int64)
         values = self.terms(m[:, None], n)
         hit_m, hit_n = np.nonzero(values)
         return m[hit_m], n[hit_n], values[hit_m, hit_n]
@@ -167,16 +178,27 @@ def _indices(m, n):
     return m, n
 
 
-def _divisor_hits(m_lo: int, m_hi: int, n_max: int) -> int:
-    """Sum of n_max // m over m_lo <= m <= m_hi (1 <= m_lo, m_hi <= n_max).
+def _divisor_hits(m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
+    """Multiples of m in n_lo..n_max summed over m_lo <= m <= m_hi (m_lo >= 1).
 
-    Steps over runs of equal quotient, at most 2 * isqrt(n_max) of them.
+    That is the sum of n_max // m - (n_lo - 1) // m; 0 for an empty window.
+    """
+    if n_lo > n_max:
+        return 0
+    return _quotient_sum(m_lo, m_hi, n_max) - _quotient_sum(m_lo, m_hi, n_lo - 1)
+
+
+def _quotient_sum(m_lo: int, m_hi: int, n: int) -> int:
+    """Sum of n // m over m_lo <= m <= m_hi (m_lo >= 1).
+
+    Steps over runs of equal quotient, at most 2 * isqrt(n) of them.
     """
     total = 0
     m = m_lo
+    m_hi = min(m_hi, n)
     while m <= m_hi:
-        q = n_max // m
-        last = min(m_hi, n_max // q)
+        q = n // m
+        last = min(m_hi, n // q)
         total += q * (last - m + 1)
         m = last + 1
     return total
@@ -244,27 +266,36 @@ class LeeArray(DoubleArray):
         out[1:] = self.table.beta[1 : n_max + 1] * np.exp(-self.s * np.log(n))
         return out
 
-    def pairs(self, m_lo: int, m_hi: int, n_max: int):
-        """Divisor enumeration: row m holds n = m * j for j <= n_max // m.
+    def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
+        """The exact count of divisor hits m | n in the window."""
+        return _divisor_hits(m_lo, m_hi, n_max, n_lo)
 
-        The entry count, sum of n_max // m over the rows, is checked
-        against MAX_GRID_CELLS before any array is allocated.
+    def pairs(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1):
+        """Divisor enumeration: row m holds n = m * j for n_lo <= m * j <= n_max.
+
+        The entry count, pair_bound, is checked against MAX_GRID_CELLS
+        before any array is allocated.
         """
-        if m_lo < 1:
-            raise InvalidBoundError(f"array indices start at 1, got {m_lo}")
+        if m_lo < 1 or n_lo < 1:
+            raise InvalidBoundError(
+                f"array indices start at 1, got m = {m_lo}, n = {n_lo}"
+            )
         self._check_reach(n_max)
         m_hi = min(m_hi, n_max)
-        entries = _divisor_hits(m_lo, m_hi, n_max)
+        n_lo = min(n_lo, n_max + 1)
+        entries = self.pair_bound(m_lo, m_hi, n_max, n_lo)
         if entries > MAX_GRID_CELLS:
             raise InvalidBoundError(
-                f"rows {m_lo}..{m_hi} up to n = {n_max} hold {entries} divisor "
-                f"hits, above the limit of {MAX_GRID_CELLS}; use a smaller window"
+                f"rows {m_lo}..{m_hi} over n = {n_lo}..{n_max} hold {entries} "
+                f"divisor hits, above the limit of {MAX_GRID_CELLS}; "
+                "use a smaller window"
             )
         mv = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-        counts = n_max // mv
+        j_lo = (n_lo - 1) // mv + 1
+        counts = n_max // mv - j_lo + 1
         m_col = np.repeat(mv, counts)
         offsets = np.cumsum(counts) - counts
-        j_col = np.arange(len(m_col), dtype=np.int64) - np.repeat(offsets, counts) + 1
+        j_col = np.arange(len(m_col), dtype=np.int64) - np.repeat(offsets - j_lo, counts)
         n_col = m_col * j_col
         return m_col, n_col, self._entries(m_col, j_col, n_col)
 

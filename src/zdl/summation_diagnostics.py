@@ -56,6 +56,10 @@ _UNIFORM_EDGE_FRACTION = 0.75
 
 _SLAB_ROWS = 256
 
+# Working cells (block heights x pairs) of one n-window of the block-tail
+# scan; its peak memory is about 41 bytes per cell.
+_SCAN_CELLS = 1 << 19
+
 # Default scan reach in n for the divisor-supported array; the CLI sieves
 # at least this far when no --reach is given.
 LEE_DEFAULT_REACH = 10**6
@@ -290,25 +294,38 @@ def _default_reach(array: DoubleArray) -> int:
 
 
 def _needed_sup(array: DoubleArray, m_start: int, block: int, n_reach: int) -> float:
-    m_col, n_col, vals = array.pairs(m_start, m_start + block, n_reach)
-    order = np.argsort(n_col, kind="stable")
-    m_s = m_col[order]
-    n_s = n_col[order]
-    v_s = vals[order]
-    in_tail = n_s >= m_s  # row m enters the block tail at n = m
+    # Rows past the reach hold no tail entries, so higher blocks repeat
+    # the sums of the block that ends at the reach.
+    q_max = min(block, n_reach - m_start)
+    m_end = m_start + q_max
+    # Equal-width windows over n >= m_start (no row enters its tail
+    # earlier), each holding about _SCAN_CELLS // (q_max + 1) pairs.
+    cells = array.pair_bound(m_start, m_end, n_reach, m_start) * (q_max + 1)
+    windows = max(1, -(-cells // _SCAN_CELLS))
+    width = -(-(n_reach - m_start + 1) // windows)
+    heights = np.arange(q_max + 1)[:, None]
+    carry = np.zeros(q_max + 1, dtype=np.complex128)
     best = 0.0
-    for q in range(block + 1):
-        take = m_s <= m_start + q
-        take &= in_tail
-        if not np.any(take):
+    for n_lo in range(m_start, n_reach + 1, width):
+        m_col, n_col, vals = array.pairs(
+            m_start, m_end, min(n_lo + width - 1, n_reach), n_lo
+        )
+        if not len(n_col):
             continue
-        nq = n_s[take]
-        csum = np.cumsum(v_s[take])
+        order = np.argsort(n_col, kind="stable")
+        m_s = m_col[order]
+        n_s = n_col[order]
+        # Row m enters the block tail at n = m; entries before that join
+        # no block.  Row q of run is the running sum of blocks M..M+q.
+        rank = np.where(n_s >= m_s, m_s - m_start, q_max + 1)
+        run = np.where(rank <= heights, vals[order], 0)
+        run[:, 0] += carry
+        np.cumsum(run, axis=1, out=run)
         # Partial sums are only observable at a completed n, so evaluate
-        # the cumulative sum at the last event of each tied-n group.
-        group_end = np.flatnonzero(np.diff(nq) > 0)
-        idx = np.concatenate([group_end, [len(nq) - 1]])
-        best = max(best, float(np.max(np.abs(csum[idx]))))
+        # the running sums at the last entry of each tied-n group.
+        ends = np.flatnonzero(np.diff(n_s, append=n_s[-1] + 1))
+        best = max(best, float(np.abs(run[:, ends]).max()))
+        carry = run[:, -1].copy()
     return best
 
 
@@ -327,6 +344,13 @@ def needed_uniformity_scan(
     uniform smallness in M is the missing step this scan makes visible.
     An n_reach below the largest M raises InvalidBoundError: rows past
     the reach hold no terms, so their sup of 0 would certify nothing.
+
+    Each M is one pass over n = M..n_reach in windows of array.pairs,
+    sized by array.pair_bound so a window holds about 2**19 cells of
+    (block height x pair) running sums.  All block heights advance
+    together and carry their sums across windows, so memory stays flat
+    in n_reach and every sup is bit for bit that of one sorted cumulative
+    sum per height over the whole reach.
     """
     m_list = _check_outer_list(m_list, "m_list")
     if block < 0:

@@ -110,11 +110,20 @@ def test_pairs_are_the_nonzero_terms(any_array, m_lo, m_hi, n_max):
     assert np.array_equal(n_col, hit_n + 1)
     assert values.dtype == np.complex128
     assert values.tobytes() == rect[hit_m, hit_n].tobytes()
+    # A window n_lo..n_max is bit for bit the slice of the full rectangle.
+    for n_lo in (2, n_max // 3 + 1, n_max, n_max + 1):
+        w_m, w_n, w_values = any_array.pairs(m_lo, m_hi, n_max, n_lo)
+        keep = n_col >= n_lo
+        assert np.array_equal(w_m, m_col[keep])
+        assert np.array_equal(w_n, n_col[keep])
+        assert w_values.tobytes() == values[keep].tobytes()
 
 
 def test_pairs_rejects_row_zero(any_array):
     with pytest.raises(InvalidBoundError):
         any_array.pairs(0, 3, 10)
+    with pytest.raises(InvalidBoundError):
+        any_array.pairs(1, 3, 10, 0)
 
 
 @pytest.mark.parametrize("m_lo, m_hi, n_max", [(1, 1, 1), (1, 97, 97), (3, 40, 97), (50, 60, 1000)])
@@ -122,6 +131,12 @@ def test_divisor_hits_counts_lee_entries(lee, m_lo, m_hi, n_max):
     hits = double_array._divisor_hits(m_lo, m_hi, n_max)
     assert hits == sum(n_max // m for m in range(m_lo, m_hi + 1))
     assert hits == len(lee.pairs(m_lo, m_hi, n_max)[0])
+    # Windows n_lo..n_max count only their own multiples.
+    for n_lo in (2, max(1, n_max // 2), n_max, n_max + 1):
+        hits = double_array._divisor_hits(m_lo, m_hi, n_max, n_lo)
+        assert hits == sum(n_max // m - (n_lo - 1) // m for m in range(m_lo, m_hi + 1))
+        assert hits == lee.pair_bound(m_lo, m_hi, n_max, n_lo)
+        assert hits == len(lee.pairs(m_lo, m_hi, n_max, n_lo)[0])
 
 
 # (m_lo, n_max): more rows than the cap, then 5e6 rows (below the cap)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from zdl import (
     LeeArray,
     SyntheticArray,
     build_grid,
+    build_table,
     classify,
     diagnostics_report,
     lee_verified_scan,
     needed_uniformity_scan,
     probe_limits,
 )
+from zdl import summation_diagnostics
 from zdl.errors import InsufficientWindowError, InvalidBoundError, TableRangeError
 from zdl.summation_diagnostics import PROBE_KINDS
 
@@ -175,6 +178,46 @@ def test_scans_match_brute_oracles(name, table2k):
         expected = verified_sup_brute(brute, int(n), 4, 50)
         assert expected > 0
         assert abs(sup - expected) <= 1e-12 * expected
+
+
+def test_needed_scan_tall_blocks_match_brute(table2k):
+    # block 300 runs past the reach at M = 1800; the rows that exist set the sup.
+    s = 0.6 + 3.0j
+    needed = needed_uniformity_scan(LeeArray(s, table2k), (1, 1800), block=300, n_reach=2000)
+    for m, sup in zip(needed.outer_values, needed.sup_trace):
+        expected = needed_sup_brute(functools.partial(lee_term_brute, s), int(m), 300, 2000)
+        assert expected > 0
+        assert abs(sup - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("name", ["lee_zero", "lee_s2", "cesaro"])
+def test_needed_scan_is_bitwise_window_invariant(name, table100k, first_zero, monkeypatch):
+    if name == "cesaro":
+        array, reach = CesaroArray(), 4096
+    else:
+        s = first_zero.s if name == "lee_zero" else 2.0
+        array, reach = LeeArray(s, table100k), 3000
+    m_list = (1, 16, 256)
+    default = needed_uniformity_scan(array, m_list, block=8, n_reach=reach)
+    windows = []
+    pairs = array.pairs
+    monkeypatch.setattr(array, "pairs", lambda *a: windows.append(a) or pairs(*a))
+    # A few pairs per window, so every sup is reached through a carry.
+    monkeypatch.setattr(summation_diagnostics, "_SCAN_CELLS", 27)
+    small = needed_uniformity_scan(array, m_list, block=8, n_reach=reach)
+    assert len(windows) > 100 * len(m_list)
+    assert small.sup_trace.tobytes() == default.sup_trace.tobytes()
+
+
+def test_needed_scan_memory_is_flat_in_reach():
+    lee = LeeArray(0.5 + 14.134725141734695j, build_table(4_000_000))
+    tracemalloc.start()
+    try:
+        needed_uniformity_scan(lee, (16, 256), 8, 4_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20, f"block-tail scan peaked at {peak / 2**20:.1f} MB"
 
 
 def test_scan_input_guards(table2k):
