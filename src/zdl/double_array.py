@@ -178,16 +178,6 @@ def _indices(m, n):
     return m, n
 
 
-def _divisor_hits(m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
-    """Multiples of m in n_lo..n_max summed over m_lo <= m <= m_hi (m_lo >= 1).
-
-    That is the sum of n_max // m - (n_lo - 1) // m; 0 for an empty window.
-    """
-    if n_lo > n_max:
-        return 0
-    return _quotient_sum(m_lo, m_hi, n_max) - _quotient_sum(m_lo, m_hi, n_lo - 1)
-
-
 def _quotient_sum(m_lo: int, m_hi: int, n: int) -> int:
     """Sum of n // m over m_lo <= m <= m_hi (m_lo >= 1).
 
@@ -267,8 +257,14 @@ class LeeArray(DoubleArray):
         return out
 
     def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
-        """The exact count of divisor hits m | n in the window."""
-        return _divisor_hits(m_lo, m_hi, n_max, n_lo)
+        """The exact count of divisor hits m | n in the window (m_lo >= 1).
+
+        That is the sum of n_max // m - (n_lo - 1) // m over the rows; 0
+        for an empty window.
+        """
+        if n_lo > n_max:
+            return 0
+        return _quotient_sum(m_lo, m_hi, n_max) - _quotient_sum(m_lo, m_hi, n_lo - 1)
 
     def pairs(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1):
         """Divisor enumeration: row m holds n = m * j for n_lo <= m * j <= n_max.

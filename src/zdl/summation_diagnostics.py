@@ -298,9 +298,16 @@ def _needed_sup(array: DoubleArray, m_start: int, block: int, n_reach: int) -> f
     # the sums of the block that ends at the reach.
     q_max = min(block, n_reach - m_start)
     m_end = m_start + q_max
+    entries = array.pair_bound(m_start, m_end, n_reach, m_start)
+    if entries > MAX_GRID_CELLS:
+        raise InvalidBoundError(
+            f"block tail of rows {m_start}..{m_end} over n = {m_start}..{n_reach} "
+            f"holds up to {entries} terms, above the limit of {MAX_GRID_CELLS}; "
+            "use a smaller reach or block"
+        )
     # Equal-width windows over n >= m_start (no row enters its tail
     # earlier), each holding about _SCAN_CELLS // (q_max + 1) pairs.
-    cells = array.pair_bound(m_start, m_end, n_reach, m_start) * (q_max + 1)
+    cells = entries * (q_max + 1)
     windows = max(1, -(-cells // _SCAN_CELLS))
     width = -(-(n_reach - m_start + 1) // windows)
     heights = np.arange(q_max + 1)[:, None]
@@ -312,6 +319,14 @@ def _needed_sup(array: DoubleArray, m_start: int, block: int, n_reach: int) -> f
         )
         if not len(n_col):
             continue
+        # A window is at least one column, which may hold a pair for
+        # every row of the block; refuse its cells before allocating them.
+        if len(n_col) * (q_max + 1) > MAX_GRID_CELLS:
+            raise InvalidBoundError(
+                f"{q_max + 1} block heights x {len(n_col)} terms at n = "
+                f"{n_lo}.. exceed the limit of {MAX_GRID_CELLS} cells; "
+                "use a smaller block"
+            )
         order = np.argsort(n_col, kind="stable")
         m_s = m_col[order]
         n_s = n_col[order]
@@ -350,7 +365,9 @@ def needed_uniformity_scan(
     (block height x pair) running sums.  All block heights advance
     together and carry their sums across windows, so memory stays flat
     in n_reach and every sup is bit for bit that of one sorted cumulative
-    sum per height over the whole reach.
+    sum per height over the whole reach.  A block tail whose pair_bound
+    exceeds MAX_GRID_CELLS, or a window whose heights x pairs do, raises
+    InvalidBoundError before its arrays are allocated.
     """
     m_list = _check_outer_list(m_list, "m_list")
     if block < 0:

@@ -217,6 +217,12 @@ def test_zeros_command_past_the_doubled_order_cap(capsys):
         ("identity", "--s", "2", "--K", "10000000000000"),
         # about 7.8e7 divisor hits, above MAX_GRID_CELLS
         ("modes", "--array", "lee", "--s", "2", "--k-max", "5000000"),
+        # dense block tails: 16001 rows x 19985 columns at M = 16, then
+        # 9 x 1e7 terms, both above MAX_GRID_CELLS
+        ("uniformity", "--array", "interchange_ratio", "--window", "64x256",
+         "--block", "16000", "--reach", "20000"),
+        ("uniformity", "--array", "cesaro", "--window", "64x256",
+         "--reach", "10000000"),
     ],
 )
 def test_refused_bounds_exit_two(capsys, argv):

@@ -128,14 +128,13 @@ def test_pairs_rejects_row_zero(any_array):
 
 @pytest.mark.parametrize("m_lo, m_hi, n_max", [(1, 1, 1), (1, 97, 97), (3, 40, 97), (50, 60, 1000)])
 def test_divisor_hits_counts_lee_entries(lee, m_lo, m_hi, n_max):
-    hits = double_array._divisor_hits(m_lo, m_hi, n_max)
+    hits = lee.pair_bound(m_lo, m_hi, n_max)
     assert hits == sum(n_max // m for m in range(m_lo, m_hi + 1))
     assert hits == len(lee.pairs(m_lo, m_hi, n_max)[0])
     # Windows n_lo..n_max count only their own multiples.
     for n_lo in (2, max(1, n_max // 2), n_max, n_max + 1):
-        hits = double_array._divisor_hits(m_lo, m_hi, n_max, n_lo)
+        hits = lee.pair_bound(m_lo, m_hi, n_max, n_lo)
         assert hits == sum(n_max // m - (n_lo - 1) // m for m in range(m_lo, m_hi + 1))
-        assert hits == lee.pair_bound(m_lo, m_hi, n_max, n_lo)
         assert hits == len(lee.pairs(m_lo, m_hi, n_max, n_lo)[0])
 
 

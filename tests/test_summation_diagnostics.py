@@ -209,6 +209,17 @@ def test_needed_scan_is_bitwise_window_invariant(name, table100k, first_zero, mo
     assert small.sup_trace.tobytes() == default.sup_trace.tobytes()
 
 
+def test_needed_scan_refuses_oversized_tails_and_windows(table2k, monkeypatch):
+    monkeypatch.setattr(summation_diagnostics, "MAX_GRID_CELLS", 20_000)
+    # 9 rows x 2500 columns of a dense block tail.
+    with pytest.raises(InvalidBoundError, match="block tail"):
+        needed_uniformity_scan(CesaroArray(), (1,), block=8, n_reach=2500)
+    # About 1.6e4 divisor hits pass, but one window of them times 2000
+    # block heights does not.
+    with pytest.raises(InvalidBoundError, match="block heights"):
+        needed_uniformity_scan(LeeArray(2.0, table2k), (1,), block=2000, n_reach=2000)
+
+
 def test_needed_scan_memory_is_flat_in_reach():
     lee = LeeArray(0.5 + 14.134725141734695j, build_table(4_000_000))
     tracemalloc.start()
