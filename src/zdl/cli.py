@@ -208,10 +208,13 @@ def cmd_modes(args) -> tuple:
     outer = args.outer if args.outer is not None else outer_default
     k_max = args.k_max if args.k_max is not None else k_default
     array = _make_array(args.array, args.s, max(outer, k_max))
+    # The rectangle goes first, so the two iterated traces (16 B per outer
+    # step each) are not yet alive next to its trace buffer.
+    rectangle = pringsheim_trace(array, k_max, args.aspect, args.tolerance)
     reports = [
         iterated_sum(array, "rows_then_m", outer, args.tolerance),
         iterated_sum(array, "columns_then_n", outer, args.tolerance),
-        pringsheim_trace(array, k_max, args.aspect, args.tolerance),
+        rectangle,
     ]
     records, rows = [], []
     for rep in reports:

@@ -7,8 +7,8 @@ as COO arrays pairs(m_lo, m_hi, n_max, n_lo=1), the bound pair_bound on
 what such a call holds, and the row and column limits row_limits and
 column_limits.  Grids, the rectangle trace and both uniformity scans
 reach an array only through that contract, so each keeps one code path
-for every array; the block-tail scan walks n in windows of pairs sized
-by pair_bound.
+for every array; the block-tail scan walks n, and the rectangle trace K,
+in windows of pairs sized by pair_bound.
 
 Three ways of attaching a value to the whole array are compared:
 
@@ -45,6 +45,10 @@ from .errors import DomainError, InvalidBoundError, TableRangeError
 MAX_GRID_CELLS = 1 << 26
 
 _SLAB_CELLS = 1 << 16
+
+# Entries of one K-window of the rectangle trace; the window's working
+# arrays stay a few MB next to its 16 B/entry trace buffer.
+_TRACE_ENTRIES = 1 << 17
 
 ROW_ITERATED = "row_iterated"
 COLUMN_ITERATED = "column_iterated"
@@ -490,15 +494,6 @@ def _ceil_fraction(k: int, aspect: Fraction) -> int:
     return -((-k * aspect.numerator) // aspect.denominator)
 
 
-def _corner_points(k_max: int, aspect: Fraction):
-    k_half = max(1, k_max // 2)
-    points = []
-    for kk in (k_max, k_half):
-        for nn in (k_max, k_half):
-            points.append((_ceil_fraction(kk, aspect), nn))
-    return points
-
-
 def pringsheim_trace(
     array: DoubleArray,
     k_max: int,
@@ -516,6 +511,13 @@ def pringsheim_trace(
 
     aspect is interpreted exactly (as a Fraction), so row counts
     ceil(aspect*K) never suffer float boundary wobble.
+
+    The trace walks K in windows of array.pairs (see _rectangle_trace),
+    with the same bits as one pass over the whole rectangle.  It keeps
+    17 B per entry of the last rectangle (the value and a corner code),
+    and a masked copy of the values while a corner is summed.  A
+    rectangle whose pair_bound exceeds MAX_GRID_CELLS is refused before
+    any window.
     """
     if k_max < 4:
         raise InvalidBoundError(f"k_max must be at least 4, got {k_max}")
@@ -540,26 +542,70 @@ def pringsheim_trace(
 
 
 def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
-    """Event-driven rectangle trace over the nonzero entries.
+    """Event-driven rectangle trace over the nonzero entries, K-window by K-window.
 
-    Entry (m, n) joins the rectangle at the first K with n <= K and
-    ceil(aspect*K) >= m; the trace is a sorted cumulative sum over those
-    activation keys, never materializing a dense grid.  Every entry of
-    pairs(1, ceil(aspect*k_max), k_max) joins by K = k_max.
+    Entry (m, n) joins the rectangle R(K) = rows 1..ceil(aspect*K) x
+    columns 1..K at the first K with n <= K and ceil(aspect*K) >= m; the
+    trace is the running sum over the entries ordered by that K (ties in
+    (m, n) order), never a dense grid.  K is walked in windows (k0, k1]
+    of about _TRACE_ENTRIES entries: R(k1) minus R(k0) is the new columns
+    of the old rows plus the new rows whole, two pairs calls whose
+    concatenation is sorted by (m, n), so a stable sort by entry K inside
+    each window gives the order of one sort over the whole rectangle.
+
+    The window values go, in that order, into one buffer sized by the
+    rectangle's pair_bound, next to a code saying which of the four
+    corners (half/full window in each direction) each entry lies in.  A
+    corner is one np.sum over the buffer masked by its code, so trace and
+    corners keep the same bits whatever the window size.  A rectangle
+    whose pair_bound exceeds MAX_GRID_CELLS is refused before any window.
     """
-    m_col, n_col, values = array.pairs(1, _ceil_fraction(k_max, aspect), k_max)
+    m_max = _ceil_fraction(k_max, aspect)
+    bound = array.pair_bound(1, m_max, k_max)
+    if bound > MAX_GRID_CELLS:
+        raise InvalidBoundError(
+            f"rectangle of rows 1..{m_max} x columns 1..{k_max} holds up to "
+            f"{bound} entries, above the limit of {MAX_GRID_CELLS}; "
+            "use a smaller k_max"
+        )
+    k_half = max(1, k_max // 2)
+    m_half = _ceil_fraction(k_half, aspect)
     p, q = aspect.numerator, aspect.denominator
-    enter = np.maximum(n_col, (m_col - 1) * q // p + 1)
-    order = np.argsort(enter, kind="stable")
-    enter = enter[order]
-    values = values[order]
-    m_col = m_col[order]
-    n_col = n_col[order]
-    csum = np.concatenate(([0j], np.cumsum(values)))
-    trace = csum[np.searchsorted(enter, np.arange(1, k_max + 1), side="right")]
+    values = np.empty(bound, dtype=np.complex128)
+    codes = np.empty(bound, dtype=np.uint8)
+    trace = np.empty(k_max, dtype=np.complex128)
+    filled = 0
+    carry = np.complex128(0)
+    # Equal-width windows in K, each holding about _TRACE_ENTRIES entries.
+    windows = max(1, -(-bound // _TRACE_ENTRIES))
+    width = -(-k_max // windows)
+    for k0 in range(0, k_max, width):
+        k1 = min(k0 + width, k_max)
+        m0 = _ceil_fraction(k0, aspect)
+        old_rows = array.pairs(1, m0, k1, k0 + 1)
+        new_rows = array.pairs(m0 + 1, _ceil_fraction(k1, aspect), k1)
+        m_col, n_col, vals = (np.concatenate(part) for part in zip(old_rows, new_rows))
+        enter = np.maximum(n_col, (m_col - 1) * q // p + 1)
+        order = np.argsort(enter, kind="stable")
+        end = filled + len(order)
+        values[filled:end] = vals[order]
+        # bit 2: m <= m_half, bit 1: n <= k_half; a corner sums the
+        # entries that carry all of its bits
+        codes[filled:end] = (2 * (m_col <= m_half) + (n_col <= k_half))[order]
+        # The first entry of the rectangle starts the running sum as it
+        # is; adding it to a zero carry would flip a -0.0 part to +0.0.
+        csum = np.concatenate(([carry], values[filled:end]))
+        start = 0 if filled else 1
+        np.cumsum(csum[start:], out=csum[start:])
+        steps = np.arange(k0 + 1, k1 + 1)
+        trace[k0:k1] = csum[np.searchsorted(enter[order], steps, side="right")]
+        carry = csum[-1]
+        filled = end
 
+    values, codes = values[:filled], codes[:filled]
     corners = []
-    for mm, nn in _corner_points(k_max, aspect):
-        mask = (m_col <= mm) & (n_col <= nn)
-        corners.append((mm, nn, complex(np.sum(values[mask]))))
+    for m_code, mm in ((0, m_max), (2, m_half)):
+        for n_code, nn in ((0, k_max), (1, k_half)):
+            need = m_code | n_code
+            corners.append((mm, nn, complex(np.sum(values[(codes & need) == need]))))
     return trace, corners

@@ -223,6 +223,8 @@ def test_zeros_command_past_the_doubled_order_cap(capsys):
          "--block", "16000", "--reach", "20000"),
         ("uniformity", "--array", "cesaro", "--window", "64x256",
          "--reach", "10000000"),
+        # a dense 9000 x 9000 rectangle, 8.1e7 cells
+        ("modes", "--array", "cesaro", "--k-max", "9000"),
     ],
 )
 def test_refused_bounds_exit_two(capsys, argv):

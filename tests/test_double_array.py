@@ -1,5 +1,6 @@
 """Double arrays, partial-sum grids, and the three summation modes."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from zdl import (
     LeeArray,
     SyntheticArray,
     build_grid,
+    build_table,
     classify_trace,
     column_sum,
     double_array,
@@ -373,6 +375,120 @@ def test_pringsheim_trace_matches_closed_forms(aspect):
         assert abs(corner["value"] - cesaro_rectangle(corner["m"], corner["n"])) <= 1e-13
 
 
-def test_pringsheim_needs_a_real_rectangle():
+def test_pringsheim_needs_a_real_rectangle(no_numpy):
     with pytest.raises(InvalidBoundError):
         pringsheim_trace(CesaroArray(), 3)
+    # 81e6 cells, refused before the first window allocates anything
+    no_numpy(double_array)
+    with pytest.raises(InvalidBoundError, match="rectangle of rows 1..9000"):
+        pringsheim_trace(CesaroArray(), 9000)
+
+
+def _reference_rectangle_trace(array, k_max, aspect):
+    """The whole-rectangle trace: every entry at once, one global sort."""
+    p, q = aspect.numerator, aspect.denominator
+    m_col, n_col, values = array.pairs(1, -((-k_max * p) // q), k_max)
+    enter = np.maximum(n_col, (m_col - 1) * q // p + 1)
+    order = np.argsort(enter, kind="stable")
+    enter = enter[order]
+    values = values[order]
+    m_col = m_col[order]
+    n_col = n_col[order]
+    csum = np.concatenate(([0j], np.cumsum(values)))
+    trace = csum[np.searchsorted(enter, np.arange(1, k_max + 1), side="right")]
+    corners = []
+    k_half = max(1, k_max // 2)
+    for kk in (k_max, k_half):
+        for nn in (k_max, k_half):
+            mm = -((-kk * p) // q)
+            mask = (m_col <= mm) & (n_col <= nn)
+            corners.append((mm, nn, complex(np.sum(values[mask]))))
+    return trace, corners
+
+
+@pytest.fixture(scope="module")
+def table20k():
+    return build_table(20_011)
+
+
+_TRACE_ARRAYS = {
+    "lee_s2": lambda table: LeeArray(2.0, table),
+    "lee_off_line": lambda table: LeeArray(1.7 + 12.3j, table),
+    "lee_near_zero": lambda table: LeeArray(0.5 + 14.134725j, table),
+    "cesaro": lambda table: CesaroArray(),
+    "interchange_ratio": lambda table: SyntheticArray("interchange_ratio"),
+    "zeros": lambda table: SyntheticArray("zeros"),
+}
+
+
+@pytest.mark.parametrize("k_max", [4, 5, 17, 1000, 20_011])
+@pytest.mark.parametrize("aspect", [Fraction(1), Fraction(2), Fraction(1, 2),
+                                    Fraction(3, 2), Fraction(2, 3)],
+                         ids=["1", "2", "1_2", "3_2", "2_3"])
+@pytest.mark.parametrize("name", list(_TRACE_ARRAYS))
+def test_rectangle_trace_is_bitwise_the_whole_rectangle(
+    name, aspect, k_max, table20k, monkeypatch
+):
+    array = _TRACE_ARRAYS[name](table20k)
+    if name in ("cesaro", "interchange_ratio", "zeros") and k_max > 1000:
+        # dense rectangles of 20011 columns hold over 4e8 cells
+        for trace_of in (_reference_rectangle_trace, double_array._rectangle_trace):
+            with pytest.raises(InvalidBoundError):
+                trace_of(array, k_max, aspect)
+        return
+    expected_trace, expected_corners = _reference_rectangle_trace(array, k_max, aspect)
+    expected_values = np.array([c[2] for c in expected_corners])
+    pairs = array.pairs
+    # A budget of 5 entries makes many windows, at k_max 1000 one per K
+    # step; at k_max 20011 that would be 20011 windows, so 2**10 (about
+    # 200 windows) stands in there.  The default makes one or two.
+    small = 5 if k_max <= 1000 else 1 << 10
+    for budget in (small, double_array._TRACE_ENTRIES):
+        sizes = []
+        monkeypatch.setattr(array, "pairs", lambda *a: sizes.append(len((r := pairs(*a))[0])) or r)
+        monkeypatch.setattr(double_array, "_TRACE_ENTRIES", budget)
+        trace, corners = double_array._rectangle_trace(array, k_max, aspect)
+        assert trace.tobytes() == expected_trace.tobytes()
+        assert [c[:2] for c in corners] == [c[:2] for c in expected_corners]
+        assert np.array([c[2] for c in corners]).tobytes() == expected_values.tobytes()
+        windows = [a + b for a, b in zip(sizes[::2], sizes[1::2])]
+        if budget == small:
+            assert len(windows) > 1
+        if budget == small and k_max == 1000:
+            assert len(windows) == k_max
+            # (1, 1) alone, unless aspect > 1 adds row 2 at K = 1; the
+            # zeros array leaves every window empty
+            if aspect <= 1:
+                assert windows[0] == (name != "zeros")
+
+
+class _NegatedCesaro(CesaroArray):
+    """Cesaro entries negated, so each imaginary part is -0.0."""
+
+    def terms(self, m, n):
+        return -super().terms(m, n)
+
+
+def test_rectangle_trace_keeps_signed_zeros(monkeypatch):
+    # 0.0 + -0.0 is +0.0, so a running sum started from a zero carry
+    # would flip every imaginary part of this trace.
+    array = _NegatedCesaro()
+    expected_trace, _ = _reference_rectangle_trace(array, 17, Fraction(1))
+    assert np.signbit(expected_trace.imag).all()
+    for budget in (5, double_array._TRACE_ENTRIES):
+        monkeypatch.setattr(double_array, "_TRACE_ENTRIES", budget)
+        trace, _ = double_array._rectangle_trace(array, 17, Fraction(1))
+        assert trace.tobytes() == expected_trace.tobytes()
+
+
+def test_rectangle_trace_memory_is_windowed():
+    lee = LeeArray(1.7 + 12.3j, build_table(200_000))
+    tracemalloc.start()
+    try:
+        pringsheim_trace(lee, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2,472,113 divisor hits: the enter-ordered buffer and one masked
+    # corner copy take 16 B each per hit, the windows a few MB.
+    assert peak <= 110 * 2**20, f"rectangle trace peaked at {peak / 2**20:.1f} MB"
