@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import ArithmeticTable
+from .arithmetic import ArithmeticTable, _primes_up_to
 from .errors import (
     DomainError,
     ExceptionalPointError,
@@ -53,14 +53,16 @@ EXCEPTIONAL_RADIUS = 1e-8
 
 _SERIES_CHUNK = 1 << 18
 
-# Rows of t per eta_line chunk.  Its buffers hold _LINE_CHUNK * order
-# angles and as many complex phases: 18 MB at order 186, 37 MB at 380.
+# Rows of t per eta_line chunk.  Its buffers hold pi(order) * _LINE_CHUNK
+# angles plus order * _LINE_CHUNK complex phases: 13.6 MB at order 186
+# (42 primes), 27.4 MB at 380 (75 primes).
 _LINE_CHUNK = 4096
 
 # Largest square-root index K that beta_series_partial accepts.
 MAX_SQUARE_INDEX = 1 << 22
 
 _weight_cache: dict = {}
+_plan_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,12 @@ def _require_point(s: complex) -> complex:
     return s
 
 
-def _weights(order: int) -> np.ndarray:
-    """Normalized acceleration weights c_k = (d_order - d_k) / d_order.
+def _weights(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed acceleration weights and log k for k = 1..order, cached per order.
 
-    The d_k are the exact integer partial sums of the Chebyshev-derived
-    coefficient recurrence; eta(s) ~ sum (-1)**k c_k (k+1)**(-s).
+    The weight of k is (-1)**(k+1) c_(k-1), with c_j = (d_order - d_j) /
+    d_order and the d_j the exact integer partial sums of the
+    Chebyshev-derived coefficient recurrence; eta(s) ~ sum w_k k**(-s).
     """
     cached = _weight_cache.get(order)
     if cached is not None:
@@ -100,9 +103,15 @@ def _weights(order: int) -> np.ndarray:
     top = partial[-1]
     c = np.array([(top - dk) / top for dk in partial[:-1]], dtype=np.float64)
     signs = np.where(np.arange(order) % 2 == 0, 1.0, -1.0)
-    w = signs * c
-    _weight_cache[order] = w
-    return w
+    cached = (signs * c, np.log(np.arange(1, order + 1, dtype=np.float64)))
+    _weight_cache[order] = cached
+    return cached
+
+
+def _eta_value(s: complex, order: int) -> complex:
+    """The accelerated sum at s, unchecked and without an error budget."""
+    w, logk = _weights(order)
+    return complex(np.sum(w * np.exp(-s * logk)))
 
 
 def truncation_bound(order: int, s: complex) -> float:
@@ -163,13 +172,39 @@ def eta(s: complex, order: int | None = None) -> EvalResult:
         order = default_order(s)
     elif not 1 <= order <= _MAX_ORDER:
         raise InvalidBoundError(f"order must be in 1..{_MAX_ORDER}, got {order}")
-    w = _weights(order)
+    w, _ = _weights(order)
     k = np.arange(1, order + 1, dtype=np.float64)
-    powers = np.exp(-s * np.log(k))
-    value = complex(np.sum(w * powers))
+    value = _eta_value(s, order)
     scale = float(np.sum(np.abs(w) * k ** (-s.real)))
     estimate = truncation_bound(order, s) + 8.0 * np.finfo(float).eps * scale
     return EvalResult(value, estimate, order)
+
+
+def _line_plan(order: int) -> tuple:
+    """How eta_line builds its phases at one order, cached per order.
+
+    Slot 0 holds k = 1, slots 1..pi(order) the primes, and the rest the
+    composites, each group in increasing k.  Returns the weights and
+    log k in slot order, pi(order), and one (slot of k, slot of p, slot
+    of k/p) step per composite k, with p the smallest prime factor of k.
+    """
+    cached = _plan_cache.get(order)
+    if cached is not None:
+        return cached
+    primes = _primes_up_to(order).tolist()
+    smallest = {}
+    for p in reversed(primes):
+        for k in range(p * p, order + 1, p):
+            smallest[k] = p
+    composites = sorted(smallest)
+    slots = [1, *primes, *composites]
+    slot = {k: j for j, k in enumerate(slots)}
+    steps = [(slot[k], slot[smallest[k]], slot[k // smallest[k]]) for k in composites]
+    w, logk = _weights(order)
+    index = np.array(slots) - 1
+    cached = (w[index], logk[index], len(primes), steps)
+    _plan_cache[order] = cached
+    return cached
 
 
 def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarray:
@@ -177,10 +212,15 @@ def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarr
 
     Used by the zero scanner, which needs thousands of samples.  Each term
     splits into a real amplitude w_k k**(-sigma) and a unit phase
-    k**(-it) = cos(t log k) - i sin(t log k); agreement with eta() is
-    tested to 1e-13.  The grid is walked in chunks of _LINE_CHUNK rows
-    through one reused phase buffer, so peak memory is one chunk whatever
-    len(ts) is.  One order, picked from the largest |t|, serves every row.
+    k**(-it).  The phase is completely multiplicative in k, so cos and sin
+    are taken only at the primes p <= order; each composite phase is one
+    complex product p**(-it) * (k/p)**(-it), p its smallest prime factor,
+    built in increasing k.  The sum over k is elementwise multiply-adds
+    in one fixed k order, so a row's bits never depend on the grid around
+    it or on chunking; agreement with eta() is tested to 1e-13.  The grid
+    is walked in chunks of _LINE_CHUNK rows through one reused phase
+    buffer, so peak memory is one chunk whatever len(ts) is.  One order,
+    picked from the largest |t|, serves every row.
 
     Raises:
         DomainError: if sigma is not finite and positive, if any t is
@@ -198,27 +238,31 @@ def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarr
         order = default_order(complex(sigma, t_peak))
     elif not 1 <= order <= _MAX_ORDER:
         raise InvalidBoundError(f"order must be in 1..{_MAX_ORDER}, got {order}")
-    w = _weights(order)
-    logk = np.log(np.arange(1, order + 1, dtype=np.float64))
-    amp = w * np.exp(-sigma * logk)
-    # A one-row product goes to BLAS dot, which rounds differently from the
-    # gemv every other row gets, so no chunk is one row long: a lone last
-    # row is redone with the row before it, a lone point with a copy.
-    grid = np.repeat(ts, 2) if ts.size == 1 else ts
-    out = np.empty(grid.size, dtype=np.complex128)
-    rows = min(grid.size, _LINE_CHUNK)
-    x = np.empty((rows, order))
-    phase = np.empty((rows, order), dtype=np.complex128)
-    for lo in range(0, grid.size, _LINE_CHUNK):
-        hi = min(lo + _LINE_CHUNK, grid.size)
-        lo = min(lo, hi - 2)
+    w, logk, n_primes, steps = _line_plan(order)
+    amp = (w * np.exp(-sigma * logk)).tolist()
+    primes = slice(1, n_primes + 1)
+    rows = min(ts.size, _LINE_CHUNK)
+    x = np.empty((n_primes, rows))
+    # Row j holds k**(+it) for the k in slot j; the sum is conjugated once.
+    phase = np.empty((order, rows), dtype=np.complex128)
+    phase[0] = 1.0
+    acc = np.empty(rows, dtype=np.complex128)
+    term = np.empty(rows, dtype=np.complex128)
+    out = np.empty(ts.size, dtype=np.complex128)
+    for lo in range(0, ts.size, _LINE_CHUNK):
+        hi = min(lo + _LINE_CHUNK, ts.size)
         n = hi - lo
-        np.multiply.outer(grid[lo:hi], logk, out=x[:n])
-        np.cos(x[:n], out=phase.real[:n])
-        np.sin(x[:n], out=phase.imag[:n])
-        np.negative(phase.imag[:n], out=phase.imag[:n])
-        np.matmul(phase[:n], amp, out=out[lo:hi])
-    return out[: ts.size]
+        np.multiply.outer(logk[primes], ts[lo:hi], out=x[:, :n])
+        np.cos(x[:, :n], out=phase.real[primes, :n])
+        np.sin(x[:, :n], out=phase.imag[primes, :n])
+        for k, p, q in steps:
+            np.multiply(phase[p, :n], phase[q, :n], out=phase[k, :n])
+        acc[:n] = 0.0
+        for j, a in enumerate(amp):
+            np.multiply(phase[j, :n], a, out=term[:n])
+            np.add(acc[:n], term[:n], out=acc[:n])
+        np.conjugate(acc[:n], out=out[lo:hi])
+    return out
 
 
 def _nearest_exceptional(s: complex) -> tuple[int, float]:

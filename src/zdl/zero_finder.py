@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet_eval import _MAX_ORDER, EXCEPTIONAL_SPACING, default_order, eta, eta_line
+from .dirichlet_eval import (
+    _MAX_ORDER,
+    EXCEPTIONAL_SPACING,
+    _eta_value,
+    default_order,
+    eta,
+    eta_line,
+)
 from .errors import InvalidBoundError, NotAZeroError, ScanStepError
 
 # A grid local minimum of |eta| must dip below this to count as a bracket.
@@ -30,6 +37,9 @@ BRACKET_CEILING = 0.5
 REFINE_WIDTH = 1e-11
 # A polished candidate must push |eta| at doubled order below this.
 REFINE_TOL = 1e-9
+# Most grid points one scan accepts.  A scan holds about 32 B per point
+# for its whole grid (t, complex eta and |eta|), so ~0.5 GB at the cap.
+MAX_SCAN_POINTS = 1 << 24
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,11 +58,25 @@ class ZeroCandidate:
     k: int | None = None
 
 
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The scan grid lo, lo + step, ... through hi, counted before it is allocated."""
+    points = math.ceil((hi + 0.5 * step - lo) / step)
+    if points > MAX_SCAN_POINTS:
+        raise InvalidBoundError(
+            f"a grid of {points} points from t = {lo} to {hi} at step {step:g} "
+            f"exceeds the {MAX_SCAN_POINTS} accepted; use a larger step or a "
+            "shorter window"
+        )
+    return np.arange(lo, hi + 0.5 * step, step)
+
+
 def scan_critical_line(t_lo: float, t_hi: float, step: float) -> list:
     """Brackets around dips of |eta(1/2 + it)| on a regular t grid.
 
     Returns (a, b) intervals around strict local minima whose value is
     below 0.5; everything else on the critical line sits well above that.
+    A grid of more than MAX_SCAN_POINTS points raises InvalidBoundError
+    before it is allocated.
     """
     if not 0.0 < t_lo < t_hi < math.inf:
         raise InvalidBoundError(
@@ -63,7 +87,7 @@ def scan_critical_line(t_lo: float, t_hi: float, step: float) -> list:
             f"grid step must be in (0, 0.1], got {step}; coarser grids skip zeros"
         )
     default_order(complex(0.5, t_hi))  # DomainError past the evaluator's reach
-    ts = np.arange(t_lo, t_hi + 0.5 * step, step)
+    ts = _grid(t_lo, t_hi, step)
     if len(ts) < 3:
         return []
     vals = np.abs(eta_line(0.5, ts))
@@ -73,7 +97,7 @@ def scan_critical_line(t_lo: float, t_hi: float, step: float) -> list:
 
 
 def _abs_eta_sq(t: float, order: int) -> float:
-    v = eta(complex(0.5, t), order).value
+    v = _eta_value(complex(0.5, t), order)
     return v.real * v.real + v.imag * v.imag
 
 
@@ -149,6 +173,7 @@ def off_line_sweep(
     symmetry only t >= 0 is evaluated.  The expected outcome is a floor
     well above zero: these lines host no zeros, which is exactly why the
     critical-line zeros are used as the stand-in experimental regime.
+    The grid is capped at MAX_SCAN_POINTS points, as in scan_critical_line.
     """
     if not 0.0 < step <= 0.1:
         raise ScanStepError(f"grid step must be in (0, 0.1], got {step}")
@@ -156,7 +181,7 @@ def off_line_sweep(
         raise InvalidBoundError(f"t_max must be positive and finite, got {t_max}")
     for sigma in sigmas:
         default_order(complex(sigma, t_max))  # DomainError past the evaluator's reach
-    ts = np.arange(0.0, t_max + 0.5 * step, step)
+    ts = _grid(0.0, t_max, step)
     out = []
     for sigma in sigmas:
         vals = np.abs(eta_line(float(sigma), ts))

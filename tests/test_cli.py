@@ -225,6 +225,8 @@ def test_zeros_command_past_the_doubled_order_cap(capsys):
          "--reach", "10000000"),
         # a dense 9000 x 9000 rectangle, 8.1e7 cells
         ("modes", "--array", "cesaro", "--k-max", "9000"),
+        # a zero-scan grid of 1e13 points, above MAX_SCAN_POINTS
+        ("zeros", "--t-lo", "10", "--t-hi", "20", "--step", "1e-12"),
     ],
 )
 def test_refused_bounds_exit_two(capsys, argv):
@@ -340,6 +342,7 @@ GOLDEN_CASES = {
                           "--window", "64x64", "--tolerance", "0.02",
                           "--threshold", "0.05", "--reach", "1000"), 0),
     "zeros": (("zeros", "--t-lo", "14", "--t-hi", "40"), 0),
+    "zeros_scan": (("zeros", "--t-lo", "10", "--t-hi", "184", "--step", "0.002"), 0),
     "eta": (("eta", "--s", "0.5+14.13i"), 0),
     "eta_order": (("eta", "--s", "0.75+3i", "--order", "80"), 0),
     "zeta": (("zeta", "--s", "2"), 0),

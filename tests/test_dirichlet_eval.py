@@ -110,13 +110,19 @@ def test_eta_line_refuses_orders_eta_refuses(order):
 C = dirichlet_eval._LINE_CHUNK
 
 
-@pytest.mark.parametrize("length", [0, 1, C - 1, C, C + 1, 2 * C + 3])
-def test_eta_line_rows_do_not_depend_on_chunking(length):
+@pytest.mark.parametrize(
+    "length, t0, dt, order",
+    [pytest.param(n, 10.0, 0.01, 120, id=str(n)) for n in (0, 1, C - 1, C, C + 1, 2 * C + 3)]
+    # every t in [401.7, 401.9) takes the default order 380, the cap, so the
+    # whole grid and its slices run at the same order
+    + [pytest.param(n, 401.7, 1e-5, None, id=f"cap-{n}") for n in (1, C + 1)],
+)
+def test_eta_line_rows_do_not_depend_on_chunking(length, t0, dt, order):
     # slices start mid-chunk, so every length but 0 and 1 crosses a boundary
-    ts = 10.0 + 0.01 * np.arange(3 * C)
-    full = eta_line(0.5, ts, order=120)
+    ts = t0 + dt * np.arange(3 * C)
+    full = eta_line(0.5, ts, order)
     i = C // 2 + 7
-    part = eta_line(0.5, ts[i : i + length], order=120)
+    part = eta_line(0.5, ts[i : i + length], order)
     assert part.tobytes() == full[i : i + length].tobytes()
 
 
@@ -134,14 +140,83 @@ def test_eta_line_peak_memory_is_one_chunk():
 
 
 def test_eta_line_against_mpmath_across_a_chunk_boundary():
+    _check_eta_line_against_mpmath(150.0, 184.2)
+
+
+def test_eta_line_against_mpmath_near_the_order_cap():
+    _check_eta_line_against_mpmath(380.0, 402.0)
+
+
+def _check_eta_line_against_mpmath(t_lo, t_hi):
     mpmath = pytest.importorskip("mpmath")
-    ts = np.linspace(150.0, 184.2, C + 500)
+    ts = np.linspace(t_lo, t_hi, C + 500)
     line = eta_line(0.5, ts)
     picks = sorted(set(np.linspace(0, len(ts) - 1, 23).astype(int)) | {C - 1, C})
     with mpmath.workdps(30):
         for i in picks:
             expected = complex(mpmath.altzeta(mpmath.mpc(0.5, float(ts[i]))))
             assert abs(line[i] - expected) <= 1e-12, float(ts[i])
+
+
+def _eta_line_direct(sigma, ts):
+    """eta_line as it was before prime phases: cos and sin at every k.
+
+    Frozen here as a reference: chunks of rows times all `order` columns,
+    reduced by a BLAS matrix-vector product.
+    """
+    order = default_order(complex(sigma, float(np.max(np.abs(ts)))))
+    w, logk = dirichlet_eval._weights(order)
+    amp = w * np.exp(-sigma * logk)
+    grid = np.repeat(ts, 2) if ts.size == 1 else ts
+    out = np.empty(grid.size, dtype=np.complex128)
+    for lo in range(0, grid.size, C):
+        hi = min(lo + C, grid.size)
+        lo = min(lo, hi - 2)
+        x = np.multiply.outer(grid[lo:hi], logk)
+        out[lo:hi] = (np.cos(x) - 1j * np.sin(x)) @ amp
+    return out[: ts.size]
+
+
+def _brackets(vals):
+    inner = vals[1:-1]
+    is_min = (inner < vals[:-2]) & (inner < vals[2:]) & (inner < 0.5)
+    return np.flatnonzero(is_min).tolist()
+
+
+@pytest.mark.parametrize(
+    "t_lo, t_hi, step", [(10.5, 184.2, 0.002), (172.5, 200.0, 0.01), (390.0, 402.0, 0.002)]
+)
+def test_eta_line_keeps_the_direct_phase_brackets(t_lo, t_hi, step):
+    ts = np.arange(t_lo, t_hi + 0.5 * step, step)
+    line = eta_line(0.5, ts)
+    direct = _eta_line_direct(0.5, ts)
+    assert np.max(np.abs(line - direct)) <= 1e-12
+    assert _brackets(np.abs(line)) == _brackets(np.abs(direct))
+    assert _brackets(np.abs(line))  # every window holds zeros
+
+
+def test_eta_line_takes_cos_and_sin_only_at_the_primes(monkeypatch):
+    angles = {"cos": 0, "sin": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cos(self, x, **kwargs):
+            angles["cos"] += x.size
+            return np.cos(x, **kwargs)
+
+        def sin(self, x, **kwargs):
+            angles["sin"] += x.size
+            return np.sin(x, **kwargs)
+
+    monkeypatch.setattr(dirichlet_eval, "np", CountingNumpy())
+    ts = 10.0 + 0.01 * np.arange(C + 5)
+    # pi(186) = 42 and pi(380) = 75 primes
+    for order, primes in ((186, 42), (380, 75)):
+        angles.update(cos=0, sin=0)
+        eta_line(0.5, ts, order)
+        assert angles == {"cos": primes * ts.size, "sin": primes * ts.size}
 
 
 def test_zeta_through_the_bridge():

@@ -106,6 +106,7 @@ def test_scan_guards():
         (math.nan, 25.0, 0.01, InvalidBoundError),
         (10.0, math.nan, 0.01, InvalidBoundError),
         (10.0, 1e9, 0.01, DomainError),  # past eta's reach, t ~ 414
+        (10.0, 20.0, 1e-12, InvalidBoundError),  # 1e13 grid points
     ],
 )
 def test_scan_rejects_bad_input_before_allocating(no_numpy, t_lo, t_hi, step, error):
@@ -121,6 +122,7 @@ def test_scan_rejects_bad_input_before_allocating(no_numpy, t_lo, t_hi, step, er
         (math.inf, 0.05, InvalidBoundError),
         (1e9, 0.05, DomainError),
         (50.0, math.nan, ScanStepError),
+        (50.0, 1e-12, InvalidBoundError),  # 5e13 grid points
     ],
 )
 def test_off_line_sweep_rejects_bad_input_before_allocating(
