@@ -44,7 +44,7 @@ from .double_array import (
     iterated_sum,
     pringsheim_trace,
 )
-from .errors import DomainError, OutputError, ZdlError
+from .errors import DomainError, InvalidBoundError, OutputError, ZdlError
 from .summation_diagnostics import LEE_DEFAULT_REACH, _jsonable, diagnostics_report
 from .zero_finder import exceptional_zero, zeros_between
 
@@ -138,10 +138,18 @@ def _write(args, payload: dict, header, rows) -> None:
         raise OutputError(f"cannot write --out {args.out!r}: {err.strerror or err}") from None
 
 
+MAX_BETA_ROWS = 1 << 20
+
 _BETA_HEADER = ("n", "omega", "liouville", "beta_definition", "beta_closed", "mismatch")
 
 
 def cmd_beta(args) -> tuple:
+    # Each row is a tuple and a dict until it is written, about 1.7 KB on
+    # the JSON path, so the table is capped before anything is sieved.
+    if args.n_max > MAX_BETA_ROWS:
+        raise InvalidBoundError(
+            f"beta --n-max must be <= 2**20 ({MAX_BETA_ROWS}) rows, got {args.n_max}"
+        )
     table = build_table(args.n_max)
     by_def = beta_definition_table(table)
     mismatch = by_def[1:] != table.beta[1:]

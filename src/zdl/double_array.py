@@ -47,8 +47,10 @@ MAX_GRID_CELLS = 1 << 26
 _SLAB_CELLS = 1 << 16
 
 # Entries of one K-window of the rectangle trace; the window's working
-# arrays stay a few MB next to its 16 B/entry trace buffer.
-_TRACE_ENTRIES = 1 << 17
+# arrays stay a few MB next to its 16 B/entry trace buffer.  Freed window
+# arrays can stay resident on the heap at the trace's peak (about 10 MB
+# here, up to 18 MB at 2**17, depending on the allocator's layout).
+_TRACE_ENTRIES = 1 << 16
 
 ROW_ITERATED = "row_iterated"
 COLUMN_ITERATED = "column_iterated"

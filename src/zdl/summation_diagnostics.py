@@ -54,7 +54,8 @@ VERIFIED_CRITERION = "lee_verified_criterion"
 # the window edge, so it never supports a uniformity claim.
 _UNIFORM_EDGE_FRACTION = 0.75
 
-_SLAB_ROWS = 256
+# Width of the blocks whose extents the settle profiles are built from.
+_BLOCK = 64
 
 # Working cells (block heights x pairs) of one n-window of the block-tail
 # scan; its peak memory is about 41 bytes per cell.
@@ -130,31 +131,94 @@ class _SettleProfile:
     length: int
 
 
+def _block_suffix_extents(part: np.ndarray):
+    """Max and min of part[:, j * _BLOCK:] at every block start j.
+
+    Column j = ceil(length / _BLOCK) is the empty suffix: -inf for the
+    max, +inf for the min.  The blocks are reduced through a strided
+    view, so a transposed `part` is read in place.
+    """
+    k, length = part.shape
+    full = length // _BLOCK
+    blocks = -(-length // _BLOCK)
+    top = np.full((k, blocks + 1), -np.inf)
+    bottom = np.full((k, blocks + 1), np.inf)
+    body = part[:, : full * _BLOCK].reshape(k, full, _BLOCK)
+    top[:, :full] = body.max(axis=2)
+    bottom[:, :full] = body.min(axis=2)
+    if full < blocks:
+        top[:, full] = part[:, full * _BLOCK :].max(axis=1)
+        bottom[:, full] = part[:, full * _BLOCK :].min(axis=1)
+    top = np.maximum.accumulate(top[:, ::-1], axis=1)[:, ::-1]
+    bottom = np.minimum.accumulate(bottom[:, ::-1], axis=1)[:, ::-1]
+    return top, bottom
+
+
+def _suffix_spans(part, tail_top, tail_bottom):
+    """Span of part[i:, r] joined with column r's tail extents, for every i.
+
+    One elementwise step per row of `part`: a running accumulate along
+    axis 0 is several times slower at block height.
+    """
+    top, bottom = tail_top.copy(), tail_bottom.copy()
+    spans = np.empty(part.shape)
+    for i in range(len(part) - 1, -1, -1):
+        np.maximum(top, part[i], out=top)
+        np.minimum(bottom, part[i], out=bottom)
+        np.subtract(top, bottom, out=spans[i])
+    return spans
+
+
 def _settle_profile(traces: np.ndarray, tolerance: float) -> _SettleProfile:
     """Settling analysis of many traces at once (rows of `traces`).
 
-    The diameter of the suffix starting at index i is non-increasing in
-    i, so the set of admissible start points is a suffix and the settle
-    index is length minus the count of admissible starts.
+    diam(i), the box diameter of trace[i:], is non-increasing in i, so
+    the admissible starts (diam <= tolerance) form a suffix and the
+    settle index is the first of them.  Block extents find it without a
+    running max/min over every cell: the max and min of re and im per
+    block of _BLOCK entries, accumulated into suffix extents at each
+    block start, give diam at the block starts.  The settle index lies
+    in the block just before a trace's first admissible block start, so
+    exact diam is taken only there, from that block's entries and the
+    next block's suffix extents; the half-trace diameter likewise reads
+    only the rest of its own block.  Max and min are exact, so every
+    span, and every hypot of two spans, is the float64 value a running
+    max/min over all cells gives, and verdicts keep their bits at the
+    tolerance boundary.
     """
     k, length = traces.shape
-    settled = np.zeros(k, dtype=bool)
+    re, im = traces.real, traces.imag
+    re_top, re_bottom = _block_suffix_extents(re)
+    im_top, im_bottom = _block_suffix_extents(im)
+    blocks = re_top.shape[1] - 1
+
+    at_starts = np.hypot(re_top - re_bottom, im_top - im_bottom)[:, :blocks]
+    first_ok = blocks - np.count_nonzero(at_starts <= tolerance, axis=1)
     settle_index = np.zeros(k, dtype=np.int64)
-    half_diam = np.zeros(k, dtype=np.float64)
-    estimate = np.array(traces[:, -1], dtype=np.complex128)
+    # Exact diam inside the block before the first admissible start, one
+    # trace per column; entries past the trace end repeat its last entry
+    # and are not counted.
+    rows = np.flatnonzero(first_ok)
+    block = first_ok[rows] - 1
+    cols = np.minimum(block * _BLOCK + np.arange(_BLOCK)[:, None], length - 1)
+    seg = traces[rows, cols]
+    after = (rows, block + 1)
+    diam = np.hypot(
+        _suffix_spans(seg.real, re_top[after], re_bottom[after]),
+        _suffix_spans(seg.imag, im_top[after], im_bottom[after]),
+    )
+    failing = np.count_nonzero(~(diam <= tolerance), axis=0)
+    settle_index[rows] = np.minimum(block * _BLOCK + failing, length)
+
     half = length // 2
-    for lo in range(0, k, _SLAB_ROWS):
-        hi = min(lo + _SLAB_ROWS, k)
-        slab = np.ascontiguousarray(traces[lo:hi])
-        re = slab.real[:, ::-1]
-        im = slab.imag[:, ::-1]
-        re_span = np.maximum.accumulate(re, axis=1) - np.minimum.accumulate(re, axis=1)
-        im_span = np.maximum.accumulate(im, axis=1) - np.minimum.accumulate(im, axis=1)
-        diam = np.hypot(re_span, im_span)[:, ::-1]
-        ok = diam <= tolerance
-        settled[lo:hi] = ok[:, half]
-        settle_index[lo:hi] = length - np.count_nonzero(ok, axis=1)
-        half_diam[lo:hi] = diam[:, half]
+    after = half // _BLOCK + 1
+    end = min(after * _BLOCK, length)
+    half_diam = np.hypot(
+        _suffix_spans(re[:, half:end].T, re_top[:, after], re_bottom[:, after])[0],
+        _suffix_spans(im[:, half:end].T, im_top[:, after], im_bottom[:, after])[0],
+    )
+    settled = half_diam <= tolerance
+    estimate = np.array(traces[:, -1], dtype=np.complex128)
     return _SettleProfile(settled, settle_index, half_diam, estimate, length)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from zdl import zeta_at_exceptional
+from zdl import arithmetic, cli, zeta_at_exceptional
 from zdl.cli import main, parse_aspect, parse_complex, parse_positive, parse_window
 from zdl.errors import DomainError
 
@@ -227,6 +227,8 @@ def test_zeros_command_past_the_doubled_order_cap(capsys):
         ("modes", "--array", "cesaro", "--k-max", "9000"),
         # a zero-scan grid of 1e13 points, above MAX_SCAN_POINTS
         ("zeros", "--t-lo", "10", "--t-hi", "20", "--step", "1e-12"),
+        # one row past MAX_BETA_ROWS
+        ("beta", "--n-max", "1048577"),
     ],
 )
 def test_refused_bounds_exit_two(capsys, argv):
@@ -234,6 +236,21 @@ def test_refused_bounds_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "InvalidBoundError"
+
+
+def test_beta_table_is_refused_before_the_sieve(capsys, no_numpy):
+    # 5e6 rows would hold about 8 GB of row tuples and dicts, though the
+    # sieve itself accepts any bound up to 2**31 - 1.
+    no_numpy(cli)
+    no_numpy(arithmetic)
+    code, out, err = run(capsys, "beta", "--n-max", "5000000")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "schema": 1,
+        "error": "InvalidBoundError",
+        "message": "beta --n-max must be <= 2**20 (1048576) rows, got 5000000",
+    }
 
 
 @pytest.mark.parametrize(
@@ -336,6 +353,12 @@ GOLDEN_CASES = {
                            "--window", "64x256", "--reach", "20000"), 0),
     "uniformity_cesaro": (("uniformity", "--array", "cesaro", "--window", "64x256",
                            "--reach", "2000"), 0),
+    # The default 512x4096 window, a 1024x1024 one and one whose extents
+    # leave a partial block of the settle profiles on both axes.
+    "uniformity_cesaro_wide": (("uniformity", "--array", "cesaro", "--tolerance", "1e-7"), 0),
+    "uniformity_ratio_1024": (("uniformity", "--array", "interchange_ratio",
+                               "--window", "1024x1024", "--tolerance", "2e-6"), 0),
+    "uniformity_cesaro_ragged": (("uniformity", "--array", "cesaro", "--window", "300x1001"), 0),
     "uniformity_zeros": (("uniformity", "--array", "zeros", "--window", "32x32",
                           "--reach", "64", "--block", "4"), 0),
     "uniformity_ratio": (("uniformity", "--array", "interchange_ratio",

@@ -289,3 +289,115 @@ def test_probe_detail_reports_settling(ratio_grid):
     assert detail["total"] == 512
     assert 0 < detail["settled"] <= detail["total"]
     assert detail["max_settle_index"] >= 0
+
+
+def _settle_profile_reference(traces, tolerance):
+    """The settle profile as a running max/min over every cell.
+
+    This is the former implementation, frozen as the bitwise oracle of
+    the block-extent one: slabs of 256 rows, four reversed running
+    extents and a hypot at every cell.
+    """
+    k, length = traces.shape
+    settled = np.zeros(k, dtype=bool)
+    settle_index = np.zeros(k, dtype=np.int64)
+    half_diam = np.zeros(k, dtype=np.float64)
+    estimate = np.array(traces[:, -1], dtype=np.complex128)
+    half = length // 2
+    for lo in range(0, k, 256):
+        hi = min(lo + 256, k)
+        slab = np.ascontiguousarray(traces[lo:hi])
+        re = slab.real[:, ::-1]
+        im = slab.imag[:, ::-1]
+        re_span = np.maximum.accumulate(re, axis=1) - np.minimum.accumulate(re, axis=1)
+        im_span = np.maximum.accumulate(im, axis=1) - np.minimum.accumulate(im, axis=1)
+        diam = np.hypot(re_span, im_span)[:, ::-1]
+        ok = diam <= tolerance
+        settled[lo:hi] = ok[:, half]
+        settle_index[lo:hi] = length - np.count_nonzero(ok, axis=1)
+        half_diam[lo:hi] = diam[:, half]
+    return summation_diagnostics._SettleProfile(
+        settled, settle_index, half_diam, estimate, length
+    )
+
+
+def _assert_profiles_bitwise_equal(traces, tolerance):
+    got = summation_diagnostics._settle_profile(traces, tolerance)
+    want = _settle_profile_reference(traces, tolerance)
+    assert got.length == want.length
+    for name in ("settled", "settle_index", "half_diameter", "estimate"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), (name, tolerance, traces.shape)
+
+
+def _random_traces(rng, k, length):
+    """Seeded partial-sum walks: decaying steps, some rounded to create
+    ties and flat tails, some with NaN entries, and some read through a
+    transposed or offset view rather than a contiguous array."""
+    transposed = rng.random() < 0.3
+    shape = (length, k + 1) if transposed else (k + 1, length + 3)
+    axis = 0 if transposed else 1
+    decay = rng.uniform(0.9, 1.0) ** np.arange(shape[axis])
+    steps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    steps *= decay[:, None] if transposed else decay
+    if rng.random() < 0.5:
+        steps = np.round(steps * 8) / 8
+    if rng.random() < 0.2:
+        steps[rng.random(shape) < 0.6] = 0
+    walk = np.cumsum(steps, axis=axis)
+    if rng.random() < 0.15:
+        walk.real[rng.random(shape) < 0.002] = np.nan
+        walk.imag[rng.random(shape) < 0.002] = np.nan
+    return walk.T[1:] if transposed else walk[1:, 2:-1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_settle_profile_matches_running_extents_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(250):
+        k, length = int(rng.integers(1, 41)), int(rng.integers(1, 701))
+        traces = _random_traces(rng, k, length)
+        assert traces.shape == (k, length)
+        # A measured suffix diameter and its float neighbours put the
+        # tolerance exactly on, just above and just below a boundary.
+        r, i = int(rng.integers(k)), int(rng.integers(length))
+        re, im = traces.real[r, i:], traces.imag[r, i:]
+        diam = float(np.hypot(re.max() - re.min(), im.max() - im.min()))
+        tolerances = [0.0]
+        if np.isfinite(diam):
+            tolerances += [diam, np.nextafter(diam, np.inf), np.nextafter(diam, -np.inf)]
+        for tolerance in tolerances:
+            _assert_profiles_bitwise_equal(traces, tolerance)
+
+
+@pytest.mark.parametrize("name", ["lee_zero", "lee_s2", "cesaro", "zeros", "interchange_ratio"])
+def test_settle_profile_matches_running_extents_on_report_grids(
+    name, table100k, first_zero, lee_grid_s2
+):
+    if name == "lee_zero":
+        grid = build_grid(LeeArray(first_zero.s, table100k), 512, 4096)
+    elif name == "lee_s2":
+        grid = lee_grid_s2
+    elif name == "cesaro":
+        grid = build_grid(CesaroArray(), 512, 4096)
+    elif name == "zeros":
+        grid = build_grid(SyntheticArray(name), 512, 4096)
+    else:
+        grid = build_grid(SyntheticArray(name), 1024, 1024)
+    body = grid.sums[1:, 1:]
+    for tolerance in (1e-7, 5e-7, 1e-6, 2e-6):
+        _assert_profiles_bitwise_equal(body, tolerance)
+        _assert_profiles_bitwise_equal(body.T, tolerance)
+
+
+def test_analyze_memory_is_block_extents():
+    grid = build_grid(CesaroArray(), 512, 4096)
+    tracemalloc.start()
+    try:
+        summation_diagnostics._analyze(grid, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 512 x 4096 complex cells are 32 MiB; the profiles read them in place.
+    assert peak <= 32 * 2**20, f"settle profiles peaked at {peak / 2**20:.1f} MiB"
