@@ -45,11 +45,9 @@ from .double_array import (
     Verdict,
     build_grid,
     classify_trace,
-    column_sum,
     iterated_sum,
     pringsheim_trace,
     row_sum,
-    term,
 )
 from .errors import (
     DomainError,
@@ -116,7 +114,6 @@ __all__ = [
     "build_table",
     "classify",
     "classify_trace",
-    "column_sum",
     "default_order",
     "diagnostics_report",
     "eta",
@@ -134,7 +131,6 @@ __all__ = [
     "refine",
     "row_sum",
     "scan_critical_line",
-    "term",
     "zeros_between",
     "zeta",
     "zeta_at_exceptional",

@@ -390,8 +390,8 @@ class PartialSumGrid:
     has its boundary built in.  The grid is constructed by cumulative
     sums along rows then down columns, which realizes that recurrence in
     telescoped form: B(m, n) = B(m, n-1) + a(m, n) per row, then
-    S(m, n) = S(m-1, n) + B(m, n).  recompute_cell replays exactly those
-    operations, so a stored cell must match the replay bit for bit.
+    S(m, n) = S(m-1, n) + B(m, n).  A replay of exactly those operations
+    must match a stored cell bit for bit.
     """
 
     array: DoubleArray
@@ -405,15 +405,6 @@ class PartialSumGrid:
                 f"cell ({m}, {n}) outside grid 0..{self.m_max} x 0..{self.n_max}"
             )
         return complex(self.sums[m, n])
-
-    def recompute_cell(self, m: int, n: int) -> complex:
-        self.cell(m, n)  # bounds check
-        acc = np.complex128(0.0)
-        row = np.zeros(n + 1, dtype=np.complex128)
-        for r in range(1, m + 1):
-            row[1:] = self.array.terms(r, np.arange(1, n + 1))
-            acc = acc + np.cumsum(row)[n]
-        return complex(acc)
 
 
 def build_grid(array: DoubleArray, m_max: int, n_max: int) -> PartialSumGrid:
@@ -438,11 +429,6 @@ def build_grid(array: DoubleArray, m_max: int, n_max: int) -> PartialSumGrid:
     return PartialSumGrid(array, m_max, n_max, a)
 
 
-def term(array: DoubleArray, m: int, n: int) -> complex:
-    """Single array entry a(m, n)."""
-    return complex(array.terms(m, n))
-
-
 def row_sum(array: DoubleArray, m: int, n_upto: int | None = None) -> complex:
     """Row m summed to its limit (default) or truncated at n <= n_upto."""
     if m < 1:
@@ -452,13 +438,6 @@ def row_sum(array: DoubleArray, m: int, n_upto: int | None = None) -> complex:
     if n_upto < 1:
         raise InvalidBoundError(f"truncation point must be >= 1, got {n_upto}")
     return complex(np.sum(array.pairs(m, m, n_upto)[2]))
-
-
-def column_sum(array: DoubleArray, n: int) -> complex:
-    """Column n summed to its limit (exact where the column is finite)."""
-    if n < 1:
-        raise InvalidBoundError(f"column index starts at 1, got {n}")
-    return complex(array.column_limits(n)[n])
 
 
 def iterated_sum(

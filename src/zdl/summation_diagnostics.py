@@ -599,30 +599,6 @@ def _classify_from(probes, row_profile, col_profile, tolerance):
     return checks
 
 
-_PLAIN = frozenset((str, int, float, bool, type(None)))
-
-
-def _jsonable(value):
-    """Plain JSON data: complex -> {"re", "im"}, numpy values -> Python.
-
-    A dict or list whose values are all plain already is returned as it
-    is, so a long list of flat records costs one cheap call per record.
-    """
-    if isinstance(value, dict):
-        if _PLAIN.issuperset(map(type, value.values())):
-            return value
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        if type(value) is list and _PLAIN.issuperset(map(type, value)):
-            return value
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.ndarray, np.generic)):
-        return _jsonable(value.tolist())
-    if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
-    return value
-
-
 def _default_outer(limit: int, block: int):
     values = [v for v in (16, 64, 256, 1024, 4096, 16384, 65536, 262144, 10**6)
               if v + block <= limit]
@@ -638,7 +614,7 @@ def diagnostics_report(
     scan_reach: int | None = None,
     threshold: float = 1e-2,
 ) -> dict:
-    """Probes, both scans, and the classification as one JSON-ready dict."""
+    """Probes, both scans, and the classification as one dict of Python values."""
     grid = build_grid(array, m_max, n_max)
     probes, row_profile, col_profile = _analyze(grid, tolerance)
     checks = _classify_from(probes, row_profile, col_profile, tolerance)
@@ -659,8 +635,7 @@ def diagnostics_report(
         array, outer, block, min(m_max, 4096), threshold
     )
 
-    return _jsonable({
-        "schema": 1,
+    return {
         "array": array.label,
         "s": getattr(array, "s", None),
         "window": {"m_max": m_max, "n_max": n_max, "tolerance": float(tolerance)},
@@ -677,4 +652,4 @@ def diagnostics_report(
         ],
         "scans": [asdict(needed), asdict(verified)],
         "classification": [asdict(c) for c in checks],
-    })
+    }

