@@ -9,9 +9,9 @@ Builds flat integer tables, indexed by n, of
 
 for 1 <= n <= n_max.  beta(n) collapses to a closed form: it is 1 when n
 is a perfect square, -2 when n is twice a perfect square, and 0 otherwise.
-The table stores the closed form; `beta_definition_table` re-derives every
-value straight from the divisor sum so the two routes can be played off
-against each other.
+The table stores the closed form (`beta_closed_table`, which needs no
+sieve); `beta_definition_table` re-derives every value straight from the
+divisor sum so the two routes can be played off against each other.
 """
 
 from dataclasses import dataclass
@@ -93,13 +93,19 @@ def build_table(n_max: int) -> ArithmeticTable:
     liouville = 1 - 2 * (omega & 1)
     liouville[0] = 0
 
-    beta = np.zeros(n_max + 1, dtype=np.int8)
-    squares = np.arange(1, isqrt(n_max) + 1, dtype=np.int64) ** 2
-    beta[squares] = 1
-    twice = 2 * np.arange(1, isqrt(n_max // 2) + 1, dtype=np.int64) ** 2
-    beta[twice] = -2
+    return ArithmeticTable(n_max, omega, liouville, beta_closed_table(n_max))
 
-    return ArithmeticTable(n_max, omega, liouville, beta)
+
+def beta_closed_table(n_max: int) -> np.ndarray:
+    """int8 beta(n) for 0 <= n <= n_max by the square / twice-square rule.
+
+    Needs no sieve: slot n is 1 on squares, -2 on twice-squares, else 0,
+    and slot 0 is 0.
+    """
+    beta = np.zeros(n_max + 1, dtype=np.int8)
+    beta[np.arange(1, isqrt(n_max) + 1, dtype=np.int64) ** 2] = 1
+    beta[2 * np.arange(1, isqrt(n_max // 2) + 1, dtype=np.int64) ** 2] = -2
+    return beta
 
 
 def _check_index(table: ArithmeticTable, n: int) -> None:
@@ -142,9 +148,13 @@ def beta_definition_table(table: ArithmeticTable) -> np.ndarray:
     """Divisor-sum route for every n at once.
 
     Accumulates liouville(m) * (-1)**(l+1) into slot m*l for all pairs
-    m*l <= n_max, one strided slice per m.  This enumerates exactly the
-    divisor pairs of each n, so it is the definition, vectorized; it never
-    consults the square / twice-square rule.
+    m*l <= n_max.  This enumerates exactly the divisor pairs of each n,
+    so it is the definition, vectorized; it never consults the square /
+    twice-square rule.  Each step is one strided integer add: a row m <=
+    isqrt(n_max) takes its columns l = 1..n_max // m at once, and the
+    rows above, whose quotients n_max // m all lie below isqrt(n_max) + 1,
+    are grouped by column l instead, every row m with l <= n_max // m in
+    one add.  The Python loop runs about 2 * isqrt(n_max) times.
 
     Returns:
         int64 array b with b[n] = beta(n) for 1 <= n <= n_max, b[0] = 0.
@@ -155,7 +165,10 @@ def beta_definition_table(table: ArithmeticTable) -> np.ndarray:
     alt[1::2] = 1
     alt[0::2] = -1
     lam = table.liouville
-    for m in range(1, n_max + 1):
-        count = n_max // m
-        acc[m::m] += int(lam[m]) * alt[1:count + 1]
+    root = isqrt(n_max)
+    for m in range(1, root + 1):
+        acc[m::m] += int(lam[m]) * alt[1 : n_max // m + 1]
+    for l in range(1, n_max // (root + 1) + 1):
+        last = n_max // l
+        acc[l * (root + 1) : l * last + 1 : l] += int(alt[l]) * lam[root + 1 : last + 1]
     return acc

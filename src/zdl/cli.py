@@ -43,11 +43,12 @@ from .double_array import (
     CesaroArray,
     LeeArray,
     SyntheticArray,
+    _ceil_fraction,
     iterated_sum,
     pringsheim_trace,
 )
 from .errors import DomainError, InvalidBoundError, OutputError, ZdlError
-from .summation_diagnostics import LEE_DEFAULT_REACH, diagnostics_report
+from .summation_diagnostics import diagnostics_report, lee_report_rows
 from .zero_finder import exceptional_zero, zeros_between
 
 ARRAY_CHOICES = ("lee", "cesaro", "zeros", "interchange_ratio")
@@ -190,7 +191,7 @@ def _beta_rows(columns):
 
 def cmd_beta(args) -> tuple:
     # The rows stream, so the cap bounds time, not memory: 2**20 rows take
-    # about 13 s as JSON and 7 s as CSV on 2 vCPUs.
+    # about 12 s as JSON and 6.5 s as CSV on 2 vCPUs.
     if args.n_max > MAX_BETA_ROWS:
         raise InvalidBoundError(
             f"beta --n-max must be <= 2**20 ({MAX_BETA_ROWS}) rows, got {args.n_max}"
@@ -240,11 +241,12 @@ _MODES_DEFAULTS = {
 }
 
 
-def _make_array(name, s, sieve_need):
+def _make_array(name, s, rows):
+    """The named array; the lee array sieves liouville over rows 1..rows."""
     if name == "lee":
         if s is None:
             raise DomainError("the lee array needs --s")
-        return LeeArray(s, build_table(sieve_need))
+        return LeeArray(s, build_table(rows))
     if s is not None:
         raise DomainError(f"--s applies only to the lee array, not {name!r}")
     if name == "cesaro":
@@ -275,13 +277,16 @@ def cmd_modes(args) -> tuple:
     outer_default, k_default = _MODES_DEFAULTS[args.array]
     outer = args.outer if args.outer is not None else outer_default
     k_max = args.k_max if args.k_max is not None else k_default
-    array = _make_array(args.array, args.s, max(outer, k_max))
-    # The rectangle goes first, so the two iterated traces (16 B per outer
-    # step each) are not yet alive next to its trace buffer.
-    rectangle = pringsheim_trace(array, k_max, args.aspect, args.tolerance)
+    # The iterated sums read rows up to outer, the rectangle up to
+    # ceil(aspect * k_max), and none past its last column k_max.
+    rows = max(outer, min(k_max, _ceil_fraction(k_max, args.aspect)))
+    array = _make_array(args.array, args.s, rows)
+    # Each report shrinks to its record at once, so no trace (16 B per
+    # step) outlives its mode.
+    rectangle = _mode_record(pringsheim_trace(array, k_max, args.aspect, args.tolerance))
     reports = [
-        iterated_sum(array, "rows_then_m", outer, args.tolerance),
-        iterated_sum(array, "columns_then_n", outer, args.tolerance),
+        _mode_record(iterated_sum(array, "rows_then_m", outer, args.tolerance)),
+        _mode_record(iterated_sum(array, "columns_then_n", outer, args.tolerance)),
         rectangle,
     ]
     record = {
@@ -291,7 +296,7 @@ def cmd_modes(args) -> tuple:
         "k_max": k_max,
         "aspect": str(args.aspect),
         "tolerance": args.tolerance,
-        "reports": [_mode_record(rep) for rep in reports],
+        "reports": reports,
     }
     header = (
         "mode", "verdict", "value_re", "value_im", "residual",
@@ -303,18 +308,15 @@ def cmd_modes(args) -> tuple:
 
 def cmd_uniformity(args) -> tuple:
     m_max, n_max = args.window
-    reach = args.reach
-    sieve_need = n_max
-    if args.array == "lee":
-        sieve_need = max(n_max, reach if reach is not None else LEE_DEFAULT_REACH)
-    array = _make_array(args.array, args.s, sieve_need)
+    rows = lee_report_rows(m_max, args.block, args.reach)
+    array = _make_array(args.array, args.s, rows)
     report = diagnostics_report(
         array,
         m_max,
         n_max,
         tolerance=args.tolerance,
         block=args.block,
-        scan_reach=reach,
+        scan_reach=args.reach,
         threshold=args.threshold,
     )
     header = ("quantity", "outer_label", "outer_value", "sup", "threshold", "verdict")

@@ -21,6 +21,7 @@ double-array experiments.
 import cmath
 import math
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -52,6 +53,13 @@ _MAX_ORDER = 380
 EXCEPTIONAL_RADIUS = 1e-8
 
 _SERIES_CHUNK = 1 << 18
+
+# Square roots per chunk of beta_series_partial: a chunk holds about
+# 1.7 times as many terms, squares and twice-squares.
+_SQUARE_CHUNK = 1 << 16
+
+# Largest run of entries a _PairwiseSum hands to np.sum at once.
+_LEAF = 1 << 16
 
 # Rows of t per eta_line chunk.  Its buffers hold pi(order) * _LINE_CHUNK
 # angles plus order * _LINE_CHUNK complex phases: 13.6 MB at order 186
@@ -358,6 +366,92 @@ def lambda_series_partial(s: complex, M: int, table: ArithmeticTable) -> complex
     return total
 
 
+def _pairwise_plan(count: int, leaf: int):
+    """np.sum's pairwise tree over count entries, in postfix order.
+
+    numpy sums more than 64 complex entries as the sum of its first
+    4 * (count // 8) entries plus the sum of the rest, each split the
+    same way.  The plan yields the size of every run of at most leaf
+    entries (leaf >= 64) that np.sum takes whole, left to right, and
+    None where the last two partial sums are added.
+    """
+    if count <= leaf:
+        if count:
+            yield count
+        return
+    k = 4 * (count // 8)
+    yield from _pairwise_plan(k, leaf)
+    yield from _pairwise_plan(count - k, leaf)
+    yield None
+
+
+class _PairwiseSum:
+    """np.sum of count complex entries fed in chunks, with the same bits.
+
+    Entries go through one leaf buffer of at most leaf entries; each
+    full leaf is one np.sum, and finished subtrees are added as
+    _pairwise_plan says, so only O(log count) partial sums are held.
+    """
+
+    def __init__(self, count: int, leaf: int = _LEAF):
+        self._plan = _pairwise_plan(count, leaf)
+        self._leaf = np.empty(min(count, leaf), dtype=np.complex128)
+        self._filled = 0
+        self._partials = []
+        self._next_leaf()
+
+    def _next_leaf(self) -> None:
+        for size in self._plan:
+            if size is not None:
+                self._size = size
+                return
+            right = self._partials.pop()
+            self._partials[-1] = self._partials[-1] + right
+        self._size = 0
+
+    def add(self, values: np.ndarray) -> None:
+        while len(values):
+            if not self._size:
+                raise ValueError("more entries than the declared count")
+            take = min(self._size - self._filled, len(values))
+            self._leaf[self._filled : self._filled + take] = values[:take]
+            values = values[take:]
+            self._filled += take
+            if self._filled == self._size:
+                self._partials.append(np.sum(self._leaf[: self._size]))
+                self._filled = 0
+                self._next_leaf()
+
+    @property
+    def total(self) -> complex:
+        if self._size:
+            raise ValueError("fewer entries than the declared count")
+        return complex(self._partials[0]) if self._partials else 0j
+
+
+def _signed_square_chunks(s: complex, K: int):
+    """The signed-square series' terms in increasing n, a chunk at a time.
+
+    A chunk covers n_lo < n <= n_hi with isqrt(n_hi) = isqrt(n_lo) +
+    _SQUARE_CHUNK: the squares k*k and twice-squares 2*j*j there (k, j
+    <= K), merged by n.  The two never tie, as k*k = 2*j*j has no
+    solution in positive integers.
+    """
+    twice = -2.0 * cmath.exp(-s * math.log(2.0))
+    n_lo, n_end = 0, 2 * K * K
+    while n_lo < n_end:
+        n_hi = min((isqrt(n_lo) + _SQUARE_CHUNK) ** 2, n_end)
+        k = np.arange(isqrt(n_lo) + 1, min(isqrt(n_hi), K) + 1, dtype=np.float64)
+        j = np.arange(isqrt(n_lo // 2) + 1, min(isqrt(n_hi // 2), K) + 1, dtype=np.float64)
+        ns = np.concatenate([k * k, 2.0 * j * j])
+        # Named, so numpy cannot reuse the temporary in place: an in-place
+        # complex multiply takes another loop, with other rounding.
+        jpow = np.exp(-2.0 * s * np.log(j))
+        terms = np.concatenate([np.exp(-2.0 * s * np.log(k)), twice * jpow])
+        yield terms[np.argsort(ns, kind="stable")]
+        n_lo = n_hi
+
+
 def beta_series_partial(s: complex, K: int) -> complex:
     """Partial sum of the sparse signed-square series.
 
@@ -365,22 +459,18 @@ def beta_series_partial(s: complex, K: int) -> complex:
     square k*k and -2 at each twice-square 2*k*k.  Both families are
     truncated at square-root index K and the terms are added in increasing
     order of the underlying index n, matching how the series is written
-    out term by term.  K must lie in 1..MAX_SQUARE_INDEX = 2**22: a call
-    at the cap peaks at about 640 MB RSS (numpy 2, x86-64 Linux), and a
-    larger K raises InvalidBoundError before anything is allocated.
+    out term by term.  The terms stream through a _PairwiseSum in chunks
+    over n, so the sum has the bits of one np.sum over all 2K terms in
+    that order while memory stays a few MB.  K must lie in
+    1..MAX_SQUARE_INDEX = 2**22, which bounds the time; a larger K raises
+    InvalidBoundError.
     """
     s = _require_point(s)
     if s.real <= 0.0:
         raise DomainError(f"series requires re(s) > 0, got {s}")
     if not 1 <= K <= MAX_SQUARE_INDEX:
         raise InvalidBoundError(f"K must be in 1..{MAX_SQUARE_INDEX}, got {K}")
-    k = np.arange(1, K + 1, dtype=np.float64)
-    kpow = np.exp(-2.0 * s * np.log(k))
-    square_terms = kpow
-    twice_terms = -2.0 * cmath.exp(-s * math.log(2.0)) * kpow
-    n_square = k * k
-    n_twice = 2.0 * k * k
-    ns = np.concatenate([n_square, n_twice])
-    terms = np.concatenate([square_terms, twice_terms])
-    order = np.argsort(ns, kind="stable")
-    return complex(np.sum(terms[order]))
+    total = _PairwiseSum(2 * K)
+    for terms in _signed_square_chunks(s, K):
+        total.add(terms)
+    return total.total

@@ -4,11 +4,12 @@ A double array here is a map (m, n) -> a(m, n) over positive integer
 pairs.  Every array meets one contract (DoubleArray): vectorized entries
 terms(m, n), the nonzero entries of a rectangle m_lo..m_hi x n_lo..n_max
 as COO arrays pairs(m_lo, m_hi, n_max, n_lo=1), the bound pair_bound on
-what such a call holds, and the row and column limits row_limits and
-column_limits.  Grids, the rectangle trace and both uniformity scans
-reach an array only through that contract, so each keeps one code path
-for every array; the block-tail scan walks n, and the rectangle trace K,
-in windows of pairs sized by pair_bound.
+what such a call holds (exact where exact_pair_bound says so), and the
+row and column limits row_limits and column_limits.  Grids, the
+rectangle trace and both uniformity scans reach an array only through
+that contract, so each keeps one code path for every array; the
+block-tail scan walks n, and the rectangle trace K, in windows of pairs
+sized by pair_bound.
 
 Three ways of attaching a value to the whole array are compared:
 
@@ -24,7 +25,8 @@ The arrays provided:
   column n is a finite sum equal to the signed divisor transform of n
   over n**s.  The three orders agree where everything converges
   absolutely and pull apart as re(s) shrinks.  Its pairs enumerate the
-  divisor hits directly instead of scanning the rectangle.
+  divisor hits directly instead of scanning the rectangle, and its sieve
+  need only cover the rows: columns read beta's closed form.
 * CesaroArray: the classical counterexample whose rows sum to 2**(-m)
   (total 1) while its columns sum to (-1)**(n+1) (oscillating partials).
 * SyntheticArray: calibration rules with known behavior ("zeros" and the
@@ -37,8 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import ArithmeticTable
-from .dirichlet_eval import eta
+from .arithmetic import ArithmeticTable, beta_closed_table
+from .dirichlet_eval import _PairwiseSum, eta
 from .errors import DomainError, InvalidBoundError, TableRangeError
 
 # Largest number of grid cells a dense partial-sum grid may hold (~1 GB).
@@ -46,11 +48,13 @@ MAX_GRID_CELLS = 1 << 26
 
 _SLAB_CELLS = 1 << 16
 
-# Entries of one K-window of the rectangle trace; the window's working
-# arrays stay a few MB next to its 16 B/entry trace buffer.  Freed window
-# arrays can stay resident on the heap at the trace's peak (about 10 MB
-# here, up to 18 MB at 2**17, depending on the allocator's layout).
+# Entries of one K-window of the rectangle trace; its working arrays
+# stay a few MB whatever the rectangle holds.
 _TRACE_ENTRIES = 1 << 16
+
+# Largest column index of LeeArray: float64 holds every n <= 2**53
+# exactly, so n**(-s) is taken at n itself.
+MAX_LEE_COLUMN = 1 << 53
 
 ROW_ITERATED = "row_iterated"
 COLUMN_ITERATED = "column_iterated"
@@ -138,16 +142,20 @@ class DoubleArray:
       entries that pairs call holds and on the cells it evaluates to
       find them; pairs refuses a bound above MAX_GRID_CELLS before it
       allocates anything.
+    * exact_pair_bound: True when pair_bound is exactly the number of
+      entries pairs returns, so a consumer that needs the count (the
+      rectangle trace's corner sums) takes it without a counting pass.
     * row_limits(m_max) / column_limits(n_max): each row (column) summed
       to its limit, in slots 1..m_max (1..n_max); slot 0 is 0.
 
     pairs evaluates terms over the whole rectangle and keeps the
-    nonzeros, so its bound is the cell count; an array with sparse
-    support overrides both with a direct enumeration that must return
-    the same entries bit for bit, and its exact count.
+    nonzeros, so its bound is the cell count and not exact; an array
+    with sparse support overrides both with a direct enumeration that
+    must return the same entries bit for bit, and its exact count.
     """
 
     label = "generic"
+    exact_pair_bound = False
 
     def terms(self, m, n) -> np.ndarray:
         raise NotImplementedError
@@ -204,10 +212,13 @@ class LeeArray(DoubleArray):
     """Divisor-supported array tying the Liouville series to eta.
 
     a(m, n) = liouville(m) * (-1)**(n/m + 1) * n**(-s) when m divides n,
-    else 0.  Requires re(s) > 0 and a sieve table covering every n used.
+    else 0.  Requires re(s) > 0 and a sieve table covering every row m
+    read: liouville is read only at the row, and a column needs no table.
+    Columns go up to MAX_LEE_COLUMN.
     """
 
     label = "lee"
+    exact_pair_bound = True
 
     def __init__(self, s: complex, table: ArithmeticTable):
         s = complex(s)
@@ -219,10 +230,18 @@ class LeeArray(DoubleArray):
         self.table = table
         self._eta_value = eta(s).value
 
-    def _check_reach(self, index: int, name: str = "n") -> None:
-        if index > self.table.n_max:
+    def _check_rows(self, m_max: int) -> None:
+        if m_max > self.table.n_max:
             raise TableRangeError(
-                f"{name} = {index} beyond sieve bound {self.table.n_max}"
+                f"row m = {m_max} beyond sieve bound {self.table.n_max}"
+            )
+
+    @staticmethod
+    def _check_columns(n_max: int) -> None:
+        if n_max > MAX_LEE_COLUMN:
+            raise InvalidBoundError(
+                f"column n = {n_max} is above 2**53, where float64 no longer "
+                "holds n exactly; use a smaller reach"
             )
 
     def _entries(self, m, j, n) -> np.ndarray:
@@ -234,7 +253,8 @@ class LeeArray(DoubleArray):
     def terms(self, m, n) -> np.ndarray:
         m, n = np.broadcast_arrays(*_indices(m, n))
         if n.size:
-            self._check_reach(int(n.max()))
+            self._check_rows(int(m.max()))
+            self._check_columns(int(n.max()))
         out = np.zeros(m.shape, dtype=np.complex128)
         hit = n % m == 0
         m, n = m[hit], n[hit]
@@ -242,24 +262,25 @@ class LeeArray(DoubleArray):
         return out
 
     def row_limits(self, m_max: int) -> np.ndarray:
-        self._check_reach(m_max, "m")
+        self._check_rows(m_max)
         out = np.zeros(m_max + 1, dtype=np.complex128)
-        m = np.arange(1, m_max + 1, dtype=np.float64)
+        log_m = np.log(np.arange(1, m_max + 1, dtype=np.float64))
         lam = self.table.liouville[1 : m_max + 1]
-        out[1:] = lam * np.exp(-self.s * np.log(m)) * self._eta_value
+        out[1:] = lam * np.exp(-self.s * log_m) * self._eta_value
         return out
 
     def column_limits(self, n_max: int) -> np.ndarray:
-        """Column sums through the stored divisor transform.
+        """Column sums through the closed form of the divisor transform.
 
         Column n is the finite sum over the divisors of n; its exact
-        integer part sum(liouville(d) * (-1)**(n/d + 1)) = beta(n) is
-        scaled by n**(-s).
+        integer part sum(liouville(d) * (-1)**(n/d + 1)) = beta(n), 1 on
+        squares, -2 on twice-squares and 0 otherwise, is scaled by
+        n**(-s).  No sieve is read.
         """
-        self._check_reach(n_max)
+        self._check_columns(n_max)
         out = np.zeros(n_max + 1, dtype=np.complex128)
-        n = np.arange(1, n_max + 1, dtype=np.float64)
-        out[1:] = self.table.beta[1 : n_max + 1] * np.exp(-self.s * np.log(n))
+        log_n = np.log(np.arange(1, n_max + 1, dtype=np.float64))
+        out[1:] = beta_closed_table(n_max)[1:] * np.exp(-self.s * log_n)
         return out
 
     def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
@@ -282,8 +303,10 @@ class LeeArray(DoubleArray):
             raise InvalidBoundError(
                 f"array indices start at 1, got m = {m_lo}, n = {n_lo}"
             )
-        self._check_reach(n_max)
+        self._check_columns(n_max)
+        # Rows past n_max hold no hit, so their liouville is never read.
         m_hi = min(m_hi, n_max)
+        self._check_rows(m_hi)
         n_lo = min(n_lo, n_max + 1)
         entries = self.pair_bound(m_lo, m_hi, n_max, n_lo)
         if entries > MAX_GRID_CELLS:
@@ -494,11 +517,11 @@ def pringsheim_trace(
     ceil(aspect*K) never suffer float boundary wobble.
 
     The trace walks K in windows of array.pairs (see _rectangle_trace),
-    with the same bits as one pass over the whole rectangle.  It keeps
-    17 B per entry of the last rectangle (the value and a corner code),
-    and a masked copy of the values while a corner is summed.  A
-    rectangle whose pair_bound exceeds MAX_GRID_CELLS is refused before
-    any window.
+    with the same bits as one pass over the whole rectangle.  Its memory
+    is the 16 B per step of the trace plus one window's working arrays
+    and four corner accumulators of 1 MB each, however many entries the
+    rectangle holds.  A rectangle whose pair_bound exceeds
+    MAX_GRID_CELLS is refused before any window.
     """
     if k_max < 4:
         raise InvalidBoundError(f"k_max must be at least 4, got {k_max}")
@@ -534,12 +557,14 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     concatenation is sorted by (m, n), so a stable sort by entry K inside
     each window gives the order of one sort over the whole rectangle.
 
-    The window values go, in that order, into one buffer sized by the
-    rectangle's pair_bound, next to a code saying which of the four
-    corners (half/full window in each direction) each entry lies in.  A
-    corner is one np.sum over the buffer masked by its code, so trace and
-    corners keep the same bits whatever the window size.  A rectangle
-    whose pair_bound exceeds MAX_GRID_CELLS is refused before any window.
+    Each of the four corners (half/full window in each direction) is a
+    _PairwiseSum fed the window entries that lie in it, in that order,
+    so it has the bits of one np.sum over the corner's entries whatever
+    the window size.  The sums need each corner's entry count up front:
+    pair_bound gives it where exact_pair_bound holds, and otherwise a
+    counting pass evaluates terms over the same windows, as the dense
+    pairs does.  A rectangle whose pair_bound exceeds MAX_GRID_CELLS is
+    refused before any window.
     """
     m_max = _ceil_fraction(k_max, aspect)
     bound = array.pair_bound(1, m_max, k_max)
@@ -552,41 +577,67 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     k_half = max(1, k_max // 2)
     m_half = _ceil_fraction(k_half, aspect)
     p, q = aspect.numerator, aspect.denominator
-    values = np.empty(bound, dtype=np.complex128)
-    codes = np.empty(bound, dtype=np.uint8)
-    trace = np.empty(k_max, dtype=np.complex128)
-    filled = 0
-    carry = np.complex128(0)
-    # Equal-width windows in K, each holding about _TRACE_ENTRIES entries.
-    windows = max(1, -(-bound // _TRACE_ENTRIES))
-    width = -(-k_max // windows)
+    # Equal-width windows in K, each holding about _TRACE_ENTRIES entries;
+    # a window adds the new columns of rows 1..m0 and the new rows whole.
+    count = max(1, -(-bound // _TRACE_ENTRIES))
+    width = -(-k_max // count)
+    windows = []
     for k0 in range(0, k_max, width):
         k1 = min(k0 + width, k_max)
-        m0 = _ceil_fraction(k0, aspect)
-        old_rows = array.pairs(1, m0, k1, k0 + 1)
-        new_rows = array.pairs(m0 + 1, _ceil_fraction(k1, aspect), k1)
-        m_col, n_col, vals = (np.concatenate(part) for part in zip(old_rows, new_rows))
+        m0, m1 = _ceil_fraction(k0, aspect), _ceil_fraction(k1, aspect)
+        windows.append((k0, k1, ((1, m0, k0 + 1), (m0 + 1, m1, 1))))
+
+    corners = [(m_max, k_max), (m_max, k_half), (m_half, k_max), (m_half, k_half)]
+    if array.exact_pair_bound:
+        counts = [array.pair_bound(1, mm, nn) for mm, nn in corners]
+    else:
+        counts = _corner_counts(array, windows, corners)
+    sums = [_PairwiseSum(c) for c in counts]
+    trace = np.empty(k_max, dtype=np.complex128)
+    # csum[0] is the running sum before the window, csum[1:] its entries
+    # in order, summed in place; the buffer grows to the largest window.
+    buffer = np.empty(0, dtype=np.complex128)
+    carry, started = np.complex128(0), False
+    for k0, k1, parts in windows:
+        m_col, n_col, vals = (
+            np.concatenate(part)
+            for part in zip(*(array.pairs(m_lo, m_hi, k1, n_lo) for m_lo, m_hi, n_lo in parts))
+        )
         enter = np.maximum(n_col, (m_col - 1) * q // p + 1)
         order = np.argsort(enter, kind="stable")
-        end = filled + len(order)
-        values[filled:end] = vals[order]
-        # bit 2: m <= m_half, bit 1: n <= k_half; a corner sums the
-        # entries that carry all of its bits
-        codes[filled:end] = (2 * (m_col <= m_half) + (n_col <= k_half))[order]
+        if len(buffer) <= len(order):
+            buffer = np.empty(len(order) + 1, dtype=np.complex128)
+        csum = buffer[: len(order) + 1]
+        csum[0] = carry
+        ordered = np.take(vals, order, out=csum[1:])
+        in_rows = m_col[order] <= m_half
+        in_cols = n_col[order] <= k_half
+        for acc, keep in zip(sums, (None, in_cols, in_rows, in_rows & in_cols)):
+            acc.add(ordered if keep is None else ordered[keep])
         # The first entry of the rectangle starts the running sum as it
         # is; adding it to a zero carry would flip a -0.0 part to +0.0.
-        csum = np.concatenate(([carry], values[filled:end]))
-        start = 0 if filled else 1
+        start = 0 if started else 1
         np.cumsum(csum[start:], out=csum[start:])
         steps = np.arange(k0 + 1, k1 + 1)
         trace[k0:k1] = csum[np.searchsorted(enter[order], steps, side="right")]
-        carry = csum[-1]
-        filled = end
+        carry, started = csum[-1], started or len(order) > 0
+    return trace, [(mm, nn, acc.total) for (mm, nn), acc in zip(corners, sums)]
 
-    values, codes = values[:filled], codes[:filled]
-    corners = []
-    for m_code, mm in ((0, m_max), (2, m_half)):
-        for n_code, nn in ((0, k_max), (1, k_half)):
-            need = m_code | n_code
-            corners.append((mm, nn, complex(np.sum(values[(codes & need) == need]))))
-    return trace, corners
+
+def _corner_counts(array: DoubleArray, windows, corners) -> list:
+    """Entries of each corner rectangle, counted over the trace's windows.
+
+    Each window part is the terms rectangle the dense pairs evaluates,
+    and a corner's entries are its nonzero cells in the leading rows and
+    columns.
+    """
+    counts = [0] * len(corners)
+    for _, k1, parts in windows:
+        for m_lo, m_hi, n_lo in parts:
+            m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
+            n = np.arange(n_lo, k1 + 1, dtype=np.int64)
+            hits = array.terms(m[:, None], n) != 0
+            for i, (mm, nn) in enumerate(corners):
+                rows, cols = max(mm - m_lo + 1, 0), max(nn - n_lo + 1, 0)
+                counts[i] += int(np.count_nonzero(hits[:rows, :cols]))
+    return counts

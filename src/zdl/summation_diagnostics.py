@@ -61,9 +61,12 @@ _BLOCK = 64
 # scan; its peak memory is about 41 bytes per cell.
 _SCAN_CELLS = 1 << 19
 
-# Default scan reach in n for the divisor-supported array; the CLI sieves
-# at least this far when no --reach is given.
+# Default scan reach in n for the divisor-supported array.
 LEE_DEFAULT_REACH = 10**6
+
+# Fewest terms per row the report keeps for a block-tail start M of the
+# divisor-supported array: row m holds only reach // m of them.
+_LEE_ROW_TERMS = 128
 
 
 @dataclass
@@ -351,10 +354,8 @@ def _check_outer_list(values, name):
 
 
 def _default_reach(array: DoubleArray) -> int:
-    """Scan reach in n: min(sieve bound, LEE_DEFAULT_REACH) for Lee, else 4096."""
-    if isinstance(array, LeeArray):
-        return min(array.table.n_max, LEE_DEFAULT_REACH)
-    return 4096
+    """Scan reach in n: LEE_DEFAULT_REACH for Lee, else 4096."""
+    return LEE_DEFAULT_REACH if isinstance(array, LeeArray) else 4096
 
 
 def _needed_sup(array: DoubleArray, m_start: int, block: int, n_reach: int) -> float:
@@ -605,6 +606,29 @@ def _default_outer(limit: int, block: int):
     return values or [max(1, limit - block)]
 
 
+def _lee_needed_outer(outer, scan_reach: int):
+    """Block-tail starts M that keep at least _LEE_ROW_TERMS terms per row.
+
+    Rows of the divisor-supported array only carry reach // m terms, so
+    the block-tail sup at large m measures truncation, not the tail.
+    """
+    trimmed = [m for m in outer if scan_reach // m >= _LEE_ROW_TERMS]
+    return trimmed or outer
+
+
+def lee_report_rows(m_max: int, block: int, scan_reach: int | None = None) -> int:
+    """Largest row of the divisor-supported array diagnostics_report reads.
+
+    The grid and the row-tail scan read rows up to m_max; the block-tail
+    scan at M reads rows M..M + block, none past the reach.  A sieve to
+    this bound serves the whole report, at any reach.
+    """
+    if scan_reach is None:
+        scan_reach = LEE_DEFAULT_REACH
+    needed = _lee_needed_outer(_default_outer(scan_reach, block), scan_reach)
+    return max(m_max, min(needed[-1] + block, scan_reach))
+
+
 def diagnostics_report(
     array: DoubleArray,
     m_max: int,
@@ -624,12 +648,7 @@ def diagnostics_report(
     outer = _default_outer(scan_reach, block)
     needed_outer = outer
     if isinstance(array, LeeArray):
-        # Rows of the divisor-supported array only carry reach // m terms, so
-        # the block-tail sup at large m measures truncation, not the tail.
-        # Keep at least 128 terms per row or the sup decays vacuously.
-        trimmed = [m for m in outer if scan_reach // m >= 128]
-        if trimmed:
-            needed_outer = trimmed
+        needed_outer = _lee_needed_outer(outer, scan_reach)
     needed = needed_uniformity_scan(array, needed_outer, block, scan_reach, threshold)
     verified = lee_verified_scan(
         array, outer, block, min(m_max, 4096), threshold

@@ -105,6 +105,21 @@ def beta_brute(n: int) -> int:
     return total
 
 
+def beta_definition_per_m(liouville, n_max: int) -> list:
+    """The divisor-sum route one row m at a time, as the package once did.
+
+    Adds liouville[m] * (-1)**(l+1) into slot m*l for l = 1..n_max // m,
+    row by row; slot 0 is 0.  Frozen as the integer-exact reference of
+    the grouped implementation.
+    """
+    acc = [0] * (n_max + 1)
+    for m in range(1, n_max + 1):
+        lam = int(liouville[m])
+        for l in range(1, n_max // m + 1):
+            acc[m * l] += lam if l % 2 else -lam
+    return acc
+
+
 def cesaro_rectangle(m: int, n: int) -> float:
     """Closed-form rectangle sum for the row/column counterexample.
 

@@ -17,7 +17,7 @@ from zdl import (
 )
 from zdl.errors import InvalidBoundError, TableRangeError
 
-from oracles import beta_brute, liouville_brute, omega_brute
+from oracles import beta_brute, beta_definition_per_m, liouville_brute, omega_brute
 
 
 def test_build_table_basics(table2k):
@@ -71,6 +71,15 @@ def test_liouville_matches_brute_force(table2k):
 def test_beta_definition_table_matches_brute_force(table2k):
     by_def = beta_definition_table(table2k)
     assert by_def[1:].tolist() == [beta_brute(n) for n in range(1, 2001)]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 10, 99, 100, 1000, 4096, 4097, 20011])
+def test_beta_definition_table_is_the_per_row_sum(n_max):
+    # Rows grouped by quotient n_max // m give the row-by-row integers.
+    table = build_table(n_max)
+    by_def = beta_definition_table(table)
+    assert by_def.dtype == np.int64
+    assert by_def.tolist() == beta_definition_per_m(table.liouville, n_max)
 
 
 def test_beta_closed_form_trichotomy():

@@ -1,5 +1,6 @@
 """Accelerated alternating-series evaluator against an Euler-Maclaurin oracle."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -282,3 +283,68 @@ def test_beta_series_rejects_K_above_the_cap_before_allocating(no_numpy, K):
     no_numpy(dirichlet_eval)
     with pytest.raises(InvalidBoundError, match=r"1\.\.4194304"):
         beta_series_partial(2.0, K)
+
+
+def _beta_series_reference(s, K):
+    """The former beta_series_partial: every term at once, one sort, one np.sum."""
+    k = np.arange(1, K + 1, dtype=np.float64)
+    kpow = np.exp(-2.0 * s * np.log(k))
+    twice_terms = -2.0 * cmath.exp(-s * math.log(2.0)) * kpow
+    ns = np.concatenate([k * k, 2.0 * k * k])
+    terms = np.concatenate([kpow, twice_terms])
+    return complex(np.sum(terms[np.argsort(ns, kind="stable")]))
+
+
+# K across the first chunk boundary (_SQUARE_CHUNK square roots, and
+# twice-squares past it) and up to several chunks.
+@pytest.mark.parametrize("K", [1, 2, 7, 64, 65, 1000, 46341, 65536, 65537, 92682, 300_001])
+@pytest.mark.parametrize("s", [2.0, 0.75 + 3j, 1.5 - 20j, 0.51 + 100.25j])
+def test_beta_series_is_bitwise_one_sorted_sum(s, K):
+    got = np.complex128(beta_series_partial(s, K))
+    assert got.tobytes() == np.complex128(_beta_series_reference(complex(s), K)).tobytes()
+
+
+def test_beta_series_memory_is_chunked():
+    tracemalloc.start()
+    try:
+        beta_series_partial(0.75 + 3j, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One chunk of about 1.1e5 terms; the whole series would be 2e6.
+    assert peak <= 16 * 2**20, f"beta series peaked at {peak / 2**20:.1f} MB"
+
+
+def _with_signed_zeros(rng, length):
+    """Complex entries over 16 decades, a tenth of the parts +0.0 or -0.0."""
+    x = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 8, length)
+    x = x + 1j * rng.standard_normal(length)
+    for part in (x.real, x.imag):
+        zero = rng.random(length) < 0.1
+        part[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, 0.0, -0.0)
+    return x
+
+
+@pytest.mark.parametrize("leaf", [64, 1000, 1 << 16])
+def test_pairwise_sum_is_np_sum_bit_for_bit(leaf):
+    # If numpy moves its pairwise split, this fails instead of moving bits.
+    rng = np.random.default_rng(leaf)
+    lengths = [*range(300), *(2**k + d for k in range(7, 22) for d in (-1, 1)), 3_000_001]
+    for length in lengths:
+        x = _with_signed_zeros(rng, length)
+        if length in (1, 8, 65, 1000):
+            x[:] = complex(-0.0, -0.0)
+        total = dirichlet_eval._PairwiseSum(length, leaf)
+        cuts = np.sort(rng.integers(0, length + 1, size=rng.integers(0, 12)))
+        for chunk in np.split(x, cuts):
+            total.add(chunk)
+        assert np.complex128(total.total).tobytes() == np.sum(x).tobytes(), length
+
+
+def test_pairwise_sum_refuses_a_wrong_count():
+    total = dirichlet_eval._PairwiseSum(3)
+    total.add(np.ones(2, dtype=np.complex128))
+    with pytest.raises(ValueError):
+        total.total
+    with pytest.raises(ValueError):
+        total.add(np.ones(2, dtype=np.complex128))

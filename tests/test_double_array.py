@@ -261,14 +261,42 @@ def test_lee_rejects_bad_parameters(table2k):
     with pytest.raises(DomainError):
         LeeArray(-1.0 + 0j, table2k)
     lee = LeeArray(2.0 + 0j, table2k)
+    # The sieve bounds the rows, whose liouville is read; not the columns.
     with pytest.raises(TableRangeError):
-        lee.terms(1, 2001)
+        lee.terms(2001, 2001)
     with pytest.raises(TableRangeError):
-        lee.terms(3, np.arange(1, 5001))
+        lee.terms(np.arange(1, 5001)[:, None], 5000)
     with pytest.raises(TableRangeError):
-        lee.pairs(3, 3, 5000)
+        lee.pairs(3, 2001, 5000)
+    with pytest.raises(TableRangeError):
+        lee.row_limits(2001)
+    # Rows past n_max hold no hit, so they need no sieve.
+    assert len(lee.pairs(1999, 5000, 2000)[0]) == 2
+    # float64 holds n exactly only up to 2**53.
+    with pytest.raises(InvalidBoundError, match="2\\*\\*53"):
+        lee.terms(1, 2**53 + 2)
+    with pytest.raises(InvalidBoundError, match="2\\*\\*53"):
+        lee.pairs(2**52, 2**52, 2**53 + 2, 2**53 + 1)
     with pytest.raises(InvalidBoundError):
         lee.terms(np.arange(0, 4), 12)
+
+
+def test_lee_entries_past_the_sieve_match_a_sieve_to_n(table2k):
+    # Rows 1..2000 sieved, columns 1500 times further out: every entry
+    # keeps the bits it has under a sieve that covers its column.
+    n_far = 3_000_000
+    s = 0.5 + 14.134725j
+    short, full = LeeArray(s, table2k), LeeArray(s, build_table(n_far))
+    m = np.arange(1, 2001)[:, None]
+    n = np.arange(n_far - 5000, n_far + 1, 7)
+    assert short.terms(m, n).tobytes() == full.terms(m, n).tobytes()
+    for got, expected in zip(short.pairs(1, 2000, n_far, n_far - 5000),
+                             full.pairs(1, 2000, n_far, n_far - 5000)):
+        assert got.tobytes() == expected.tobytes()
+    # Columns read beta's closed form, bit for bit the sieved table's.
+    cols = np.arange(1, 100_001, dtype=np.float64)
+    by_table = full.table.beta[1:100_001] * np.exp(-s * np.log(cols))
+    assert short.column_limits(100_000)[1:].tobytes() == by_table.tobytes()
 
 
 def test_synthetic_rejects_unknown_rule():
@@ -486,6 +514,19 @@ def test_rectangle_trace_memory_is_windowed():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2,472,113 divisor hits: the enter-ordered buffer and one masked
-    # corner copy take 16 B each per hit, the windows a few MB.
-    assert peak <= 110 * 2**20, f"rectangle trace peaked at {peak / 2**20:.1f} MB"
+    # 2,472,113 divisor hits, none of them held past its window: the
+    # trace (3.2 MB), one window and four 1 MB corner leaves peak at
+    # about 22 MB.
+    assert peak <= 32 * 2**20, f"rectangle trace peaked at {peak / 2**20:.1f} MB"
+
+
+def test_dense_rectangle_trace_memory_is_windowed():
+    tracemalloc.start()
+    try:
+        pringsheim_trace(CesaroArray(), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 6.4e6 nonzero cells (Cesaro terms underflow past n = 2146),
+    # counted and then summed window by window: about 16 MB.
+    assert peak <= 24 * 2**20, f"rectangle trace peaked at {peak / 2**20:.1f} MB"

@@ -239,8 +239,10 @@ def test_scan_input_guards(table2k):
     for reach in (63, 0, -5):  # rows past the reach would read sup 0
         with pytest.raises(InvalidBoundError):
             needed_uniformity_scan(lee, (16, 64), block=8, n_reach=reach)
+    # The sieve bounds the rows read, not the columns.
     with pytest.raises(TableRangeError):
-        lee_verified_scan(lee, (1999,), block=8, m_reach=64)
+        lee_verified_scan(lee, (16,), block=8, m_reach=2001)
+    assert lee_verified_scan(lee, (1999,), block=8, m_reach=64).sup_trace[0] > 0
     with pytest.raises(InvalidBoundError):
         lee_verified_scan(lee, (16,), block=1 << 14, m_reach=1 << 13)
 
