@@ -96,15 +96,18 @@ def build_table(n_max: int) -> ArithmeticTable:
     return ArithmeticTable(n_max, omega, liouville, beta_closed_table(n_max))
 
 
-def beta_closed_table(n_max: int) -> np.ndarray:
-    """int8 beta(n) for 0 <= n <= n_max by the square / twice-square rule.
+def beta_closed_table(n_max: int, n_lo: int = 0) -> np.ndarray:
+    """int8 beta(n) for n_lo <= n <= n_max by the square / twice-square rule.
 
-    Needs no sieve: slot n is 1 on squares, -2 on twice-squares, else 0,
-    and slot 0 is 0.
+    Needs no sieve: slot n - n_lo is 1 on squares, -2 on twice-squares,
+    else 0, and n = 0 reads 0.
     """
-    beta = np.zeros(n_max + 1, dtype=np.int8)
-    beta[np.arange(1, isqrt(n_max) + 1, dtype=np.int64) ** 2] = 1
-    beta[2 * np.arange(1, isqrt(n_max // 2) + 1, dtype=np.int64) ** 2] = -2
+    beta = np.zeros(n_max - n_lo + 1, dtype=np.int8)
+    lo = max(n_lo, 1)
+    # The least r with r**2 >= lo, and with 2 * r**2 >= lo.
+    beta[np.arange(isqrt(lo - 1) + 1, isqrt(n_max) + 1, dtype=np.int64) ** 2 - n_lo] = 1
+    twice = np.arange(isqrt((lo + 1) // 2 - 1) + 1, isqrt(n_max // 2) + 1, dtype=np.int64)
+    beta[2 * twice**2 - n_lo] = -2
     return beta
 
 

@@ -44,6 +44,7 @@ from .double_array import (
     LeeArray,
     SyntheticArray,
     _ceil_fraction,
+    _rectangle_bound,
     iterated_sum,
     pringsheim_trace,
 )
@@ -280,6 +281,9 @@ def cmd_modes(args) -> tuple:
     # The iterated sums read rows up to outer, the rectangle up to
     # ceil(aspect * k_max), and none past its last column k_max.
     rows = max(outer, min(k_max, _ceil_fraction(k_max, args.aspect)))
+    # pair_bound reads no table, so an array over one row refuses an
+    # oversized rectangle before the rows are sieved.
+    _rectangle_bound(_make_array(args.array, args.s, 1), k_max, args.aspect)
     array = _make_array(args.array, args.s, rows)
     # Each report shrinks to its record at once, so no trace (16 B per
     # step) outlives its mode.

@@ -43,10 +43,20 @@ from .arithmetic import ArithmeticTable, beta_closed_table
 from .dirichlet_eval import _PairwiseSum, eta
 from .errors import DomainError, InvalidBoundError, TableRangeError
 
-# Largest number of grid cells a dense partial-sum grid may hold (~1 GB).
+# Largest number of cells of a partial-sum window, of a rectangle and of
+# a scan.  Windows are walked in slabs, so for them it bounds time (about
+# 5 s at the cap on 2 vCPUs), not memory.
 MAX_GRID_CELLS = 1 << 26
 
-_SLAB_CELLS = 1 << 16
+# Rows of one slab of a partial-sum grid, also the block height of the
+# column settle profiles, whose block extents the slabs supply.
+SLAB_ROWS = 64
+
+# Cells whose terms a slab takes in one call.
+_TERMS_CELLS = 1 << 16
+
+# Slots of row or column limits an iterated sum takes at a time.
+_LIMIT_SLOTS = 1 << 16
 
 # Entries of one K-window of the rectangle trace; its working arrays
 # stay a few MB whatever the rectangle holds.
@@ -145,8 +155,10 @@ class DoubleArray:
     * exact_pair_bound: True when pair_bound is exactly the number of
       entries pairs returns, so a consumer that needs the count (the
       rectangle trace's corner sums) takes it without a counting pass.
-    * row_limits(m_max) / column_limits(n_max): each row (column) summed
-      to its limit, in slots 1..m_max (1..n_max); slot 0 is 0.
+    * row_limits(m_max, m_lo=0) / column_limits(n_max, n_lo=0): rows
+      (columns) m_lo..m_max summed to their limits, in slots 0..m_max -
+      m_lo; index 0 reads 0.  A window has the bits of the same slots of
+      the whole table.
 
     pairs evaluates terms over the whole rectangle and keeps the
     nonzeros, so its bound is the cell count and not exact; an array
@@ -160,10 +172,10 @@ class DoubleArray:
     def terms(self, m, n) -> np.ndarray:
         raise NotImplementedError
 
-    def row_limits(self, m_max: int) -> np.ndarray:
+    def row_limits(self, m_max: int, m_lo: int = 0) -> np.ndarray:
         raise NotImplementedError
 
-    def column_limits(self, n_max: int) -> np.ndarray:
+    def column_limits(self, n_max: int, n_lo: int = 0) -> np.ndarray:
         raise NotImplementedError
 
     def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
@@ -261,15 +273,16 @@ class LeeArray(DoubleArray):
         out[hit] = self._entries(m, n // m, n)
         return out
 
-    def row_limits(self, m_max: int) -> np.ndarray:
+    def row_limits(self, m_max: int, m_lo: int = 0) -> np.ndarray:
         self._check_rows(m_max)
-        out = np.zeros(m_max + 1, dtype=np.complex128)
-        log_m = np.log(np.arange(1, m_max + 1, dtype=np.float64))
-        lam = self.table.liouville[1 : m_max + 1]
-        out[1:] = lam * np.exp(-self.s * log_m) * self._eta_value
+        out = np.zeros(m_max - m_lo + 1, dtype=np.complex128)
+        lo = max(m_lo, 1)
+        log_m = np.log(np.arange(lo, m_max + 1, dtype=np.float64))
+        lam = self.table.liouville[lo : m_max + 1]
+        out[lo - m_lo :] = lam * np.exp(-self.s * log_m) * self._eta_value
         return out
 
-    def column_limits(self, n_max: int) -> np.ndarray:
+    def column_limits(self, n_max: int, n_lo: int = 0) -> np.ndarray:
         """Column sums through the closed form of the divisor transform.
 
         Column n is the finite sum over the divisors of n; its exact
@@ -278,9 +291,10 @@ class LeeArray(DoubleArray):
         n**(-s).  No sieve is read.
         """
         self._check_columns(n_max)
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        log_n = np.log(np.arange(1, n_max + 1, dtype=np.float64))
-        out[1:] = beta_closed_table(n_max)[1:] * np.exp(-self.s * log_n)
+        out = np.zeros(n_max - n_lo + 1, dtype=np.complex128)
+        lo = max(n_lo, 1)
+        log_n = np.log(np.arange(lo, n_max + 1, dtype=np.float64))
+        out[lo - n_lo :] = beta_closed_table(n_max, lo) * np.exp(-self.s * log_n)
         return out
 
     def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
@@ -341,15 +355,17 @@ class CesaroArray(DoubleArray):
         signs = np.where(n % 2 == 1, 1.0, -1.0)
         return ((signs * b) * (1.0 - b) ** (m - 1)).astype(np.complex128)
 
-    def row_limits(self, m_max: int) -> np.ndarray:
-        out = np.zeros(m_max + 1, dtype=np.complex128)
-        out[1:] = 2.0 ** (-np.arange(1, m_max + 1, dtype=np.float64))
+    def row_limits(self, m_max: int, m_lo: int = 0) -> np.ndarray:
+        out = np.zeros(m_max - m_lo + 1, dtype=np.complex128)
+        lo = max(m_lo, 1)
+        out[lo - m_lo :] = 2.0 ** (-np.arange(lo, m_max + 1, dtype=np.float64))
         return out
 
-    def column_limits(self, n_max: int) -> np.ndarray:
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        n = np.arange(1, n_max + 1)
-        out[1:] = np.where(n % 2 == 1, 1.0, -1.0)
+    def column_limits(self, n_max: int, n_lo: int = 0) -> np.ndarray:
+        out = np.zeros(n_max - n_lo + 1, dtype=np.complex128)
+        lo = max(n_lo, 1)
+        n = np.arange(lo, n_max + 1)
+        out[lo - n_lo :] = np.where(n % 2 == 1, 1.0, -1.0)
         return out
 
 
@@ -389,67 +405,104 @@ class SyntheticArray(DoubleArray):
         f = self._ratio
         return (f(m, n) - f(m - 1, n) - f(m, n - 1) + f(m - 1, n - 1)).astype(np.complex128)
 
-    def row_limits(self, m_max: int) -> np.ndarray:
+    def row_limits(self, m_max: int, m_lo: int = 0) -> np.ndarray:
         # Both rules have vanishing row tails; the ratio rows telescope to
         # lim_N [f(m, N) - f(m-1, N)] = 0.
-        return np.zeros(m_max + 1, dtype=np.complex128)
+        return np.zeros(m_max - m_lo + 1, dtype=np.complex128)
 
-    def column_limits(self, n_max: int) -> np.ndarray:
-        out = np.zeros(n_max + 1, dtype=np.complex128)
-        if self.rule == "interchange_ratio":
-            out[1:2] = 1.0
+    def column_limits(self, n_max: int, n_lo: int = 0) -> np.ndarray:
+        out = np.zeros(n_max - n_lo + 1, dtype=np.complex128)
+        if self.rule == "interchange_ratio" and n_lo <= 1 <= n_max:
+            out[1 - n_lo] = 1.0
         return out
 
 
 @dataclass
 class PartialSumGrid:
-    """Memoized rectangle partial sums S(M, N) for M <= m_max, N <= n_max.
+    """Rectangle partial sums S(M, N) for M <= m_max, N <= n_max, in slabs of rows.
 
-    sums[m, n] holds S(m, n); row 0 and column 0 are identically zero so
-    the inclusion-exclusion recurrence
+    No cell is stored.  S is built in slabs of SLAB_ROWS rows: each slab
+    takes its rows' terms, sums them along n from an explicit +0 in
+    column 0, adds the last row of the slab above (zeros above the first)
+    to its first row and sums down m.  Those are the additions, in the
+    order, of one cumulative sum along rows and then down columns over
+    the whole grid with a zero row 0 and column 0, which realizes
 
         S(M, N) = S(M-1, N) + S(M, N-1) - S(M-1, N-1) + a(M, N)
 
-    has its boundary built in.  The grid is constructed by cumulative
-    sums along rows then down columns, which realizes that recurrence in
-    telescoped form: B(m, n) = B(m, n-1) + a(m, n) per row, then
-    S(m, n) = S(m-1, n) + B(m, n).  A replay of exactly those operations
-    must match a stored cell bit for bit.
+    in telescoped form: B(m, n) = B(m, n-1) + a(m, n) per row, then
+    S(m, n) = S(m-1, n) + B(m, n).  So every cell has the same bits
+    whatever slab computes it, and a replay of those operations must
+    match it bit for bit.
     """
 
     array: DoubleArray
     m_max: int
     n_max: int
-    sums: np.ndarray
+
+    def slab(self, lo: int, above: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """S(m, 0..n) for rows m = lo..lo + SLAB_ROWS - 1 (at most m_max).
+
+        above is S(lo - 1, 0..n); its length sets n.  The slab is written
+        into out when given, an array of that shape.
+        """
+        n = len(above) - 1
+        rows = min(SLAB_ROWS, self.m_max + 1 - lo)
+        sums = np.empty((rows, n + 1), dtype=np.complex128) if out is None else out
+        sums[:, 0] = 0
+        # Terms a few rows at a time keep their temporaries small next to
+        # the slab.
+        step = max(1, _TERMS_CELLS // n)
+        cols = np.arange(1, n + 1)
+        for i in range(0, rows, step):
+            m = np.arange(lo + i, lo + min(i + step, rows))
+            sums[i : i + len(m), 1:] = self.array.terms(m[:, None], cols)
+        np.cumsum(sums, axis=1, out=sums)
+        np.add(above, sums[0], out=sums[0])
+        np.cumsum(sums, axis=0, out=sums)
+        return sums
+
+    def slabs(self):
+        """(lo, S(lo.., 0..n_max)) for every slab, from the top row down.
+
+        Each slab is written over the one before it, so a consumer
+        copies what it keeps.
+        """
+        buffer = np.empty((SLAB_ROWS, self.n_max + 1), dtype=np.complex128)
+        above = np.zeros(self.n_max + 1, dtype=np.complex128)
+        for lo in range(1, self.m_max + 1, SLAB_ROWS):
+            sums = self.slab(lo, above, buffer[: min(SLAB_ROWS, self.m_max + 1 - lo)])
+            yield lo, sums
+            above[:] = sums[-1]
 
     def cell(self, m: int, n: int) -> complex:
+        """S(m, n), replayed from the slabs of rows 1..m over columns 0..n."""
         if not (0 <= m <= self.m_max and 0 <= n <= self.n_max):
             raise InvalidBoundError(
                 f"cell ({m}, {n}) outside grid 0..{self.m_max} x 0..{self.n_max}"
             )
-        return complex(self.sums[m, n])
+        row = np.zeros(n + 1, dtype=np.complex128)
+        for lo in range(1, m + 1, SLAB_ROWS):
+            sums = self.slab(lo, row)
+            row = sums[min(m - lo, len(sums) - 1)]
+        return complex(row[n])
 
 
 def build_grid(array: DoubleArray, m_max: int, n_max: int) -> PartialSumGrid:
-    """Dense partial-sum grid over [1..m_max] x [1..n_max]."""
+    """The partial-sum grid over [1..m_max] x [1..n_max], checked, not filled.
+
+    Its consumers walk it slab by slab, so a probe holds one slab of
+    SLAB_ROWS x (n_max + 1) cells at a time, not the grid.
+    """
     if m_max < 1 or n_max < 1:
         raise InvalidBoundError(f"grid needs positive extents, got {m_max} x {n_max}")
     cells = (m_max + 1) * (n_max + 1)
     if cells > MAX_GRID_CELLS:
         raise InvalidBoundError(
-            f"grid of {m_max} x {n_max} cells exceeds the dense limit; "
+            f"grid of {m_max} x {n_max} cells exceeds the window limit; "
             f"use a window with (m_max + 1) * (n_max + 1) <= {MAX_GRID_CELLS}"
         )
-    a = np.zeros((m_max + 1, n_max + 1), dtype=np.complex128)
-    n = np.arange(1, n_max + 1)
-    # Slabs of rows keep the temporaries of terms small next to the grid.
-    step = max(1, _SLAB_CELLS // n_max)
-    for lo in range(1, m_max + 1, step):
-        m = np.arange(lo, min(lo + step, m_max + 1))
-        a[lo : lo + len(m), 1:] = array.terms(m[:, None], n)
-    np.cumsum(a, axis=1, out=a)
-    np.cumsum(a, axis=0, out=a)
-    return PartialSumGrid(array, m_max, n_max, a)
+    return PartialSumGrid(array, m_max, n_max)
 
 
 def row_sum(array: DoubleArray, m: int, n_upto: int | None = None) -> complex:
@@ -473,23 +526,35 @@ def iterated_sum(
 
     order "rows_then_m" sums each row to its limit and traces the partial
     sums over m; "columns_then_n" does the transpose.  The verdict is the
-    trace classification at the given tolerance.
+    trace classification at the given tolerance.  The limits are taken
+    _LIMIT_SLOTS at a time and summed in the trace under one running
+    sum, with the bits of one cumulative sum over all of them, so memory
+    is the trace's 16 B per step plus one window.
     """
     if not 2 <= outer_limit <= MAX_GRID_CELLS:
         raise InvalidBoundError(
             f"outer limit must be in 2..{MAX_GRID_CELLS}, got {outer_limit}"
         )
     if order == "rows_then_m":
-        limits = array.row_limits(outer_limit)
-        mode = ROW_ITERATED
+        limits, mode = array.row_limits, ROW_ITERATED
     elif order == "columns_then_n":
-        limits = array.column_limits(outer_limit)
-        mode = COLUMN_ITERATED
+        limits, mode = array.column_limits, COLUMN_ITERATED
     else:
         raise InvalidBoundError(
             f"order must be 'rows_then_m' or 'columns_then_n', got {order!r}"
         )
-    trace = np.cumsum(limits[1:])
+    # One slot first, so the array refuses an outer limit past its reach
+    # before the trace is allocated.
+    limits(outer_limit, outer_limit)
+    trace = np.empty(outer_limit, dtype=np.complex128)
+    for lo in range(1, outer_limit + 1, _LIMIT_SLOTS):
+        part = trace[lo - 1 : lo - 1 + _LIMIT_SLOTS]
+        part[:] = limits(lo + len(part) - 1, lo)
+        # The first slot starts the running sum as it is; adding it to a
+        # zero carry would flip a -0.0 part to +0.0.
+        if lo > 1:
+            part[0] = trace[lo - 2] + part[0]
+        np.cumsum(part, out=part)
     verdict = classify_trace(trace, tolerance)
     return SummationReport(mode, trace, verdict, notes={"outer_limit": outer_limit})
 
@@ -545,6 +610,19 @@ def pringsheim_trace(
     return SummationReport(PRINGSHEIM_DIAGONAL, trace, verdict, notes)
 
 
+def _rectangle_bound(array: DoubleArray, k_max: int, aspect: Fraction) -> int:
+    """pair_bound of the trace's whole rectangle; above MAX_GRID_CELLS it is refused."""
+    m_max = _ceil_fraction(k_max, aspect)
+    bound = array.pair_bound(1, m_max, k_max)
+    if bound > MAX_GRID_CELLS:
+        raise InvalidBoundError(
+            f"rectangle of rows 1..{m_max} x columns 1..{k_max} holds up to "
+            f"{bound} entries, above the limit of {MAX_GRID_CELLS}; "
+            "use a smaller k_max"
+        )
+    return bound
+
+
 def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     """Event-driven rectangle trace over the nonzero entries, K-window by K-window.
 
@@ -567,13 +645,7 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     refused before any window.
     """
     m_max = _ceil_fraction(k_max, aspect)
-    bound = array.pair_bound(1, m_max, k_max)
-    if bound > MAX_GRID_CELLS:
-        raise InvalidBoundError(
-            f"rectangle of rows 1..{m_max} x columns 1..{k_max} holds up to "
-            f"{bound} entries, above the limit of {MAX_GRID_CELLS}; "
-            "use a smaller k_max"
-        )
+    bound = _rectangle_bound(array, k_max, aspect)
     k_half = max(1, k_max // 2)
     m_half = _ceil_fraction(k_half, aspect)
     p, q = aspect.numerator, aspect.denominator

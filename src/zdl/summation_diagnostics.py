@@ -31,6 +31,7 @@ import numpy as np
 
 from .double_array import (
     MAX_GRID_CELLS,
+    SLAB_ROWS,
     DoubleArray,
     LeeArray,
     PartialSumGrid,
@@ -54,8 +55,9 @@ VERIFIED_CRITERION = "lee_verified_criterion"
 # the window edge, so it never supports a uniformity claim.
 _UNIFORM_EDGE_FRACTION = 0.75
 
-# Width of the blocks whose extents the settle profiles are built from.
-_BLOCK = 64
+# Width of the blocks whose extents the settle profiles are built from: a
+# slab of the grid, so each slab holds one block of every column.
+_BLOCK = SLAB_ROWS
 
 # Working cells (block heights x pairs) of one n-window of the block-tail
 # scan; its peak memory is about 41 bytes per cell.
@@ -157,6 +159,12 @@ def _block_suffix_extents(part: np.ndarray):
     return top, bottom
 
 
+def _extents(part: np.ndarray, axis: int):
+    """Max and min of re, then max and min of im, of part along axis."""
+    re, im = part.real, part.imag
+    return re.max(axis), re.min(axis), im.max(axis), im.min(axis)
+
+
 def _suffix_spans(part, tail_top, tail_bottom):
     """Span of part[i:, r] joined with column r's tail extents, for every i.
 
@@ -190,38 +198,64 @@ def _settle_profile(traces: np.ndarray, tolerance: float) -> _SettleProfile:
     tolerance boundary.
     """
     k, length = traces.shape
-    re, im = traces.real, traces.imag
-    re_top, re_bottom = _block_suffix_extents(re)
-    im_top, im_bottom = _block_suffix_extents(im)
+    extents = (*_block_suffix_extents(traces.real), *_block_suffix_extents(traces.imag))
+
+    def segment(rows, block):
+        # Entries past the trace end repeat its last entry.
+        cols = np.minimum(block * _BLOCK + np.arange(_BLOCK)[:, None], length - 1)
+        return traces[rows, cols]
+
+    half = length // 2
+    end = min((half // _BLOCK + 1) * _BLOCK, length)
+    return _profile_from_extents(
+        extents, length, tolerance, segment, _extents(traces[:, half:end], 1), traces[:, -1]
+    )
+
+
+def _profile_from_extents(extents, length, tolerance, segment, half_extents, estimate):
+    """The settle profile of k traces of `length` from their block extents.
+
+    extents holds the suffix max and min of re and of im at every block
+    start, each (k, blocks + 1) with the empty suffix last (see
+    _block_suffix_extents).  segment(rows, block) returns the _BLOCK
+    entries of trace rows[i] from block[i] * _BLOCK on, one trace per
+    column, entries past the trace end repeating its last one.
+    half_extents holds the extents (as _extents gives them) of each
+    trace's entries from length // 2 to the end of their block, and
+    estimate each trace's last entry.
+    """
+    re_top, re_bottom, im_top, im_bottom = extents
     blocks = re_top.shape[1] - 1
 
     at_starts = np.hypot(re_top - re_bottom, im_top - im_bottom)[:, :blocks]
     first_ok = blocks - np.count_nonzero(at_starts <= tolerance, axis=1)
-    settle_index = np.zeros(k, dtype=np.int64)
-    # Exact diam inside the block before the first admissible start, one
-    # trace per column; entries past the trace end repeat its last entry
-    # and are not counted.
+    settle_index = np.zeros(len(first_ok), dtype=np.int64)
+    # Exact diam inside the block before the first admissible start; an
+    # entry past the trace end is not counted.
     rows = np.flatnonzero(first_ok)
     block = first_ok[rows] - 1
-    cols = np.minimum(block * _BLOCK + np.arange(_BLOCK)[:, None], length - 1)
-    seg = traces[rows, cols]
+    # re and im side by side: the float view of the complex entries.
+    seg = segment(rows, block).view(np.float64)
     after = (rows, block + 1)
-    diam = np.hypot(
-        _suffix_spans(seg.real, re_top[after], re_bottom[after]),
-        _suffix_spans(seg.imag, im_top[after], im_bottom[after]),
+    spans = _suffix_spans(
+        seg,
+        np.stack([re_top[after], im_top[after]], axis=1).ravel(),
+        np.stack([re_bottom[after], im_bottom[after]], axis=1).ravel(),
     )
+    diam = np.hypot(spans[:, 0::2], spans[:, 1::2])
     failing = np.count_nonzero(~(diam <= tolerance), axis=0)
     settle_index[rows] = np.minimum(block * _BLOCK + failing, length)
 
-    half = length // 2
-    after = half // _BLOCK + 1
-    end = min(after * _BLOCK, length)
+    # The half-trace diameter joins the rest of the block of entry
+    # length // 2 with the suffix extents after it.
+    after = length // 2 // _BLOCK + 1
+    re_max, re_min, im_max, im_min = half_extents
     half_diam = np.hypot(
-        _suffix_spans(re[:, half:end].T, re_top[:, after], re_bottom[:, after])[0],
-        _suffix_spans(im[:, half:end].T, im_top[:, after], im_bottom[:, after])[0],
+        np.maximum(re_top[:, after], re_max) - np.minimum(re_bottom[:, after], re_min),
+        np.maximum(im_top[:, after], im_max) - np.minimum(im_bottom[:, after], im_min),
     )
     settled = half_diam <= tolerance
-    estimate = np.array(traces[:, -1], dtype=np.complex128)
+    estimate = np.array(estimate, dtype=np.complex128)
     return _SettleProfile(settled, settle_index, half_diam, estimate, length)
 
 
@@ -261,23 +295,7 @@ def _iterated_probe(kind, profile, tolerance) -> LimitProbe:
     return _probe_from_trace(kind, est, tolerance, detail)
 
 
-def _double_probe(grid: PartialSumGrid, tolerance: float) -> LimitProbe:
-    m_max, n_max = grid.m_max, grid.n_max
-    steps = min(m_max, n_max)
-    ks = np.arange(1, steps + 1)
-    ms = -((-ks * m_max) // steps)
-    ns = -((-ks * n_max) // steps)
-    trace = grid.sums[ms, ns]
-
-    m_half = max(1, m_max // 2)
-    n_half = max(1, n_max // 2)
-    corners = [
-        (m_max, n_max),
-        (m_max, n_half),
-        (m_half, n_max),
-        (m_half, n_half),
-    ]
-    corner_vals = np.array([grid.sums[m, n] for m, n in corners])
+def _double_probe(trace, corners, corner_vals, tolerance) -> LimitProbe:
     spread = _box_diameter(corner_vals)
     tail_diam = _box_diameter(trace[len(trace) // 2 :])
     detail = {
@@ -292,23 +310,94 @@ def _double_probe(grid: PartialSumGrid, tolerance: float) -> LimitProbe:
 
 
 def _analyze(grid: PartialSumGrid, tolerance: float):
-    if grid.m_max < 16 or grid.n_max < 16:
+    """The five probes and both settle profiles from one walk over the grid's slabs.
+
+    Each slab of _BLOCK rows finishes its rows' settle profiles, since a
+    row's suffix extents lie in the row.  It adds its per-column max and
+    min of re and im as one block of the column extents, and gives up its
+    cells on the diagonal trace and the corners, and the slab holding
+    row m_max // 2 the extents of each column's half-trace block.  The
+    column suffix extents then fix the block each column settles in, and
+    a second pass recomputes only the slabs that hold those blocks, and
+    of those only the columns up to the last one read, from the stored
+    row above each slab.  Memory is a slab
+    plus about 48 B per column per slab; every value has the bits a whole
+    grid in memory gives.
+    """
+    m_max, n_max = grid.m_max, grid.n_max
+    if m_max < 16 or n_max < 16:
         raise InsufficientWindowError(
-            f"probe window {grid.m_max} x {grid.n_max} is below the 16 x 16 minimum"
+            f"probe window {m_max} x {n_max} is below the 16 x 16 minimum"
         )
-    body = grid.sums[1:, 1:]
-    col_profile = _settle_profile(body.T, tolerance)
-    row_profile = _settle_profile(body, tolerance)
+    # The double limit's samples: the diagonal through the window, then
+    # the four corners (half/full window in each direction).
+    steps = min(m_max, n_max)
+    ks = np.arange(1, steps + 1)
+    m_half, n_half = max(1, m_max // 2), max(1, n_max // 2)
+    corners = [(m_max, n_max), (m_max, n_half), (m_half, n_max), (m_half, n_half)]
+    sample_m = np.append(-((-ks * m_max) // steps), [m for m, _ in corners])
+    sample_n = np.append(-((-ks * n_max) // steps), [n for _, n in corners])
+    samples = np.empty(len(sample_m), dtype=np.complex128)
+
+    blocks = -(-m_max // _BLOCK)
+    # Column block extents, re top, re bottom, im top and im bottom, one
+    # block per slab and the empty suffix last.
+    extents = np.empty((4, blocks + 1, n_max))
+    extents[0::2, blocks] = -np.inf
+    extents[1::2, blocks] = np.inf
+    above = np.zeros((blocks, n_max + 1), dtype=np.complex128)
+    half = m_max // 2
+    half_end = min((half // _BLOCK + 1) * _BLOCK, m_max)
+    row_profiles = []
+    for j, (lo, sums) in enumerate(grid.slabs()):
+        body = sums[:, 1:]
+        row_profiles.append(_settle_profile(body, tolerance))
+        extents[:, j] = _extents(body, 0)
+        if j == half // _BLOCK:
+            half_extents = _extents(body[half - lo + 1 : half_end - lo + 1], 0)
+        if j + 1 < blocks:
+            above[j + 1] = sums[-1]
+        here = (sample_m >= lo) & (sample_m < lo + len(sums))
+        samples[here] = sums[sample_m[here] - lo, sample_n[here]]
+    last_row = body[-1].copy()
+    # The slab buffer goes before the second pass computes its slabs.
+    del sums, body
+
+    # Suffix extents at every block start, accumulated in place.
+    for ext, extreme in zip(extents, (np.maximum, np.minimum) * 2):
+        extreme.accumulate(ext[::-1], axis=0, out=ext[::-1])
+
+    def segment(cols, block):
+        seg = np.empty((_BLOCK, len(cols)), dtype=np.complex128)
+        for b in np.unique(block).tolist():
+            at = np.flatnonzero(block == b)
+            # Columns up to the last one read: a cell needs none after it.
+            sums = grid.slab(b * _BLOCK + 1, above[b, : cols[at[-1]] + 2])
+            # Entries past the trace end repeat its last entry.
+            rows = np.minimum(np.arange(_BLOCK), len(sums) - 1)
+            seg[:, at] = sums[rows[:, None], cols[at] + 1]
+        return seg
+
+    col_profile = _profile_from_extents(
+        tuple(ext.T for ext in extents), m_max, tolerance, segment, half_extents, last_row
+    )
+    row_profile = _SettleProfile(
+        *(np.concatenate([getattr(p, name) for p in row_profiles])
+          for name in ("settled", "settle_index", "half_diameter", "estimate")),
+        n_max,
+    )
+    # A profile's estimates are its traces' last entries: the last row
+    # for the columns, the last column for the rows.
     probes = {
         "first_partial": _probe_from_trace(
-            "first_partial", body[:, -1], tolerance, _profile_detail(col_profile)
+            "first_partial", row_profile.estimate, tolerance, _profile_detail(col_profile)
         ),
         "second_partial": _probe_from_trace(
-            "second_partial", body[-1, :], tolerance, _profile_detail(row_profile)
+            "second_partial", col_profile.estimate, tolerance, _profile_detail(row_profile)
         ),
         "first_iterated": _iterated_probe("first_iterated", col_profile, tolerance),
         "second_iterated": _iterated_probe("second_iterated", row_profile, tolerance),
-        "double": _double_probe(grid, tolerance),
+        "double": _double_probe(samples[:steps], corners, samples[steps:], tolerance),
     }
     return probes, row_profile, col_profile
 

@@ -5,10 +5,17 @@ sieve: zeta comes from Euler-Maclaurin summation of the plain Dirichlet
 series, arithmetic functions from trial division, and rectangle sums
 from closed forms derived by hand.  Agreement between these slow routes
 and the package is what the tests actually assert.
+
+The dense partial-sum grid and the whole-table iterated sum at the end
+are the exception: they are the package's former code, frozen as the
+bitwise references of the slab walk and the windowed limits that
+replaced them.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 # Bernoulli numbers B_2, B_4, ..., B_14 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -207,6 +214,75 @@ def verified_sup_brute(term, n_start: int, block: int, m_reach: int) -> float:
             run += term(m, n)
             best = max(best, abs(run))
     return best
+
+
+def dense_grid_reference(array, m_max: int, n_max: int) -> np.ndarray:
+    """Every S(m, n), 0 <= m <= m_max and 0 <= n <= n_max, in one array.
+
+    The former build_grid: terms in slabs of about 2**16 cells into a
+    grid with a zero row 0 and column 0, then one cumulative sum along
+    rows and one down columns over the whole grid.
+    """
+    a = np.zeros((m_max + 1, n_max + 1), dtype=np.complex128)
+    n = np.arange(1, n_max + 1)
+    step = max(1, (1 << 16) // n_max)
+    for lo in range(1, m_max + 1, step):
+        m = np.arange(lo, min(lo + step, m_max + 1))
+        a[lo : lo + len(m), 1:] = array.terms(m[:, None], n)
+    np.cumsum(a, axis=1, out=a)
+    np.cumsum(a, axis=0, out=a)
+    return a
+
+
+def analyze_reference(sums: np.ndarray, tolerance: float):
+    """The former summation_diagnostics._analyze on a dense grid.
+
+    Returns (probes, row_profile, col_profile) as _analyze does: both
+    settle profiles over the whole grid body, the partial limits read
+    from its last row and column, the double limit from its diagonal
+    and corners.
+    """
+    from zdl import summation_diagnostics as sd
+
+    body = sums[1:, 1:]
+    m_max, n_max = body.shape
+    col_profile = sd._settle_profile(body.T, tolerance)
+    row_profile = sd._settle_profile(body, tolerance)
+
+    steps = min(m_max, n_max)
+    ks = np.arange(1, steps + 1)
+    trace = sums[-((-ks * m_max) // steps), -((-ks * n_max) // steps)]
+    m_half, n_half = max(1, m_max // 2), max(1, n_max // 2)
+    corners = [(m_max, n_max), (m_max, n_half), (m_half, n_max), (m_half, n_half)]
+    corner_vals = np.array([sums[m, n] for m, n in corners])
+    spread = sd._box_diameter(corner_vals)
+    tail_diam = sd._box_diameter(trace[len(trace) // 2 :])
+    detail = {
+        "corner_samples": [
+            {"m": m, "n": n, "re": float(v.real), "im": float(v.imag)}
+            for (m, n), v in zip(corners, corner_vals)
+        ],
+        "corner_spread": spread,
+        "tail_diameter": tail_diam,
+    }
+    probes = {
+        "first_partial": sd._probe_from_trace(
+            "first_partial", body[:, -1], tolerance, sd._profile_detail(col_profile)
+        ),
+        "second_partial": sd._probe_from_trace(
+            "second_partial", body[-1, :], tolerance, sd._profile_detail(row_profile)
+        ),
+        "first_iterated": sd._iterated_probe("first_iterated", col_profile, tolerance),
+        "second_iterated": sd._iterated_probe("second_iterated", row_profile, tolerance),
+        "double": sd._probe("double", trace, max(spread, tail_diam), tolerance, detail),
+    }
+    return probes, row_profile, col_profile
+
+
+def iterated_trace_reference(limits, outer: int) -> np.ndarray:
+    """The former iterated-sum trace: one cumulative sum over the whole
+    limits table, slots 1..outer of limits(outer)."""
+    return np.cumsum(limits(outer)[1:])
 
 
 # Frozen targets derived from the oracles above (and only from them).

@@ -15,6 +15,7 @@ from zdl import (
     liouville,
     omega,
 )
+from zdl.arithmetic import beta_closed_table
 from zdl.errors import InvalidBoundError, TableRangeError
 
 from oracles import beta_brute, beta_definition_per_m, liouville_brute, omega_brute
@@ -92,6 +93,14 @@ def test_beta_closed_form_trichotomy():
             assert beta_closed_form(n) == -2
         else:
             assert beta_closed_form(n) == 0
+
+
+def test_beta_closed_table_windows_are_slices_of_the_whole():
+    whole = beta_closed_table(5000)
+    for lo, hi in ((0, 0), (0, 1), (1, 1), (2, 2), (3, 8), (8, 8), (17, 50), (49, 51),
+                   (50, 50), (1000, 5000), (4999, 5000)):
+        window = beta_closed_table(hi, lo)
+        assert (window.dtype, window.tolist()) == (np.int8, whole[lo : hi + 1].tolist())
 
 
 def test_beta_routes_agree_in_bulk(table2k):

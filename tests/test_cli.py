@@ -259,6 +259,25 @@ def test_beta_table_is_refused_before_the_sieve(capsys, no_numpy):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("modes", "--array", "lee", "--s", "2", "--k-max", "5000000"),
+        ("modes", "--array", "lee", "--s", "2", "--k-max", "10000000", "--aspect", "1/2"),
+        ("modes", "--array", "cesaro", "--k-max", "9000"),
+    ],
+)
+def test_oversized_rectangle_is_refused_before_the_sieve(capsys, monkeypatch, argv):
+    # pair_bound reads no table: a 5e6-row sieve here took 0.4 s and
+    # 58.8 MB only to be refused.
+    sieved = []
+    build_table = cli.build_table
+    monkeypatch.setattr(cli, "build_table", lambda n: sieved.append(n) or build_table(n))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, json.loads(err)["error"]) == (2, "", "InvalidBoundError")
+    assert all(n <= 1 for n in sieved), sieved
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("eta", "--s", "nan"), "argument --s: complex parameter must be finite, got 'nan'"),

@@ -27,7 +27,9 @@ from oracles import (
     beta_brute,
     cesaro_rectangle,
     cesaro_term,
+    dense_grid_reference,
     grid_cell_replay,
+    iterated_trace_reference,
     lee_term_brute,
     liouville_brute,
 )
@@ -245,7 +247,8 @@ def test_cesaro_terms_match_closed_form():
 
 def test_zeros_array_is_identically_zero():
     grid = build_grid(SyntheticArray("zeros"), 16, 16)
-    assert np.all(grid.sums == 0)
+    assert np.all(dense_grid_reference(grid.array, 16, 16) == 0)
+    assert all(np.all(sums == 0) for _, sums in grid.slabs())
 
 
 def test_ratio_grid_is_m_over_m_plus_n():
@@ -360,6 +363,56 @@ def test_iterated_sum_guards():
         iterated_sum(CesaroArray(), "rows_then_m", MAX_GRID_CELLS + 1)
     with pytest.raises(InvalidBoundError):
         iterated_sum(SyntheticArray("zeros"), "columns_then_n", 10**12)
+
+
+class _NegatedLimits(CesaroArray):
+    """Cesaro row limits negated, so each imaginary part is -0.0."""
+
+    def row_limits(self, m_max, m_lo=0):
+        return -super().row_limits(m_max, m_lo)
+
+
+@pytest.mark.parametrize("order", ["rows_then_m", "columns_then_n"])
+@pytest.mark.parametrize("name", ["lee", "lee_zero", "cesaro", "interchange_ratio"])
+def test_iterated_sum_is_bitwise_one_cumulative_sum(name, order, monkeypatch):
+    table = build_table(300_000)
+    if name.startswith("lee"):
+        array = LeeArray(0.5 + 14.134725141734695j if name == "lee_zero" else 1.75 + 12.5j, table)
+    else:
+        array = CesaroArray() if name == "cesaro" else SyntheticArray(name)
+    limits = array.row_limits if order == "rows_then_m" else array.column_limits
+    for outer in (2, 65536, 65537, 300_000):
+        expected = iterated_trace_reference(limits, outer)
+        assert iterated_sum(array, order, outer).trace.tobytes() == expected.tobytes()
+    # Windows of 7 slots, each starting off its neighbours' alignment.
+    monkeypatch.setattr(double_array, "_LIMIT_SLOTS", 7)
+    for outer in (2, 7, 8, 1000):
+        expected = iterated_trace_reference(limits, outer)
+        assert iterated_sum(array, order, outer).trace.tobytes() == expected.tobytes()
+        window = limits(outer, outer // 3)
+        assert window.tobytes() == limits(outer)[outer // 3 :].tobytes()
+
+
+def test_iterated_sum_keeps_a_leading_signed_zero(monkeypatch):
+    monkeypatch.setattr(double_array, "_LIMIT_SLOTS", 5)
+    array = _NegatedLimits()
+    trace = iterated_sum(array, "rows_then_m", 23).trace
+    assert np.signbit(trace.imag).all()
+    assert trace.tobytes() == iterated_trace_reference(array.row_limits, 23).tobytes()
+
+
+def test_iterated_sum_memory_is_the_trace(table1m):
+    lee = LeeArray(1.75 + 12.5j, table1m)
+    for order in ("rows_then_m", "columns_then_n"):
+        tracemalloc.start()
+        try:
+            iterated_sum(lee, order, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 16 MB trace and one window of 2**16 limits; the whole
+        # limits table and its temporaries were about 70 MB.
+        assert peak <= 24 * 2**20, f"{order} peaked at {peak / 2**20:.1f} MB"
 
 
 def test_pringsheim_diagonal_trap_demoted():

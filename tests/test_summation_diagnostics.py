@@ -1,6 +1,7 @@
 """Limit probes, uniformity scans, and the interchange-theorem classifier."""
 
 import functools
+import json
 import tracemalloc
 
 import numpy as np
@@ -19,12 +20,15 @@ from zdl import (
     probe_limits,
 )
 from zdl import summation_diagnostics
+from zdl.cli import _jsonable
 from zdl.errors import InsufficientWindowError, InvalidBoundError, TableRangeError
 from zdl.summation_diagnostics import PROBE_KINDS
 
 from oracles import (
     LEE_COMMON_VALUE_AT_2,
+    analyze_reference,
     cesaro_term,
+    dense_grid_reference,
     lee_term_brute,
     needed_sup_brute,
     ratio_term,
@@ -318,14 +322,18 @@ def _settle_profile_reference(traces, tolerance):
     )
 
 
-def _assert_profiles_bitwise_equal(traces, tolerance):
-    got = summation_diagnostics._settle_profile(traces, tolerance)
-    want = _settle_profile_reference(traces, tolerance)
+def _assert_same_profile(got, want, *context):
     assert got.length == want.length
     for name in ("settled", "settle_index", "half_diameter", "estimate"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g.dtype, g.shape) == (w.dtype, w.shape), name
-        assert g.tobytes() == w.tobytes(), (name, tolerance, traces.shape)
+        assert g.tobytes() == w.tobytes(), (name, *context)
+
+
+def _assert_profiles_bitwise_equal(traces, tolerance):
+    got = summation_diagnostics._settle_profile(traces, tolerance)
+    want = _settle_profile_reference(traces, tolerance)
+    _assert_same_profile(got, want, tolerance, traces.shape)
 
 
 def _random_traces(rng, k, length):
@@ -368,33 +376,138 @@ def test_settle_profile_matches_running_extents_bitwise(seed):
             _assert_profiles_bitwise_equal(traces, tolerance)
 
 
-@pytest.mark.parametrize("name", ["lee_zero", "lee_s2", "cesaro", "zeros", "interchange_ratio"])
-def test_settle_profile_matches_running_extents_on_report_grids(
-    name, table100k, first_zero, lee_grid_s2
-):
+REPORT_GRIDS = ["lee_zero", "lee_s2", "cesaro", "zeros", "interchange_ratio"]
+
+
+@pytest.fixture(scope="module", params=REPORT_GRIDS)
+def report_grid(request, table100k, first_zero):
+    """(array, m_max, n_max, dense sums) of a window the reports run on."""
+    name = request.param
     if name == "lee_zero":
-        grid = build_grid(LeeArray(first_zero.s, table100k), 512, 4096)
+        array = LeeArray(first_zero.s, table100k)
     elif name == "lee_s2":
-        grid = lee_grid_s2
+        array = LeeArray(2.0 + 0j, table100k)
     elif name == "cesaro":
-        grid = build_grid(CesaroArray(), 512, 4096)
-    elif name == "zeros":
-        grid = build_grid(SyntheticArray(name), 512, 4096)
+        array = CesaroArray()
     else:
-        grid = build_grid(SyntheticArray(name), 1024, 1024)
-    body = grid.sums[1:, 1:]
+        array = SyntheticArray(name)
+    m_max, n_max = (1024, 1024) if name == "interchange_ratio" else (512, 4096)
+    return array, m_max, n_max, dense_grid_reference(array, m_max, n_max)
+
+
+def test_settle_profile_matches_running_extents_on_report_grids(report_grid):
+    body = report_grid[3][1:, 1:]
     for tolerance in (1e-7, 5e-7, 1e-6, 2e-6):
         _assert_profiles_bitwise_equal(body, tolerance)
         _assert_profiles_bitwise_equal(body.T, tolerance)
 
 
-def test_analyze_memory_is_block_extents():
-    grid = build_grid(CesaroArray(), 512, 4096)
+def _assert_analyses_bitwise_equal(got, want):
+    """Probes and both settle profiles of _analyze, field by field, bit for bit."""
+    got_probes, *got_profiles = got
+    want_probes, *want_profiles = want
+    assert list(got_probes) == list(want_probes)
+    for kind, probe in want_probes.items():
+        mine = got_probes[kind]
+        assert (mine.kind, mine.verdict) == (probe.kind, probe.verdict), kind
+        assert mine.trace.dtype == probe.trace.dtype, kind
+        assert mine.trace.tobytes() == probe.trace.tobytes(), kind
+        fields = [(p.value, p.residual, p.detail) for p in (mine, probe)]
+        assert json.dumps(fields[0], default=_jsonable) == json.dumps(
+            fields[1], default=_jsonable
+        ), kind
+    for mine, profile in zip(got_profiles, want_profiles):
+        _assert_same_profile(mine, profile)
+
+
+def _assert_report_is_the_dense_reference(monkeypatch, array, m_max, n_max, sums, tolerance):
+    """diagnostics_report, its probes, profiles and theorem checks equal the dense path's."""
+    analyses = {}
+    slab_analyze = summation_diagnostics._analyze
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            summation_diagnostics, "_analyze",
+            lambda grid, tol: analyses.setdefault("slab", slab_analyze(grid, tol)),
+        )
+        report = diagnostics_report(array, m_max, n_max, tolerance, scan_reach=4096)
+        patch.setattr(
+            summation_diagnostics, "_analyze",
+            lambda grid, tol: analyses.setdefault("dense", analyze_reference(sums, tol)),
+        )
+        reference = diagnostics_report(array, m_max, n_max, tolerance, scan_reach=4096)
+    _assert_analyses_bitwise_equal(analyses["slab"], analyses["dense"])
+    assert json.dumps(report, default=_jsonable) == json.dumps(reference, default=_jsonable)
+
+
+def test_slab_probes_are_the_dense_reference_on_report_grids(report_grid, monkeypatch):
+    for tolerance in (1e-7, 5e-7, 1e-6, 2e-6):
+        _assert_report_is_the_dense_reference(monkeypatch, *report_grid, tolerance)
+
+
+@pytest.mark.parametrize(
+    "window", [(16, 16), (63, 200), (65, 37), (100, 4097), (513, 4096), (1024, 1024)]
+)
+@pytest.mark.parametrize("name", ["lee", "cesaro", "interchange_ratio"])
+def test_slab_probes_are_the_dense_reference_on_ragged_windows(
+    name, window, table2k, monkeypatch
+):
+    array = LeeArray(0.6 + 3.0j, table2k) if name == "lee" else (
+        CesaroArray() if name == "cesaro" else SyntheticArray(name)
+    )
+    m_max, n_max = window
+    sums = dense_grid_reference(array, m_max, n_max)
+    slabs = [s.copy() for _, s in build_grid(array, m_max, n_max).slabs()]
+    assert np.concatenate(slabs).tobytes() == sums[1:].tobytes()
+    for tolerance in (1e-6, 2e-6):
+        _assert_report_is_the_dense_reference(monkeypatch, array, m_max, n_max, sums, tolerance)
+
+
+class _NegatedCesaro(CesaroArray):
+    """Cesaro entries negated, so each imaginary part is -0.0."""
+
+    def terms(self, m, n):
+        return -super().terms(m, n)
+
+
+class _NegativeZeros(CesaroArray):
+    """Every entry -0.0 - 0.0j."""
+
+    def terms(self, m, n):
+        return np.full(np.broadcast_shapes(np.shape(m), np.shape(n)), complex(-0.0, -0.0))
+
+
+@pytest.mark.parametrize("array", [_NegativeZeros(), _NegatedCesaro()], ids=["zeros", "cesaro"])
+def test_slab_probes_keep_the_signed_zeros_of_the_dense_grid(array, monkeypatch):
+    # The dense grid sums from a +0 row and column, so -0.0 parts become
+    # +0.0 on the grid edges; a slab summed without them keeps -0.0.
+    sums = dense_grid_reference(array, 70, 130)
+    assert not np.signbit(sums.imag).any()
+    assert np.signbit(array.terms(np.arange(1, 71)[:, None], np.arange(1, 131)).imag).all()
+    _assert_report_is_the_dense_reference(monkeypatch, array, 70, 130, sums, 1e-6)
+    grid = build_grid(array, 70, 130)
+    for m, n in ((1, 1), (1, 130), (70, 1), (64, 65), (65, 130), (70, 130)):
+        assert np.complex128(grid.cell(m, n)).tobytes() == sums[m, n].tobytes()
+
+
+def _analyze_peak(array, m_max, n_max):
+    grid = build_grid(array, m_max, n_max)
     tracemalloc.start()
     try:
         summation_diagnostics._analyze(grid, 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 512 x 4096 complex cells are 32 MiB; the profiles read them in place.
-    assert peak <= 32 * 2**20, f"settle profiles peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_analyze_memory_is_block_extents():
+    peak = _analyze_peak(CesaroArray(), 512, 4096)
+    # A 4 MiB slab and its terms, then a recomputed slab and the settle
+    # blocks of the columns: 15.3 MiB measured; the grid would be 32 MiB.
+    assert peak <= 20 * 2**20, f"probes peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_analyze_memory_at_the_window_cap():
+    peak = _analyze_peak(CesaroArray(), 8191, 8191)
+    # The column block extents (34 MiB), the row above each slab (17 MiB)
+    # and the second pass: 81.7 MiB measured; the grid would be 1 GiB.
+    assert peak <= 96 * 2**20, f"probes peaked at {peak / 2**20:.1f} MiB"
