@@ -43,13 +43,12 @@ from .double_array import (
     CesaroArray,
     LeeArray,
     SyntheticArray,
-    _ceil_fraction,
-    _rectangle_bound,
+    _check_outer_limit,
     iterated_sum,
     pringsheim_trace,
 )
 from .errors import DomainError, InvalidBoundError, OutputError, ZdlError
-from .summation_diagnostics import diagnostics_report, lee_report_rows
+from .summation_diagnostics import diagnostics_report
 from .zero_finder import exceptional_zero, zeros_between
 
 ARRAY_CHOICES = ("lee", "cesaro", "zeros", "interchange_ratio")
@@ -242,12 +241,12 @@ _MODES_DEFAULTS = {
 }
 
 
-def _make_array(name, s, rows):
-    """The named array; the lee array sieves liouville over rows 1..rows."""
+def _make_array(name, s):
+    """The named array; the lee array sieves liouville itself as rows are read."""
     if name == "lee":
         if s is None:
             raise DomainError("the lee array needs --s")
-        return LeeArray(s, build_table(rows))
+        return LeeArray(s)
     if s is not None:
         raise DomainError(f"--s applies only to the lee array, not {name!r}")
     if name == "cesaro":
@@ -278,13 +277,10 @@ def cmd_modes(args) -> tuple:
     outer_default, k_default = _MODES_DEFAULTS[args.array]
     outer = args.outer if args.outer is not None else outer_default
     k_max = args.k_max if args.k_max is not None else k_default
-    # The iterated sums read rows up to outer, the rectangle up to
-    # ceil(aspect * k_max), and none past its last column k_max.
-    rows = max(outer, min(k_max, _ceil_fraction(k_max, args.aspect)))
-    # pair_bound reads no table, so an array over one row refuses an
-    # oversized rectangle before the rows are sieved.
-    _rectangle_bound(_make_array(args.array, args.s, 1), k_max, args.aspect)
-    array = _make_array(args.array, args.s, rows)
+    # The outer limit is refused here and an oversized rectangle as its
+    # trace opens, both before a row is read, so neither sieves.
+    _check_outer_limit(outer)
+    array = _make_array(args.array, args.s)
     # Each report shrinks to its record at once, so no trace (16 B per
     # step) outlives its mode.
     rectangle = _mode_record(pringsheim_trace(array, k_max, args.aspect, args.tolerance))
@@ -312,10 +308,8 @@ def cmd_modes(args) -> tuple:
 
 def cmd_uniformity(args) -> tuple:
     m_max, n_max = args.window
-    rows = lee_report_rows(m_max, args.block, args.reach)
-    array = _make_array(args.array, args.s, rows)
     report = diagnostics_report(
-        array,
+        _make_array(args.array, args.s),
         m_max,
         n_max,
         tolerance=args.tolerance,

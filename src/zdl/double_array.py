@@ -25,8 +25,9 @@ The arrays provided:
   column n is a finite sum equal to the signed divisor transform of n
   over n**s.  The three orders agree where everything converges
   absolutely and pull apart as re(s) shrinks.  Its pairs enumerate the
-  divisor hits directly instead of scanning the rectangle, and its sieve
-  need only cover the rows: columns read beta's closed form.
+  divisor hits directly instead of scanning the rectangle, and it sieves
+  liouville itself, only as far as the rows it reads: columns read
+  beta's closed form.
 * CesaroArray: the classical counterexample whose rows sum to 2**(-m)
   (total 1) while its columns sum to (-1)**(n+1) (oscillating partials).
 * SyntheticArray: calibration rules with known behavior ("zeros" and the
@@ -39,9 +40,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import ArithmeticTable, beta_closed_table
+from .arithmetic import beta_closed_table, build_table
 from .dirichlet_eval import _PairwiseSum, eta
-from .errors import DomainError, InvalidBoundError, TableRangeError
+from .errors import DomainError, InvalidBoundError
 
 # Largest number of cells of a partial-sum window, of a rectangle and of
 # a scan.  Windows are walked in slabs, so for them it bounds time (about
@@ -224,29 +225,46 @@ class LeeArray(DoubleArray):
     """Divisor-supported array tying the Liouville series to eta.
 
     a(m, n) = liouville(m) * (-1)**(n/m + 1) * n**(-s) when m divides n,
-    else 0.  Requires re(s) > 0 and a sieve table covering every row m
-    read: liouville is read only at the row, and a column needs no table.
-    Columns go up to MAX_LEE_COLUMN.
+    else 0.  Requires re(s) > 0.  liouville is read only at the row, and
+    the array sieves it itself, 1 byte per row: terms, pairs and
+    row_limits first make every refusal of the call, then grow the sieve
+    to the highest row they read, at least doubling it.  Rows go up to
+    MAX_GRID_CELLS, more than any window, scan or rectangle reads;
+    columns read beta's closed form, no sieve, and go up to
+    MAX_LEE_COLUMN.
     """
 
     label = "lee"
     exact_pair_bound = True
 
-    def __init__(self, s: complex, table: ArithmeticTable):
+    def __init__(self, s: complex):
         s = complex(s)
         if not (math.isfinite(s.real) and math.isfinite(s.imag)):
             raise DomainError(f"array parameter must be finite, got {s}")
         if s.real <= 0.0:
             raise DomainError(f"array requires re(s) > 0, got {s}")
         self.s = s
-        self.table = table
         self._eta_value = eta(s).value
+        # liouville at 0..len - 1 (slot 0 reads 0), grown by _liouville.
+        self._lam = np.zeros(1, dtype=np.int8)
 
-    def _check_rows(self, m_max: int) -> None:
-        if m_max > self.table.n_max:
-            raise TableRangeError(
-                f"row m = {m_max} beyond sieve bound {self.table.n_max}"
+    def _liouville(self, m_max: int) -> np.ndarray:
+        """liouville at rows 0..m_max at least; a row past the sieve grows it.
+
+        The sieve grows to the larger of m_max and twice its length, at
+        most MAX_GRID_CELLS, so rows read in rising order cost about two
+        sieves of the last row.  A row above MAX_GRID_CELLS is refused
+        before any sieve.
+        """
+        if m_max > MAX_GRID_CELLS:
+            raise InvalidBoundError(
+                f"row m = {m_max} is above {MAX_GRID_CELLS}, the most rows the "
+                "lee array sieves; use a smaller window, reach or outer limit"
             )
+        if m_max >= len(self._lam):
+            rows = min(max(m_max, 2 * len(self._lam)), MAX_GRID_CELLS)
+            self._lam = build_table(rows).liouville
+        return self._lam
 
     @staticmethod
     def _check_columns(n_max: int) -> None:
@@ -259,26 +277,25 @@ class LeeArray(DoubleArray):
     def _entries(self, m, j, n) -> np.ndarray:
         """a(m, n) at divisor hits n = m * j."""
         signs = np.where(j % 2 == 1, 1.0, -1.0)
-        lam = self.table.liouville[m]
+        lam = self._lam[m]
         return lam * signs * np.exp(-self.s * np.log(n.astype(np.float64)))
 
     def terms(self, m, n) -> np.ndarray:
         m, n = np.broadcast_arrays(*_indices(m, n))
         if n.size:
-            self._check_rows(int(m.max()))
             self._check_columns(int(n.max()))
         out = np.zeros(m.shape, dtype=np.complex128)
         hit = n % m == 0
         m, n = m[hit], n[hit]
+        self._liouville(int(m.max(initial=0)))
         out[hit] = self._entries(m, n // m, n)
         return out
 
     def row_limits(self, m_max: int, m_lo: int = 0) -> np.ndarray:
-        self._check_rows(m_max)
-        out = np.zeros(m_max - m_lo + 1, dtype=np.complex128)
         lo = max(m_lo, 1)
+        lam = self._liouville(m_max)[lo : m_max + 1]
+        out = np.zeros(m_max - m_lo + 1, dtype=np.complex128)
         log_m = np.log(np.arange(lo, m_max + 1, dtype=np.float64))
-        lam = self.table.liouville[lo : m_max + 1]
         out[lo - m_lo :] = lam * np.exp(-self.s * log_m) * self._eta_value
         return out
 
@@ -310,8 +327,8 @@ class LeeArray(DoubleArray):
     def pairs(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1):
         """Divisor enumeration: row m holds n = m * j for n_lo <= m * j <= n_max.
 
-        The entry count, pair_bound, is checked against MAX_GRID_CELLS
-        before any array is allocated.
+        The entry count, pair_bound, is checked against MAX_GRID_CELLS,
+        and the rows are sieved, before any array is allocated.
         """
         if m_lo < 1 or n_lo < 1:
             raise InvalidBoundError(
@@ -320,7 +337,6 @@ class LeeArray(DoubleArray):
         self._check_columns(n_max)
         # Rows past n_max hold no hit, so their liouville is never read.
         m_hi = min(m_hi, n_max)
-        self._check_rows(m_hi)
         n_lo = min(n_lo, n_max + 1)
         entries = self.pair_bound(m_lo, m_hi, n_max, n_lo)
         if entries > MAX_GRID_CELLS:
@@ -329,6 +345,8 @@ class LeeArray(DoubleArray):
                 f"divisor hits, above the limit of {MAX_GRID_CELLS}; "
                 "use a smaller window"
             )
+        if entries:
+            self._liouville(m_hi)
         mv = np.arange(m_lo, m_hi + 1, dtype=np.int64)
         j_lo = (n_lo - 1) // mv + 1
         counts = n_max // mv - j_lo + 1
@@ -475,18 +493,6 @@ class PartialSumGrid:
             yield lo, sums
             above[:] = sums[-1]
 
-    def cell(self, m: int, n: int) -> complex:
-        """S(m, n), replayed from the slabs of rows 1..m over columns 0..n."""
-        if not (0 <= m <= self.m_max and 0 <= n <= self.n_max):
-            raise InvalidBoundError(
-                f"cell ({m}, {n}) outside grid 0..{self.m_max} x 0..{self.n_max}"
-            )
-        row = np.zeros(n + 1, dtype=np.complex128)
-        for lo in range(1, m + 1, SLAB_ROWS):
-            sums = self.slab(lo, row)
-            row = sums[min(m - lo, len(sums) - 1)]
-        return complex(row[n])
-
 
 def build_grid(array: DoubleArray, m_max: int, n_max: int) -> PartialSumGrid:
     """The partial-sum grid over [1..m_max] x [1..n_max], checked, not filled.
@@ -516,6 +522,13 @@ def row_sum(array: DoubleArray, m: int, n_upto: int | None = None) -> complex:
     return complex(np.sum(array.pairs(m, m, n_upto)[2]))
 
 
+def _check_outer_limit(outer_limit: int) -> None:
+    if not 2 <= outer_limit <= MAX_GRID_CELLS:
+        raise InvalidBoundError(
+            f"outer limit must be in 2..{MAX_GRID_CELLS}, got {outer_limit}"
+        )
+
+
 def iterated_sum(
     array: DoubleArray,
     order: str,
@@ -531,10 +544,7 @@ def iterated_sum(
     sum, with the bits of one cumulative sum over all of them, so memory
     is the trace's 16 B per step plus one window.
     """
-    if not 2 <= outer_limit <= MAX_GRID_CELLS:
-        raise InvalidBoundError(
-            f"outer limit must be in 2..{MAX_GRID_CELLS}, got {outer_limit}"
-        )
+    _check_outer_limit(outer_limit)
     if order == "rows_then_m":
         limits, mode = array.row_limits, ROW_ITERATED
     elif order == "columns_then_n":
@@ -543,8 +553,9 @@ def iterated_sum(
         raise InvalidBoundError(
             f"order must be 'rows_then_m' or 'columns_then_n', got {order!r}"
         )
-    # One slot first, so the array refuses an outer limit past its reach
-    # before the trace is allocated.
+    # One slot first, so an array that refuses an outer limit past its
+    # reach does so before the trace is allocated, and LeeArray sieves
+    # its rows at once.
     limits(outer_limit, outer_limit)
     trace = np.empty(outer_limit, dtype=np.complex128)
     for lo in range(1, outer_limit + 1, _LIMIT_SLOTS):
@@ -610,19 +621,6 @@ def pringsheim_trace(
     return SummationReport(PRINGSHEIM_DIAGONAL, trace, verdict, notes)
 
 
-def _rectangle_bound(array: DoubleArray, k_max: int, aspect: Fraction) -> int:
-    """pair_bound of the trace's whole rectangle; above MAX_GRID_CELLS it is refused."""
-    m_max = _ceil_fraction(k_max, aspect)
-    bound = array.pair_bound(1, m_max, k_max)
-    if bound > MAX_GRID_CELLS:
-        raise InvalidBoundError(
-            f"rectangle of rows 1..{m_max} x columns 1..{k_max} holds up to "
-            f"{bound} entries, above the limit of {MAX_GRID_CELLS}; "
-            "use a smaller k_max"
-        )
-    return bound
-
-
 def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     """Event-driven rectangle trace over the nonzero entries, K-window by K-window.
 
@@ -645,7 +643,13 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     refused before any window.
     """
     m_max = _ceil_fraction(k_max, aspect)
-    bound = _rectangle_bound(array, k_max, aspect)
+    bound = array.pair_bound(1, m_max, k_max)
+    if bound > MAX_GRID_CELLS:
+        raise InvalidBoundError(
+            f"rectangle of rows 1..{m_max} x columns 1..{k_max} holds up to "
+            f"{bound} entries, above the limit of {MAX_GRID_CELLS}; "
+            "use a smaller k_max"
+        )
     k_half = max(1, k_max // 2)
     m_half = _ceil_fraction(k_half, aspect)
     p, q = aspect.numerator, aspect.denominator

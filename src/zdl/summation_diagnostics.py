@@ -309,6 +309,13 @@ def _double_probe(trace, corners, corner_vals, tolerance) -> LimitProbe:
     return _probe("double", trace, max(spread, tail_diam), tolerance, detail)
 
 
+def _check_probe_window(grid: PartialSumGrid) -> None:
+    if grid.m_max < 16 or grid.n_max < 16:
+        raise InsufficientWindowError(
+            f"probe window {grid.m_max} x {grid.n_max} is below the 16 x 16 minimum"
+        )
+
+
 def _analyze(grid: PartialSumGrid, tolerance: float):
     """The five probes and both settle profiles from one walk over the grid's slabs.
 
@@ -324,11 +331,8 @@ def _analyze(grid: PartialSumGrid, tolerance: float):
     plus about 48 B per column per slab; every value has the bits a whole
     grid in memory gives.
     """
+    _check_probe_window(grid)
     m_max, n_max = grid.m_max, grid.n_max
-    if m_max < 16 or n_max < 16:
-        raise InsufficientWindowError(
-            f"probe window {m_max} x {n_max} is below the 16 x 16 minimum"
-        )
     # The double limit's samples: the diagonal through the window, then
     # the four corners (half/full window in each direction).
     steps = min(m_max, n_max)
@@ -705,19 +709,6 @@ def _lee_needed_outer(outer, scan_reach: int):
     return trimmed or outer
 
 
-def lee_report_rows(m_max: int, block: int, scan_reach: int | None = None) -> int:
-    """Largest row of the divisor-supported array diagnostics_report reads.
-
-    The grid and the row-tail scan read rows up to m_max; the block-tail
-    scan at M reads rows M..M + block, none past the reach.  A sieve to
-    this bound serves the whole report, at any reach.
-    """
-    if scan_reach is None:
-        scan_reach = LEE_DEFAULT_REACH
-    needed = _lee_needed_outer(_default_outer(scan_reach, block), scan_reach)
-    return max(m_max, min(needed[-1] + block, scan_reach))
-
-
 def diagnostics_report(
     array: DoubleArray,
     m_max: int,
@@ -727,11 +718,13 @@ def diagnostics_report(
     scan_reach: int | None = None,
     threshold: float = 1e-2,
 ) -> dict:
-    """Probes, both scans, and the classification as one dict of Python values."""
-    grid = build_grid(array, m_max, n_max)
-    probes, row_profile, col_profile = _analyze(grid, tolerance)
-    checks = _classify_from(probes, row_profile, col_profile, tolerance)
+    """Probes, both scans, and the classification as one dict of Python values.
 
+    The window is checked first and the scans run before the probes, so
+    a refused window, or a refused first block tail, reads no row.
+    """
+    grid = build_grid(array, m_max, n_max)
+    _check_probe_window(grid)
     if scan_reach is None:
         scan_reach = _default_reach(array)
     outer = _default_outer(scan_reach, block)
@@ -742,6 +735,8 @@ def diagnostics_report(
     verified = lee_verified_scan(
         array, outer, block, min(m_max, 4096), threshold
     )
+    probes, row_profile, col_profile = _analyze(grid, tolerance)
+    checks = _classify_from(probes, row_profile, col_profile, tolerance)
 
     return {
         "array": array.label,

@@ -1,8 +1,8 @@
-"""Shared fixtures: sieve tables, the first refined zero and a numpy stub."""
+"""Shared fixtures: sieve tables, the first refined zero, numpy and sieve stubs."""
 
 import pytest
 
-from zdl import build_table, refine, scan_critical_line
+from zdl import build_table, double_array, refine, scan_critical_line
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +40,27 @@ def no_numpy(monkeypatch):
             raise AssertionError(f"numpy.{name} used before the input check")
 
     return lambda module: monkeypatch.setattr(module, "np", NoNumpy())
+
+
+@pytest.fixture
+def sieved(monkeypatch):
+    """The bound of every sieve LeeArray runs, in order."""
+    bounds = []
+    monkeypatch.setattr(double_array, "build_table", lambda n: bounds.append(n) or build_table(n))
+    return bounds
+
+
+@pytest.fixture
+def no_sieve(monkeypatch):
+    """The bounds LeeArray asks to sieve, each refused with an AssertionError.
+
+    A refusal tested under the stub provably comes before any sieve.
+    """
+    bounds = []
+
+    def refuse(n_max):
+        bounds.append(n_max)
+        raise AssertionError(f"asked to sieve {n_max} rows before the input check")
+
+    monkeypatch.setattr(double_array, "build_table", refuse)
+    return bounds

@@ -183,6 +183,19 @@ def grid_cell_replay(row_terms, m: int) -> complex:
     return total
 
 
+def slab_cell(grid, m: int, n: int) -> complex:
+    """S(m, n) of a partial-sum grid, read off grid.slabs() (m >= 1).
+
+    Not an oracle: it walks the package's own slabs, the path every
+    probe takes, so a test comparing it with one keeps that path under
+    test.
+    """
+    for lo, sums in grid.slabs():
+        if m < lo + len(sums):
+            return complex(sums[m - lo, n])
+    raise IndexError(f"row {m} is past the grid's {grid.m_max} rows")
+
+
 def needed_sup_brute(term, m_start: int, block: int, n_reach: int) -> float:
     """Block-tail sup by its definition, one term at a time.
 

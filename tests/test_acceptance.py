@@ -89,8 +89,8 @@ def test_criterion_4_cesaro_modes_disagree():
     print("PASS 4/8: geometric array sums to 1, oscillates, and defeats the rectangle")
 
 
-def test_criterion_5_absolutely_convergent_modes_agree(table1m):
-    array = LeeArray(2.0 + 0j, table1m)
+def test_criterion_5_absolutely_convergent_modes_agree():
+    array = LeeArray(2.0 + 0j)
     reports = (
         iterated_sum(array, "rows_then_m", 10**6),
         iterated_sum(array, "columns_then_n", 10**6),
@@ -119,8 +119,8 @@ def test_criterion_6_zero_table():
     print("PASS 6/8: both refined zeros and the exceptional point check out")
 
 
-def test_criterion_7_scan_verdicts_at_the_first_zero(table1m, first_zero):
-    array = LeeArray(first_zero.s, table1m)
+def test_criterion_7_scan_verdicts_at_the_first_zero(first_zero):
+    array = LeeArray(first_zero.s)
 
     worst_row = float(np.abs(array.row_limits(4096)).max())
     assert worst_row <= 1e-9

@@ -264,17 +264,23 @@ def test_beta_table_is_refused_before_the_sieve(capsys, no_numpy):
         ("modes", "--array", "lee", "--s", "2", "--k-max", "5000000"),
         ("modes", "--array", "lee", "--s", "2", "--k-max", "10000000", "--aspect", "1/2"),
         ("modes", "--array", "cesaro", "--k-max", "9000"),
+        # an outer limit above 2**26: a sieve of its 1e8 rows took 6 s and
+        # 603 MB only to be refused
+        ("modes", "--array", "lee", "--s", "2", "--outer", "100000000"),
+        # a window of 1.7e9 cells, above 2**26; 1e8 rows were sieved
+        ("uniformity", "--array", "lee", "--s", "2", "--window", "100000000x16"),
+        # a block tail of about 4.3e10 divisor hits; a sieve to the reach
+        # would take about 10 GB
+        ("uniformity", "--array", "lee", "--s", "2", "--block", "2000000000",
+         "--reach", "2000000000"),
     ],
 )
-def test_oversized_rectangle_is_refused_before_the_sieve(capsys, monkeypatch, argv):
-    # pair_bound reads no table: a 5e6-row sieve here took 0.4 s and
-    # 58.8 MB only to be refused.
-    sieved = []
-    build_table = cli.build_table
-    monkeypatch.setattr(cli, "build_table", lambda n: sieved.append(n) or build_table(n))
+def test_oversized_rectangle_is_refused_before_the_sieve(capsys, no_sieve, argv):
+    # pair_bound and the window and outer-limit checks read no row, so
+    # the array the command builds never sieves.
     code, out, err = run(capsys, *argv)
     assert (code, out, json.loads(err)["error"]) == (2, "", "InvalidBoundError")
-    assert all(n <= 1 for n in sieved), sieved
+    assert no_sieve == []
 
 
 @pytest.mark.parametrize(

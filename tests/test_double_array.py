@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from zdl import (
-    ArithmeticTable,
     CesaroArray,
     LeeArray,
     SyntheticArray,
@@ -21,7 +20,7 @@ from zdl import (
     row_sum,
 )
 from zdl.double_array import MAX_GRID_CELLS
-from zdl.errors import DomainError, InvalidBoundError, TableRangeError
+from zdl.errors import DomainError, InvalidBoundError
 
 from oracles import (
     beta_brute,
@@ -32,14 +31,15 @@ from oracles import (
     iterated_trace_reference,
     lee_term_brute,
     liouville_brute,
+    slab_cell,
 )
 
 S_TEST = 0.8 + 0.5j
 
 
 @pytest.fixture(scope="module")
-def lee(table2k):
-    return LeeArray(S_TEST, table2k)
+def lee():
+    return LeeArray(S_TEST)
 
 
 @pytest.fixture(scope="module")
@@ -147,16 +147,17 @@ def test_divisor_hits_counts_lee_entries(lee, m_lo, m_hi, n_max):
 @pytest.mark.parametrize(
     "m_lo, n_max", [(MAX_GRID_CELLS, 2 * MAX_GRID_CELLS), (1, 5_000_000)]
 )
-def test_lee_pairs_rejects_entries_above_the_cap_before_allocating(no_numpy, m_lo, n_max):
-    # Only the guards run, so the table needs its bound and no arrays.
-    lee = LeeArray(2.0, ArithmeticTable(n_max, None, None, None))
+def test_lee_pairs_rejects_entries_above_the_cap_before_allocating(
+    no_numpy, no_sieve, m_lo, n_max
+):
+    lee = LeeArray(2.0)
     no_numpy(double_array)
     with pytest.raises(InvalidBoundError, match="divisor hits"):
         lee.pairs(m_lo, n_max, n_max)
 
 
-def test_term_is_bitwise_the_pairs_and_grid_value(table100k):
-    lee = LeeArray(0.5 + 14.134725j, table100k)
+def test_term_is_bitwise_the_pairs_and_grid_value():
+    lee = LeeArray(0.5 + 14.134725j)
     # At n = 9170, cmath.exp and np.exp differ in the last bit.
     n = 9170
     m_col, n_col, values = lee.pairs(1, n, n)
@@ -168,7 +169,7 @@ def test_term_is_bitwise_the_pairs_and_grid_value(table100k):
     # A grid cell replays row-then-column running sums of the same terms.
     grid = build_grid(lee, 6, 40)
     replay = grid_cell_replay(lambda m: [complex(lee.terms(m, k)) for k in range(1, 41)], 6)
-    assert grid.cell(6, 40) == replay
+    assert slab_cell(grid, 6, 40) == replay
 
 
 def test_grid_matches_brute_double_sum(lee_grid):
@@ -176,7 +177,7 @@ def test_grid_matches_brute_double_sum(lee_grid):
     for m in range(1, 13):
         for n in range(1, 38):
             total += lee_term_brute(S_TEST, m, n)
-    assert abs(lee_grid.cell(12, 37) - total) <= 1e-13
+    assert abs(slab_cell(lee_grid, 12, 37) - total) <= 1e-13
 
 
 def test_column_sum_matches_grid(lee, lee_grid):
@@ -186,7 +187,7 @@ def test_column_sum_matches_grid(lee, lee_grid):
     running = 0j
     for n in range(1, 21):
         running += limits[n]
-        assert abs(lee_grid.cell(40, n) - running) <= 1e-13
+        assert abs(slab_cell(lee_grid, 40, n) - running) <= 1e-13
 
 
 def test_recompute_cell_is_bit_exact(lee_grid):
@@ -196,15 +197,7 @@ def test_recompute_cell_is_bit_exact(lee_grid):
         n = int(rng.integers(1, 301))
         row = np.arange(1, n + 1)
         replay = grid_cell_replay(lambda r: lee_grid.array.terms(r, row).tolist(), m)
-        assert lee_grid.cell(m, n) == replay
-
-
-def test_cell_bounds(lee_grid):
-    assert lee_grid.cell(0, 0) == 0
-    with pytest.raises(InvalidBoundError):
-        lee_grid.cell(41, 1)
-    with pytest.raises(InvalidBoundError):
-        lee_grid.cell(1, -1)
+        assert slab_cell(lee_grid, m, n) == replay
 
 
 def test_grid_size_guards(lee):
@@ -218,7 +211,7 @@ def test_cesaro_grid_matches_closed_form():
     grid = build_grid(CesaroArray(), 64, 64)
     for m in (1, 3, 17, 64):
         for n in (1, 2, 33, 64):
-            assert abs(grid.cell(m, n) - cesaro_rectangle(m, n)) <= 1e-15
+            assert abs(slab_cell(grid, m, n) - cesaro_rectangle(m, n)) <= 1e-15
 
 
 def test_cesaro_row_and_column_limits():
@@ -255,26 +248,29 @@ def test_ratio_grid_is_m_over_m_plus_n():
     grid = build_grid(SyntheticArray("interchange_ratio"), 50, 50)
     for m in (1, 7, 50):
         for n in (1, 29, 50):
-            assert abs(grid.cell(m, n) - m / (m + n)) <= 1e-14
+            assert abs(slab_cell(grid, m, n) - m / (m + n)) <= 1e-14
 
 
-def test_lee_rejects_bad_parameters(table2k):
+def test_lee_rejects_bad_parameters(no_sieve):
     with pytest.raises(DomainError):
-        LeeArray(complex("nan"), table2k)
+        LeeArray(complex("nan"))
     with pytest.raises(DomainError):
-        LeeArray(-1.0 + 0j, table2k)
-    lee = LeeArray(2.0 + 0j, table2k)
-    # The sieve bounds the rows, whose liouville is read; not the columns.
-    with pytest.raises(TableRangeError):
-        lee.terms(2001, 2001)
-    with pytest.raises(TableRangeError):
-        lee.terms(np.arange(1, 5001)[:, None], 5000)
-    with pytest.raises(TableRangeError):
-        lee.pairs(3, 2001, 5000)
-    with pytest.raises(TableRangeError):
-        lee.row_limits(2001)
+        LeeArray(-1.0 + 0j)
+    lee = LeeArray(2.0 + 0j)
+    # The array sieves the rows it reads, up to MAX_GRID_CELLS; a row
+    # above that is refused before any sieve.
+    row = MAX_GRID_CELLS + 1
+    with pytest.raises(InvalidBoundError, match="row m = "):
+        lee.terms(row, row)
+    with pytest.raises(InvalidBoundError, match="row m = "):
+        lee.terms(np.arange(row - 3, row + 1)[:, None], row)
+    with pytest.raises(InvalidBoundError, match="row m = "):
+        lee.pairs(row, row + 5, 2 * row)
+    with pytest.raises(InvalidBoundError, match="row m = "):
+        lee.row_limits(row)
     # Rows past n_max hold no hit, so they need no sieve.
-    assert len(lee.pairs(1999, 5000, 2000)[0]) == 2
+    assert len(lee.pairs(2001, 5000, 2000)[0]) == 0
+    assert not lee.terms(np.arange(2001, 2101)[:, None], np.arange(1901, 2001)).any()
     # float64 holds n exactly only up to 2**53.
     with pytest.raises(InvalidBoundError, match="2\\*\\*53"):
         lee.terms(1, 2**53 + 2)
@@ -282,24 +278,46 @@ def test_lee_rejects_bad_parameters(table2k):
         lee.pairs(2**52, 2**52, 2**53 + 2, 2**53 + 1)
     with pytest.raises(InvalidBoundError):
         lee.terms(np.arange(0, 4), 12)
+    assert no_sieve == []
 
 
-def test_lee_entries_past_the_sieve_match_a_sieve_to_n(table2k):
-    # Rows 1..2000 sieved, columns 1500 times further out: every entry
-    # keeps the bits it has under a sieve that covers its column.
+def _same_pairs(a, b, *window):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.pairs(*window), b.pairs(*window)))
+
+
+def test_lee_entries_past_the_sieve_match_a_sieve_to_n(sieved):
+    # One sieve grows from row 2000 to row 3e6, the other covers 3e6 rows
+    # from its first read: every entry, pair and row limit keeps its bits.
     n_far = 3_000_000
     s = 0.5 + 14.134725j
-    short, full = LeeArray(s, table2k), LeeArray(s, build_table(n_far))
+    grown, direct = LeeArray(s), LeeArray(s)
+    whole = direct.row_limits(n_far)
+    assert grown.row_limits(2000).tobytes() == whole[:2001].tobytes()
+    # Columns 1500 times further out than the rows, and rows past n_max,
+    # need no more sieve.
     m = np.arange(1, 2001)[:, None]
     n = np.arange(n_far - 5000, n_far + 1, 7)
-    assert short.terms(m, n).tobytes() == full.terms(m, n).tobytes()
-    for got, expected in zip(short.pairs(1, 2000, n_far, n_far - 5000),
-                             full.pairs(1, 2000, n_far, n_far - 5000)):
-        assert got.tobytes() == expected.tobytes()
+    assert grown.terms(m, n).tobytes() == direct.terms(m, n).tobytes()
+    assert _same_pairs(grown, direct, 1, 2000, n_far, n_far - 5000)
+    assert len(grown.pairs(1999, 5000, 2000)[0]) == 2
+    assert sieved == [n_far, 2000]
+    assert grown.row_limits(n_far).tobytes() == whole.tobytes()
+    assert sieved == [n_far, 2000, n_far]
+    m = np.arange(n_far - 1000, n_far + 1)[:, None]
+    assert grown.terms(m, n).tobytes() == direct.terms(m, n).tobytes()
+    assert _same_pairs(grown, direct, 1, n_far, n_far, n_far - 5000)
     # Columns read beta's closed form, bit for bit the sieved table's.
     cols = np.arange(1, 100_001, dtype=np.float64)
-    by_table = full.table.beta[1:100_001] * np.exp(-s * np.log(cols))
-    assert short.column_limits(100_000)[1:].tobytes() == by_table.tobytes()
+    by_table = build_table(100_000).beta[1:] * np.exp(-s * np.log(cols))
+    assert grown.column_limits(100_000)[1:].tobytes() == by_table.tobytes()
+
+
+def test_lee_sieve_at_least_doubles_as_rows_climb(sieved):
+    lee = LeeArray(0.5 + 14.134725j)
+    for lo in range(1, 2**20 + 1, 64):
+        lee.row_limits(lo + 63, lo)
+    assert len(sieved) <= 21, sieved
+    assert sieved == sorted(sieved) and sieved[-1] >= 2**20
 
 
 def test_synthetic_rejects_unknown_rule():
@@ -375,9 +393,8 @@ class _NegatedLimits(CesaroArray):
 @pytest.mark.parametrize("order", ["rows_then_m", "columns_then_n"])
 @pytest.mark.parametrize("name", ["lee", "lee_zero", "cesaro", "interchange_ratio"])
 def test_iterated_sum_is_bitwise_one_cumulative_sum(name, order, monkeypatch):
-    table = build_table(300_000)
     if name.startswith("lee"):
-        array = LeeArray(0.5 + 14.134725141734695j if name == "lee_zero" else 1.75 + 12.5j, table)
+        array = LeeArray(0.5 + 14.134725141734695j if name == "lee_zero" else 1.75 + 12.5j)
     else:
         array = CesaroArray() if name == "cesaro" else SyntheticArray(name)
     limits = array.row_limits if order == "rows_then_m" else array.column_limits
@@ -401,8 +418,8 @@ def test_iterated_sum_keeps_a_leading_signed_zero(monkeypatch):
     assert trace.tobytes() == iterated_trace_reference(array.row_limits, 23).tobytes()
 
 
-def test_iterated_sum_memory_is_the_trace(table1m):
-    lee = LeeArray(1.75 + 12.5j, table1m)
+def test_iterated_sum_memory_is_the_trace():
+    lee = LeeArray(1.75 + 12.5j)
     for order in ("rows_then_m", "columns_then_n"):
         tracemalloc.start()
         try:
@@ -484,18 +501,13 @@ def _reference_rectangle_trace(array, k_max, aspect):
     return trace, corners
 
 
-@pytest.fixture(scope="module")
-def table20k():
-    return build_table(20_011)
-
-
 _TRACE_ARRAYS = {
-    "lee_s2": lambda table: LeeArray(2.0, table),
-    "lee_off_line": lambda table: LeeArray(1.7 + 12.3j, table),
-    "lee_near_zero": lambda table: LeeArray(0.5 + 14.134725j, table),
-    "cesaro": lambda table: CesaroArray(),
-    "interchange_ratio": lambda table: SyntheticArray("interchange_ratio"),
-    "zeros": lambda table: SyntheticArray("zeros"),
+    "lee_s2": lambda: LeeArray(2.0),
+    "lee_off_line": lambda: LeeArray(1.7 + 12.3j),
+    "lee_near_zero": lambda: LeeArray(0.5 + 14.134725j),
+    "cesaro": CesaroArray,
+    "interchange_ratio": lambda: SyntheticArray("interchange_ratio"),
+    "zeros": lambda: SyntheticArray("zeros"),
 }
 
 
@@ -505,9 +517,9 @@ _TRACE_ARRAYS = {
                          ids=["1", "2", "1_2", "3_2", "2_3"])
 @pytest.mark.parametrize("name", list(_TRACE_ARRAYS))
 def test_rectangle_trace_is_bitwise_the_whole_rectangle(
-    name, aspect, k_max, table20k, monkeypatch
+    name, aspect, k_max, monkeypatch
 ):
-    array = _TRACE_ARRAYS[name](table20k)
+    array = _TRACE_ARRAYS[name]()
     if name in ("cesaro", "interchange_ratio", "zeros") and k_max > 1000:
         # dense rectangles of 20011 columns hold over 4e8 cells
         for trace_of in (_reference_rectangle_trace, double_array._rectangle_trace):
@@ -560,7 +572,7 @@ def test_rectangle_trace_keeps_signed_zeros(monkeypatch):
 
 
 def test_rectangle_trace_memory_is_windowed():
-    lee = LeeArray(1.7 + 12.3j, build_table(200_000))
+    lee = LeeArray(1.7 + 12.3j)
     tracemalloc.start()
     try:
         pringsheim_trace(lee, 200_000)

@@ -19,9 +19,10 @@ from zdl import (
     needed_uniformity_scan,
     probe_limits,
 )
-from zdl import summation_diagnostics
+from zdl import double_array, summation_diagnostics
 from zdl.cli import _jsonable
-from zdl.errors import InsufficientWindowError, InvalidBoundError, TableRangeError
+from zdl.double_array import MAX_GRID_CELLS
+from zdl.errors import InsufficientWindowError, InvalidBoundError
 from zdl.summation_diagnostics import PROBE_KINDS
 
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     lee_term_brute,
     needed_sup_brute,
     ratio_term,
+    slab_cell,
     verified_sup_brute,
 )
 
@@ -42,8 +44,8 @@ def ratio_grid():
 
 
 @pytest.fixture(scope="module")
-def lee_grid_s2(table100k):
-    return build_grid(LeeArray(2.0 + 0j, table100k), 512, 4096)
+def lee_grid_s2():
+    return build_grid(LeeArray(2.0 + 0j), 512, 4096)
 
 
 def test_ratio_probes_separate_the_limits(ratio_grid):
@@ -114,10 +116,13 @@ def test_cesaro_window_asserts_row_side_only():
         assert columns["status"] == "fails"
 
 
-def test_small_window_rejected():
+def test_small_window_rejected(no_sieve):
     grid = build_grid(SyntheticArray("zeros"), 8, 8)
     with pytest.raises(InsufficientWindowError):
         probe_limits(grid)
+    # The report refuses the window before its scans read a row.
+    with pytest.raises(InsufficientWindowError):
+        diagnostics_report(LeeArray(2.0), 8, 8)
 
 
 def test_zero_array_probes_and_scans():
@@ -136,16 +141,16 @@ def test_zero_array_probes_and_scans():
     assert all(v == 0.0 for v in verified.sup_trace)
 
 
-def test_needed_scan_monotone_in_reach(table2k):
-    lee = LeeArray(2.0 + 0j, table2k)
+def test_needed_scan_monotone_in_reach():
+    lee = LeeArray(2.0 + 0j)
     m_list = (4, 16, 64)
     near = needed_uniformity_scan(lee, m_list, block=8, n_reach=512)
     far = needed_uniformity_scan(lee, m_list, block=8, n_reach=2000)
     assert np.all(far.sup_trace >= near.sup_trace)
 
 
-def test_needed_scan_decays_where_convergence_is_absolute(table100k):
-    lee = LeeArray(2.0 + 0j, table100k)
+def test_needed_scan_decays_where_convergence_is_absolute():
+    lee = LeeArray(2.0 + 0j)
     scan = needed_uniformity_scan(
         lee, (10, 100, 1000), block=8, n_reach=100_000, threshold=1e-3
     )
@@ -155,17 +160,17 @@ def test_needed_scan_decays_where_convergence_is_absolute(table100k):
     assert scan.floor is None
 
 
-def test_verified_scan_decays_for_the_divisor_array(table2k):
-    lee = LeeArray(2.0 + 0j, table2k)
+def test_verified_scan_decays_for_the_divisor_array():
+    lee = LeeArray(2.0 + 0j)
     scan = lee_verified_scan(lee, (16, 256, 1024), block=8, m_reach=256)
     assert scan.verdict == "decays_below"
     assert scan.window == {"block": 8, "m_reach": 256}
 
 
 @pytest.mark.parametrize("name", ["lee", "cesaro", "interchange_ratio"])
-def test_scans_match_brute_oracles(name, table2k):
+def test_scans_match_brute_oracles(name):
     if name == "lee":
-        array = LeeArray(0.6 + 3.0j, table2k)
+        array = LeeArray(0.6 + 3.0j)
         brute = functools.partial(lee_term_brute, 0.6 + 3.0j)
     elif name == "cesaro":
         array, brute = CesaroArray(), cesaro_term
@@ -183,10 +188,10 @@ def test_scans_match_brute_oracles(name, table2k):
         assert abs(sup - expected) <= 1e-12 * expected
 
 
-def test_needed_scan_tall_blocks_match_brute(table2k):
+def test_needed_scan_tall_blocks_match_brute():
     # block 300 runs past the reach at M = 1800; the rows that exist set the sup.
     s = 0.6 + 3.0j
-    needed = needed_uniformity_scan(LeeArray(s, table2k), (1, 1800), block=300, n_reach=2000)
+    needed = needed_uniformity_scan(LeeArray(s), (1, 1800), block=300, n_reach=2000)
     for m, sup in zip(needed.outer_values, needed.sup_trace):
         expected = needed_sup_brute(functools.partial(lee_term_brute, s), int(m), 300, 2000)
         assert expected > 0
@@ -194,12 +199,12 @@ def test_needed_scan_tall_blocks_match_brute(table2k):
 
 
 @pytest.mark.parametrize("name", ["lee_zero", "lee_s2", "cesaro"])
-def test_needed_scan_is_bitwise_window_invariant(name, table100k, first_zero, monkeypatch):
+def test_needed_scan_is_bitwise_window_invariant(name, first_zero, monkeypatch):
     if name == "cesaro":
         array, reach = CesaroArray(), 4096
     else:
         s = first_zero.s if name == "lee_zero" else 2.0
-        array, reach = LeeArray(s, table100k), 3000
+        array, reach = LeeArray(s), 3000
     m_list = (1, 16, 256)
     default = needed_uniformity_scan(array, m_list, block=8, n_reach=reach)
     windows = []
@@ -212,7 +217,7 @@ def test_needed_scan_is_bitwise_window_invariant(name, table100k, first_zero, mo
     assert small.sup_trace.tobytes() == default.sup_trace.tobytes()
 
 
-def test_needed_scan_refuses_oversized_tails_and_windows(table2k, monkeypatch):
+def test_needed_scan_refuses_oversized_tails_and_windows(monkeypatch):
     monkeypatch.setattr(summation_diagnostics, "MAX_GRID_CELLS", 20_000)
     # 9 rows x 2500 columns of a dense block tail.
     with pytest.raises(InvalidBoundError, match="block tail"):
@@ -220,11 +225,11 @@ def test_needed_scan_refuses_oversized_tails_and_windows(table2k, monkeypatch):
     # About 1.6e4 divisor hits pass, but one window of them times 2000
     # block heights does not.
     with pytest.raises(InvalidBoundError, match="block heights"):
-        needed_uniformity_scan(LeeArray(2.0, table2k), (1,), block=2000, n_reach=2000)
+        needed_uniformity_scan(LeeArray(2.0), (1,), block=2000, n_reach=2000)
 
 
 def test_needed_scan_memory_is_flat_in_reach():
-    lee = LeeArray(0.5 + 14.134725141734695j, build_table(4_000_000))
+    lee = LeeArray(0.5 + 14.134725141734695j)
     tracemalloc.start()
     try:
         needed_uniformity_scan(lee, (16, 256), 8, 4_000_000)
@@ -234,8 +239,8 @@ def test_needed_scan_memory_is_flat_in_reach():
     assert peak <= 40 * 2**20, f"block-tail scan peaked at {peak / 2**20:.1f} MB"
 
 
-def test_scan_input_guards(table2k):
-    lee = LeeArray(2.0 + 0j, table2k)
+def test_scan_input_guards(no_sieve, monkeypatch):
+    lee = LeeArray(2.0 + 0j)
     with pytest.raises(InvalidBoundError):
         needed_uniformity_scan(lee, (), block=8, n_reach=512)
     with pytest.raises(InvalidBoundError):
@@ -243,12 +248,16 @@ def test_scan_input_guards(table2k):
     for reach in (63, 0, -5):  # rows past the reach would read sup 0
         with pytest.raises(InvalidBoundError):
             needed_uniformity_scan(lee, (16, 64), block=8, n_reach=reach)
-    # The sieve bounds the rows read, not the columns.
-    with pytest.raises(TableRangeError):
-        lee_verified_scan(lee, (16,), block=8, m_reach=2001)
-    assert lee_verified_scan(lee, (1999,), block=8, m_reach=64).sup_trace[0] > 0
+    # A row above MAX_GRID_CELLS is refused before any sieve.
+    row = MAX_GRID_CELLS + 1
+    with pytest.raises(InvalidBoundError, match="row m = "):
+        needed_uniformity_scan(lee, (row,), block=0, n_reach=row)
     with pytest.raises(InvalidBoundError):
         lee_verified_scan(lee, (16,), block=1 << 14, m_reach=1 << 13)
+    assert no_sieve == []
+    # The sieve follows the rows read, not the columns.
+    monkeypatch.setattr(double_array, "build_table", build_table)
+    assert lee_verified_scan(lee, (1999,), block=8, m_reach=64).sup_trace[0] > 0
 
 
 def test_diagnostics_report_shape():
@@ -266,14 +275,14 @@ def test_diagnostics_report_shape():
     assert len(theorems) == 4
 
 
-def test_report_at_zero_keeps_needed_scan_honest(table1m, first_zero):
+def test_report_at_zero_keeps_needed_scan_honest(first_zero):
     # The needed-criterion sup over blocks starting at m is only meaningful
     # while m stays far below the reach: past that, each row holds a handful
     # of terms and the sup shrinks for lack of data, not because the tails
     # became uniform. The report must trim those block starts rather than
     # report a spurious decay at a zero.
     report = diagnostics_report(
-        LeeArray(first_zero.s, table1m), 512, 4096, tolerance=1e-3
+        LeeArray(first_zero.s), 512, 4096, tolerance=1e-3
     )
     needed, verified = report["scans"]
     assert needed["quantity"] == "needed_criterion"
@@ -380,13 +389,13 @@ REPORT_GRIDS = ["lee_zero", "lee_s2", "cesaro", "zeros", "interchange_ratio"]
 
 
 @pytest.fixture(scope="module", params=REPORT_GRIDS)
-def report_grid(request, table100k, first_zero):
+def report_grid(request, first_zero):
     """(array, m_max, n_max, dense sums) of a window the reports run on."""
     name = request.param
     if name == "lee_zero":
-        array = LeeArray(first_zero.s, table100k)
+        array = LeeArray(first_zero.s)
     elif name == "lee_s2":
-        array = LeeArray(2.0 + 0j, table100k)
+        array = LeeArray(2.0 + 0j)
     elif name == "cesaro":
         array = CesaroArray()
     else:
@@ -449,9 +458,9 @@ def test_slab_probes_are_the_dense_reference_on_report_grids(report_grid, monkey
 )
 @pytest.mark.parametrize("name", ["lee", "cesaro", "interchange_ratio"])
 def test_slab_probes_are_the_dense_reference_on_ragged_windows(
-    name, window, table2k, monkeypatch
+    name, window, monkeypatch
 ):
-    array = LeeArray(0.6 + 3.0j, table2k) if name == "lee" else (
+    array = LeeArray(0.6 + 3.0j) if name == "lee" else (
         CesaroArray() if name == "cesaro" else SyntheticArray(name)
     )
     m_max, n_max = window
@@ -486,7 +495,7 @@ def test_slab_probes_keep_the_signed_zeros_of_the_dense_grid(array, monkeypatch)
     _assert_report_is_the_dense_reference(monkeypatch, array, 70, 130, sums, 1e-6)
     grid = build_grid(array, 70, 130)
     for m, n in ((1, 1), (1, 130), (70, 1), (64, 65), (65, 130), (70, 130)):
-        assert np.complex128(grid.cell(m, n)).tobytes() == sums[m, n].tobytes()
+        assert np.complex128(slab_cell(grid, m, n)).tobytes() == sums[m, n].tobytes()
 
 
 def _analyze_peak(array, m_max, n_max):
