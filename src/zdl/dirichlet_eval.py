@@ -388,9 +388,11 @@ def _pairwise_plan(count: int, leaf: int):
 class _PairwiseSum:
     """np.sum of count complex entries fed in chunks, with the same bits.
 
-    Entries go through one leaf buffer of at most leaf entries; each
-    full leaf is one np.sum, and finished subtrees are added as
-    _pairwise_plan says, so only O(log count) partial sums are held.
+    beta_series_partial is its one user: it keeps the bits of the
+    series as one np.sum while the terms stream.  Entries go through one
+    leaf buffer of at most leaf entries; each full leaf is one np.sum,
+    and finished subtrees are added as _pairwise_plan says, so only
+    O(log count) partial sums are held.
     """
 
     def __init__(self, count: int, leaf: int = _LEAF):

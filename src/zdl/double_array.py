@@ -4,12 +4,11 @@ A double array here is a map (m, n) -> a(m, n) over positive integer
 pairs.  Every array meets one contract (DoubleArray): vectorized entries
 terms(m, n), the nonzero entries of a rectangle m_lo..m_hi x n_lo..n_max
 as COO arrays pairs(m_lo, m_hi, n_max, n_lo=1), the bound pair_bound on
-what such a call holds (exact where exact_pair_bound says so), and the
-row and column limits row_limits and column_limits.  Grids, the
-rectangle trace and both uniformity scans reach an array only through
-that contract, so each keeps one code path for every array; the
-block-tail scan walks n, and the rectangle trace K, in windows of pairs
-sized by pair_bound.
+what such a call holds, and the row and column limits row_limits and
+column_limits.  Grids, the rectangle trace and both uniformity scans
+reach an array only through that contract, so each keeps one code path
+for every array; the block-tail scan walks n, and the rectangle trace K,
+in windows of pairs sized by pair_bound.
 
 Three ways of attaching a value to the whole array are compared:
 
@@ -41,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arithmetic import beta_closed_table, build_table
-from .dirichlet_eval import _PairwiseSum, eta
+from .dirichlet_eval import eta
 from .errors import DomainError, InvalidBoundError
 
 # Largest number of cells of a partial-sum window, of a rectangle and of
@@ -153,9 +152,6 @@ class DoubleArray:
       entries that pairs call holds and on the cells it evaluates to
       find them; pairs refuses a bound above MAX_GRID_CELLS before it
       allocates anything.
-    * exact_pair_bound: True when pair_bound is exactly the number of
-      entries pairs returns, so a consumer that needs the count (the
-      rectangle trace's corner sums) takes it without a counting pass.
     * row_limits(m_max, m_lo=0) / column_limits(n_max, n_lo=0): rows
       (columns) m_lo..m_max summed to their limits, in slots 0..m_max -
       m_lo; index 0 reads 0.  A window has the bits of the same slots of
@@ -168,7 +164,6 @@ class DoubleArray:
     """
 
     label = "generic"
-    exact_pair_bound = False
 
     def terms(self, m, n) -> np.ndarray:
         raise NotImplementedError
@@ -235,7 +230,6 @@ class LeeArray(DoubleArray):
     """
 
     label = "lee"
-    exact_pair_bound = True
 
     def __init__(self, s: complex):
         s = complex(s)
@@ -593,11 +587,11 @@ def pringsheim_trace(
     ceil(aspect*K) never suffer float boundary wobble.
 
     The trace walks K in windows of array.pairs (see _rectangle_trace),
-    with the same bits as one pass over the whole rectangle.  Its memory
-    is the 16 B per step of the trace plus one window's working arrays
-    and four corner accumulators of 1 MB each, however many entries the
-    rectangle holds.  A rectangle whose pair_bound exceeds
-    MAX_GRID_CELLS is refused before any window.
+    with the same bits as one pass over the whole rectangle, corners
+    included.  Its memory is the 16 B per step of the trace plus one
+    window's working arrays, however many entries the rectangle holds.
+    A rectangle whose pair_bound exceeds MAX_GRID_CELLS is refused
+    before any window.
     """
     if k_max < 4:
         raise InvalidBoundError(f"k_max must be at least 4, got {k_max}")
@@ -633,14 +627,15 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     concatenation is sorted by (m, n), so a stable sort by entry K inside
     each window gives the order of one sort over the whole rectangle.
 
-    Each of the four corners (half/full window in each direction) is a
-    _PairwiseSum fed the window entries that lie in it, in that order,
-    so it has the bits of one np.sum over the corner's entries whatever
-    the window size.  The sums need each corner's entry count up front:
-    pair_bound gives it where exact_pair_bound holds, and otherwise a
-    counting pass evaluates terms over the same windows, as the dense
-    pairs does.  A rectangle whose pair_bound exceeds MAX_GRID_CELLS is
-    refused before any window.
+    The four corners (half/full window in each direction) are running
+    sums in that order too.  The entries at K <= k_half are exactly the
+    corner (m_half, k_half), so it and (m_max, k_max) are the trace at
+    k_half and k_max; (m_max, k_half) and (m_half, k_max) sum the ordered
+    entries with n <= k_half and m <= m_half.  Each sum carries across
+    windows as _running_sum says, so every corner has the bits of one
+    cumulative sum over its entries whatever the window size.  A
+    rectangle whose pair_bound exceeds MAX_GRID_CELLS is refused before
+    any window.
     """
     m_max = _ceil_fraction(k_max, aspect)
     bound = array.pair_bound(1, m_max, k_max)
@@ -653,67 +648,55 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     k_half = max(1, k_max // 2)
     m_half = _ceil_fraction(k_half, aspect)
     p, q = aspect.numerator, aspect.denominator
-    # Equal-width windows in K, each holding about _TRACE_ENTRIES entries;
-    # a window adds the new columns of rows 1..m0 and the new rows whole.
+    # Equal-width windows in K, each holding about _TRACE_ENTRIES entries.
     count = max(1, -(-bound // _TRACE_ENTRIES))
     width = -(-k_max // count)
-    windows = []
-    for k0 in range(0, k_max, width):
-        k1 = min(k0 + width, k_max)
-        m0, m1 = _ceil_fraction(k0, aspect), _ceil_fraction(k1, aspect)
-        windows.append((k0, k1, ((1, m0, k0 + 1), (m0 + 1, m1, 1))))
-
-    corners = [(m_max, k_max), (m_max, k_half), (m_half, k_max), (m_half, k_half)]
-    if array.exact_pair_bound:
-        counts = [array.pair_bound(1, mm, nn) for mm, nn in corners]
-    else:
-        counts = _corner_counts(array, windows, corners)
-    sums = [_PairwiseSum(c) for c in counts]
     trace = np.empty(k_max, dtype=np.complex128)
     # csum[0] is the running sum before the window, csum[1:] its entries
     # in order, summed in place; the buffer grows to the largest window.
     buffer = np.empty(0, dtype=np.complex128)
-    carry, started = np.complex128(0), False
-    for k0, k1, parts in windows:
+    # Running sums of the trace and of corners (m_max, k_half) and
+    # (m_half, k_max); None until their first entry.
+    total = by_cols = by_rows = None
+    for k0 in range(0, k_max, width):
+        k1 = min(k0 + width, k_max)
+        m0, m1 = _ceil_fraction(k0, aspect), _ceil_fraction(k1, aspect)
+        # The new columns of rows 1..m0, then the new rows whole.
         m_col, n_col, vals = (
             np.concatenate(part)
-            for part in zip(*(array.pairs(m_lo, m_hi, k1, n_lo) for m_lo, m_hi, n_lo in parts))
+            for part in zip(array.pairs(1, m0, k1, k0 + 1), array.pairs(m0 + 1, m1, k1))
         )
         enter = np.maximum(n_col, (m_col - 1) * q // p + 1)
         order = np.argsort(enter, kind="stable")
         if len(buffer) <= len(order):
             buffer = np.empty(len(order) + 1, dtype=np.complex128)
         csum = buffer[: len(order) + 1]
-        csum[0] = carry
+        csum[0] = 0 if total is None else total
         ordered = np.take(vals, order, out=csum[1:])
-        in_rows = m_col[order] <= m_half
-        in_cols = n_col[order] <= k_half
-        for acc, keep in zip(sums, (None, in_cols, in_rows, in_rows & in_cols)):
-            acc.add(ordered if keep is None else ordered[keep])
-        # The first entry of the rectangle starts the running sum as it
-        # is; adding it to a zero carry would flip a -0.0 part to +0.0.
-        start = 0 if started else 1
-        np.cumsum(csum[start:], out=csum[start:])
+        by_cols = _running_sum(by_cols, ordered[n_col[order] <= k_half])
+        by_rows = _running_sum(by_rows, ordered[m_col[order] <= m_half])
+        total = _running_sum(total, ordered)
         steps = np.arange(k0 + 1, k1 + 1)
         trace[k0:k1] = csum[np.searchsorted(enter[order], steps, side="right")]
-        carry, started = csum[-1], started or len(order) > 0
-    return trace, [(mm, nn, acc.total) for (mm, nn), acc in zip(corners, sums)]
+    corners = [
+        (m_max, k_max, trace[-1]),
+        (m_max, k_half, 0 if by_cols is None else by_cols),
+        (m_half, k_max, 0 if by_rows is None else by_rows),
+        (m_half, k_half, trace[k_half - 1]),
+    ]
+    return trace, [(mm, nn, complex(v)) for mm, nn, v in corners]
 
 
-def _corner_counts(array: DoubleArray, windows, corners) -> list:
-    """Entries of each corner rectangle, counted over the trace's windows.
+def _running_sum(carry, entries: np.ndarray):
+    """carry + entries[0] + entries[1] + ..., left to right, summed in place.
 
-    Each window part is the terms rectangle the dense pairs evaluates,
-    and a corner's entries are its nonzero cells in the leading rows and
-    columns.
+    Returns the last partial sum, which has the bits of one cumulative
+    sum over every entry so far.  A carry of None starts the sum with the
+    first entry as it is, since adding it to a zero would flip a -0.0
+    part to +0.0; no entries return the carry unchanged.
     """
-    counts = [0] * len(corners)
-    for _, k1, parts in windows:
-        for m_lo, m_hi, n_lo in parts:
-            m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-            n = np.arange(n_lo, k1 + 1, dtype=np.int64)
-            hits = array.terms(m[:, None], n) != 0
-            for i, (mm, nn) in enumerate(corners):
-                rows, cols = max(mm - m_lo + 1, 0), max(nn - n_lo + 1, 0)
-                counts[i] += int(np.count_nonzero(hits[:rows, :cols]))
-    return counts
+    if not len(entries):
+        return carry
+    if carry is not None:
+        entries[0] = carry + entries[0]
+    return np.cumsum(entries, out=entries)[-1]

@@ -1,5 +1,6 @@
 """Double arrays, partial-sum grids, and the three summation modes."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -496,8 +497,9 @@ def _reference_rectangle_trace(array, k_max, aspect):
     for kk in (k_max, k_half):
         for nn in (k_max, k_half):
             mm = -((-kk * p) // q)
-            mask = (m_col <= mm) & (n_col <= nn)
-            corners.append((mm, nn, complex(np.sum(values[mask]))))
+            # The corner's running sum in trace order, as the trace sums.
+            running = np.cumsum(values[(m_col <= mm) & (n_col <= nn)])
+            corners.append((mm, nn, complex(running[-1]) if len(running) else 0j))
     return trace, corners
 
 
@@ -541,6 +543,10 @@ def test_rectangle_trace_is_bitwise_the_whole_rectangle(
         assert trace.tobytes() == expected_trace.tobytes()
         assert [c[:2] for c in corners] == [c[:2] for c in expected_corners]
         assert np.array([c[2] for c in corners]).tobytes() == expected_values.tobytes()
+        # The on-ray corners (m_max, k_max) and (m_half, k_half) are the
+        # trace at k_max and k_half.
+        on_ray = np.array([corners[0][2], corners[3][2]])
+        assert on_ray.tobytes() == trace[[-1, max(1, k_max // 2) - 1]].tobytes()
         windows = [a + b for a, b in zip(sizes[::2], sizes[1::2])]
         if budget == small:
             assert len(windows) > 1
@@ -550,6 +556,14 @@ def test_rectangle_trace_is_bitwise_the_whole_rectangle(
             # zeros array leaves every window empty
             if aspect <= 1:
                 assert windows[0] == (name != "zeros")
+    # Accuracy apart from any order: a running sum of count entries is
+    # off by at most (count - 1) * 2**-53 * sum|a| in each part, so each
+    # part must lie within count * 2**-52 * sum|a| of the exact sum.
+    for mm, nn, value in corners:
+        entries = pairs(1, mm, nn)[2]
+        bound = len(entries) * 2.0**-52 * math.fsum(np.abs(entries))
+        assert abs(value.real - math.fsum(entries.real)) <= bound
+        assert abs(value.imag - math.fsum(entries.imag)) <= bound
 
 
 class _NegatedCesaro(CesaroArray):
@@ -567,8 +581,19 @@ def test_rectangle_trace_keeps_signed_zeros(monkeypatch):
     assert np.signbit(expected_trace.imag).all()
     for budget in (5, double_array._TRACE_ENTRIES):
         monkeypatch.setattr(double_array, "_TRACE_ENTRIES", budget)
-        trace, _ = double_array._rectangle_trace(array, 17, Fraction(1))
+        trace, corners = double_array._rectangle_trace(array, 17, Fraction(1))
         assert trace.tobytes() == expected_trace.tobytes()
+        assert np.signbit([c[2].imag for c in corners]).all()
+
+
+@pytest.mark.parametrize("k_max, aspect", [(64, Fraction(1)), (3000, Fraction(1)),
+                                           (1000, Fraction(3, 2))])
+def test_dense_rectangle_trace_evaluates_each_cell_once(k_max, aspect, monkeypatch):
+    array = CesaroArray()
+    terms, cells = array.terms, []
+    monkeypatch.setattr(array, "terms", lambda m, n: cells.append((r := terms(m, n)).size) or r)
+    double_array._rectangle_trace(array, k_max, aspect)
+    assert sum(cells) == -((-k_max * aspect.numerator) // aspect.denominator) * k_max
 
 
 def test_rectangle_trace_memory_is_windowed():
@@ -580,8 +605,7 @@ def test_rectangle_trace_memory_is_windowed():
     finally:
         tracemalloc.stop()
     # 2,472,113 divisor hits, none of them held past its window: the
-    # trace (3.2 MB), one window and four 1 MB corner leaves peak at
-    # about 22 MB.
+    # trace (3.2 MB) and one window peak at about 18 MB.
     assert peak <= 32 * 2**20, f"rectangle trace peaked at {peak / 2**20:.1f} MB"
 
 
@@ -593,5 +617,5 @@ def test_dense_rectangle_trace_memory_is_windowed():
     finally:
         tracemalloc.stop()
     # About 6.4e6 nonzero cells (Cesaro terms underflow past n = 2146),
-    # counted and then summed window by window: about 16 MB.
+    # summed window by window in one pass: about 11 MB.
     assert peak <= 24 * 2**20, f"rectangle trace peaked at {peak / 2**20:.1f} MB"
