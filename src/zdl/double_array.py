@@ -55,11 +55,12 @@ SLAB_ROWS = 64
 # Cells whose terms a slab takes in one call.
 _TERMS_CELLS = 1 << 16
 
-# Slots of row or column limits an iterated sum takes at a time.
-_LIMIT_SLOTS = 1 << 16
+# Slots of row or column limits an iterated sum takes at a time; the
+# limits and their temporaries hold about 64 B per slot, 1 MiB at once.
+_LIMIT_SLOTS = 1 << 14
 
 # Entries of one K-window of the rectangle trace; its working arrays
-# stay a few MB whatever the rectangle holds.
+# hold about 150 B per entry, 9 MiB at once, whatever the rectangle holds.
 _TRACE_ENTRIES = 1 << 16
 
 # Largest column index of LeeArray: float64 holds every n <= 2**53
@@ -226,7 +227,8 @@ class LeeArray(DoubleArray):
     to the highest row they read, at least doubling it.  Rows go up to
     MAX_GRID_CELLS, more than any window, scan or rectangle reads;
     columns read beta's closed form, no sieve, and go up to
-    MAX_LEE_COLUMN.
+    MAX_LEE_COLUMN.  A window of pairs holds about 32 B per divisor hit
+    and O(width + isqrt(n_max)) besides, however many rows it spans.
     """
 
     label = "lee"
@@ -321,8 +323,14 @@ class LeeArray(DoubleArray):
     def pairs(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1):
         """Divisor enumeration: row m holds n = m * j for n_lo <= m * j <= n_max.
 
-        The entry count, pair_bound, is checked against MAX_GRID_CELLS,
-        and the rows are sieved, before any array is allocated.
+        A row m at or above the window width w = n_max - n_lo + 1 holds at
+        most one hit, so the rows from max(w, isqrt(n_max)) up are listed
+        by quotient j, largest j (lowest row) first, and only the rows
+        below them one by one.  A window's working set is then O(hits + w
+        + isqrt(n_max)) whatever its row count: the returned arrays take
+        32 B per hit and their temporaries at most about 45 B more.  The
+        entry count, pair_bound, is checked against MAX_GRID_CELLS, and
+        the rows are sieved, before any array is allocated.
         """
         if m_lo < 1 or n_lo < 1:
             raise InvalidBoundError(
@@ -341,14 +349,28 @@ class LeeArray(DoubleArray):
             )
         if entries:
             self._liouville(m_hi)
-        mv = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-        j_lo = (n_lo - 1) // mv + 1
-        counts = n_max // mv - j_lo + 1
-        m_col = np.repeat(mv, counts)
-        offsets = np.cumsum(counts) - counts
-        j_col = np.arange(len(m_col), dtype=np.int64) - np.repeat(offsets - j_lo, counts)
+        split = min(max(m_lo, n_max - n_lo + 1, math.isqrt(max(n_max, 0))), m_hi + 1)
+        # Rows m_lo..split - 1, each over its quotients j = j_lo..n_max // m.
+        rows = np.arange(m_lo, split, dtype=np.int64)
+        j_lo = (n_lo - 1) // rows + 1
+        per_row = n_max // rows - j_lo + 1
+        # Rows split..m_hi, each quotient j over rows ceil(n_lo / j)..n_max // j.
+        if split <= m_hi:
+            quotients = np.arange(n_max // split, (n_lo - 1) // m_hi, -1, dtype=np.int64)
+        else:
+            quotients = np.zeros(0, dtype=np.int64)
+        m_first = np.maximum((n_lo - 1) // quotients + 1, split)
+        per_j = np.maximum(np.minimum(n_max // quotients, m_hi) - m_first + 1, 0)
+        m_col = np.concatenate((np.repeat(rows, per_row), _runs(m_first, per_j)))
+        j_col = np.concatenate((_runs(j_lo, per_row), np.repeat(quotients, per_j)))
         n_col = m_col * j_col
         return m_col, n_col, self._entries(m_col, j_col, n_col)
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i], starts[i] + 1, ..., counts[i] of them, for each i in turn."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(offsets - starts, counts)
 
 
 class CesaroArray(DoubleArray):
@@ -589,7 +611,8 @@ def pringsheim_trace(
     The trace walks K in windows of array.pairs (see _rectangle_trace),
     with the same bits as one pass over the whole rectangle, corners
     included.  Its memory is the 16 B per step of the trace plus one
-    window's working arrays, however many entries the rectangle holds.
+    window's working arrays, about 150 B for each of its _TRACE_ENTRIES
+    entries (9 MiB), however many entries the rectangle holds.
     A rectangle whose pair_bound exceeds MAX_GRID_CELLS is refused
     before any window.
     """
@@ -645,6 +668,12 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
             f"{bound} entries, above the limit of {MAX_GRID_CELLS}; "
             "use a smaller k_max"
         )
+    # One row limit at the highest row first, as iterated_sum does: LeeArray
+    # (whose rows past column k_max hold no hit) then sieves once, before
+    # the windows, and no sieve grown between windows pins their freed
+    # arrays in the heap.
+    top = min(m_max, k_max)
+    array.row_limits(top, top)
     k_half = max(1, k_max // 2)
     m_half = _ceil_fraction(k_half, aspect)
     p, q = aspect.numerator, aspect.denominator

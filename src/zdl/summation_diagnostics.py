@@ -60,8 +60,10 @@ _UNIFORM_EDGE_FRACTION = 0.75
 _BLOCK = SLAB_ROWS
 
 # Working cells (block heights x pairs) of one n-window of the block-tail
-# scan; its peak memory is about 41 bytes per cell.
-_SCAN_CELLS = 1 << 19
+# scan, sized to hold about 5 MiB at once: each cell takes 16 B of
+# running sums, 1 B of the mask that fills them and up to 24 B for the
+# copy and modulus taken at the ends of the tied-n groups.
+_SCAN_CELLS = (5 << 20) // (16 + 1 + 24)
 
 # Default scan reach in n for the divisor-supported array.
 LEE_DEFAULT_REACH = 10**6
@@ -519,11 +521,12 @@ def needed_uniformity_scan(
     the reach hold no terms, so their sup of 0 would certify nothing.
 
     Each M is one pass over n = M..n_reach in windows of array.pairs,
-    sized by array.pair_bound so a window holds about 2**19 cells of
-    (block height x pair) running sums.  All block heights advance
-    together and carry their sums across windows, so memory stays flat
-    in n_reach and every sup is bit for bit that of one sorted cumulative
-    sum per height over the whole reach.  A block tail whose pair_bound
+    sized by array.pair_bound so that a window's (block height x pair)
+    running sums and their temporaries, 41 B per cell, hold about 5 MiB
+    at once.  All block heights advance together and carry their sums
+    across windows, so memory stays flat in n_reach and every sup is bit
+    for bit that of one sorted cumulative sum per height over the whole
+    reach.  A block tail whose pair_bound
     exceeds MAX_GRID_CELLS, or a window whose heights x pairs do, raises
     InvalidBoundError before its arrays are allocated.
     """

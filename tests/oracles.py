@@ -6,10 +6,10 @@ series, arithmetic functions from trial division, and rectangle sums
 from closed forms derived by hand.  Agreement between these slow routes
 and the package is what the tests actually assert.
 
-The dense partial-sum grid and the whole-table iterated sum at the end
-are the exception: they are the package's former code, frozen as the
-bitwise references of the slab walk and the windowed limits that
-replaced them.
+The dense partial-sum grid, the whole-table iterated sum and the
+row-by-row divisor listing at the end are the exception: they are the
+package's former code, frozen as the bitwise references of the slab
+walk, the windowed limits and the quotient listing that replaced them.
 """
 
 import cmath
@@ -296,6 +296,28 @@ def iterated_trace_reference(limits, outer: int) -> np.ndarray:
     """The former iterated-sum trace: one cumulative sum over the whole
     limits table, slots 1..outer of limits(outer)."""
     return np.cumsum(limits(outer)[1:])
+
+
+def lee_pairs_per_row(s: complex, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1):
+    """The former LeeArray.pairs: the hits n = m * j of n_lo..n_max listed
+    row by row, each row's j rising, as (m, n, value) arrays.
+
+    liouville comes from trial division; the values are the package's
+    expression for a hit, so another listing of the same hits must
+    match these arrays bit for bit.
+    """
+    m_col, j_col = [], []
+    for m in range(m_lo, m_hi + 1):
+        j = range((n_lo - 1) // m + 1, n_max // m + 1)
+        m_col += [m] * len(j)
+        j_col += j
+    m = np.array(m_col, dtype=np.int64)
+    j = np.array(j_col, dtype=np.int64)
+    n = m * j
+    liouville = {r: liouville_brute(r) for r in set(m_col)}
+    lam = np.array([liouville[r] for r in m_col], dtype=np.int8)
+    signs = np.where(j % 2 == 1, 1.0, -1.0)
+    return m, n, lam * signs * np.exp(-complex(s) * np.log(n.astype(np.float64)))
 
 
 # Frozen targets derived from the oracles above (and only from them).

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zdl import arithmetic, cli, zeta_at_exceptional
+from zdl import arithmetic, cli, double_array, summation_diagnostics, zeta_at_exceptional
 from zdl.cli import main, parse_aspect, parse_complex, parse_positive, parse_window
 from zdl.errors import DomainError
 
@@ -537,6 +537,26 @@ def test_golden_output(capsys, name, fmt):
         _same_json(json.loads(got), json.loads(want))
     else:
         _same_csv(got, want)
+
+
+# Golden cases whose output streams through windows of LeeArray.pairs:
+# the block-tail scan, the rectangle trace and the iterated sums.
+_WINDOWED_CASES = ("uniformity_lee_zero", "uniformity_lee_s2", "modes_lee", "modes_lee_zero")
+
+
+@pytest.mark.parametrize("name", _WINDOWED_CASES)
+def test_window_budgets_leave_output_bytes_unchanged(capsys, monkeypatch, name):
+    # Unlike the golden comparison, this sees a last-bit change, and on
+    # any CPU: both runs take the same path through numpy.
+    argv, _ = GOLDEN_CASES[name]
+    code, default, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(summation_diagnostics, "_SCAN_CELLS", 27)
+    monkeypatch.setattr(double_array, "_TRACE_ENTRIES", 5)
+    monkeypatch.setattr(double_array, "_LIMIT_SLOTS", 7)
+    code, tiny, _ = run(capsys, *argv)
+    assert code == 0
+    assert tiny == default
 
 
 if __name__ == "__main__":

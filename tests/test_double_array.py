@@ -30,6 +30,7 @@ from oracles import (
     dense_grid_reference,
     grid_cell_replay,
     iterated_trace_reference,
+    lee_pairs_per_row,
     lee_term_brute,
     liouville_brute,
     slab_cell,
@@ -141,6 +142,42 @@ def test_divisor_hits_counts_lee_entries(lee, m_lo, m_hi, n_max):
         hits = lee.pair_bound(m_lo, m_hi, n_max, n_lo)
         assert hits == sum(n_max // m - (n_lo - 1) // m for m in range(m_lo, m_hi + 1))
         assert hits == len(lee.pairs(m_lo, m_hi, n_max, n_lo)[0])
+
+
+# (m_lo, m_hi, n_max, n_lo): rows m >= max(width, isqrt(n_max)) are
+# listed by quotient.  Rows all below that split, all above it, across
+# it, rows past n_max, one column, no rows, and n_lo past n_max.
+@pytest.mark.parametrize("window", [
+    (1, 30, 2000, 1),
+    (50, 400, 2000, 1990),
+    (1, 500, 10_000, 9990),
+    (1, 3000, 2000, 1901),
+    (7, 900, 1500, 1500),
+    (200, 100, 500, 1),
+    (10, 40, 300, 301),
+    (10, 40, 300, 500),
+])
+def test_lee_pairs_match_a_per_row_listing(lee, window):
+    got = lee.pairs(*window)
+    want = lee_pairs_per_row(S_TEST, *window)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def test_lee_pairs_match_a_per_row_listing_on_random_windows(lee):
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        n_max = int(rng.integers(1, 3000))
+        m_lo = int(rng.integers(1, n_max + 2))
+        m_hi = m_lo + int(rng.integers(-1, n_max + 1))
+        n_lo = int(rng.integers(max(1, n_max - 40), n_max + 2))
+        if rng.random() < 0.5:
+            n_lo = int(rng.integers(1, n_max + 2))
+        got = lee.pairs(m_lo, m_hi, n_max, n_lo)
+        want = lee_pairs_per_row(S_TEST, m_lo, m_hi, n_max, n_lo)
+        window = (m_lo, m_hi, n_max, n_lo)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), window
 
 
 # (m_lo, n_max): more rows than the cap, then 5e6 rows (below the cap)
@@ -605,8 +642,27 @@ def test_rectangle_trace_memory_is_windowed():
     finally:
         tracemalloc.stop()
     # 2,472,113 divisor hits, none of them held past its window: the
-    # trace (3.2 MB) and one window peak at about 18 MB.
-    assert peak <= 32 * 2**20, f"rectangle trace peaked at {peak / 2**20:.1f} MB"
+    # trace (3.1 MiB) and one window peak at about 12.2 MiB; listing every
+    # old row of a window took 18.1 MiB.
+    assert peak <= 16 * 2**20, f"rectangle trace peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("k0, k1", [(100_000, 105_264), (199_000, 200_000),
+                                    (150_000, 150_001)])
+def test_lee_pairs_memory_follows_the_hits(k0, k1):
+    # The old rows of one rectangle-trace window at k_max 200000.
+    lee = LeeArray(1.7 + 12.3j)
+    lee.row_limits(200_000, 200_000)
+    hits = lee.pair_bound(1, 200_000, k1, k0 + 1)
+    tracemalloc.start()
+    try:
+        lee.pairs(1, 200_000, k1, k0 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 32 B per hit returned and about 45 B of temporaries, not some 30 B
+    # for each of the 200,000 rows (6.0 MB for 2 hits when listed by row).
+    assert peak <= 96 * hits + 2**18, f"{hits} hits took {peak} B"
 
 
 def test_dense_rectangle_trace_memory_is_windowed():
