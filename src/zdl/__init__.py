@@ -2,8 +2,8 @@
 
 The package splits into five layers:
 
-* arithmetic: sieve-built tables of prime-factor counts, the Liouville
-  function, and its signed divisor transform.
+* arithmetic: one sieve of prime-factor counts and the Liouville
+  function over a row range, and its signed divisor transform.
 * dirichlet_eval: accelerated evaluation of the alternating zeta series,
   the bridge to zeta, and the partial Dirichlet sums used as references.
 * double_array: the divisor-supported array, the classical row/column
@@ -20,8 +20,7 @@ from .arithmetic import (
     beta_closed_form,
     beta_definition_table,
     build_table,
-    liouville,
-    omega,
+    sieve,
 )
 from .dirichlet_eval import (
     EXCEPTIONAL_SPACING,
@@ -58,7 +57,6 @@ from .errors import (
     OutputError,
     PoleError,
     ScanStepError,
-    TableRangeError,
     ZdlError,
 )
 from .summation_diagnostics import (
@@ -100,7 +98,6 @@ __all__ = [
     "ScanStepError",
     "SummationReport",
     "SyntheticArray",
-    "TableRangeError",
     "TheoremCheck",
     "UniformityScan",
     "Verdict",
@@ -122,15 +119,14 @@ __all__ = [
     "iterated_sum",
     "lambda_series_partial",
     "lee_verified_scan",
-    "liouville",
     "needed_uniformity_scan",
     "off_line_sweep",
-    "omega",
     "pringsheim_trace",
     "probe_limits",
     "refine",
     "row_sum",
     "scan_critical_line",
+    "sieve",
     "zeros_between",
     "zeta",
     "zeta_at_exceptional",

@@ -1,17 +1,20 @@
-"""Sieved tables of multiplicative arithmetic functions.
+"""Sieved multiplicative arithmetic functions.
 
-Builds flat integer tables, indexed by n, of
+One sieve over a row range n_lo..n_max gives, indexed by n - n_lo,
 
 * Omega(n), the number of prime factors of n counted with multiplicity,
-* the Liouville function liouville(n) = (-1)**Omega(n),
-* the signed divisor transform
-      beta(n) = sum over divisors d of n of liouville(d) * (-1)**(n/d + 1),
+* the Liouville function liouville(n) = (-1)**Omega(n).
 
-for 1 <= n <= n_max.  beta(n) collapses to a closed form: it is 1 when n
-is a perfect square, -2 when n is twice a perfect square, and 0 otherwise.
-The table stores the closed form (`beta_closed_table`, which needs no
-sieve); `beta_definition_table` re-derives every value straight from the
-divisor sum so the two routes can be played off against each other.
+Every reader of liouville calls that sieve for the rows it reads, so no
+table is handed around.  The signed divisor transform
+
+      beta(n) = sum over divisors d of n of liouville(d) * (-1)**(n/d + 1)
+
+collapses to a closed form: it is 1 when n is a perfect square, -2 when
+n is twice a perfect square, and 0 otherwise.  `beta_closed_table` reads
+the closed form, which needs no sieve; `beta_definition_table` re-derives
+every value straight from the divisor sum so the two routes can be played
+off against each other.
 """
 
 from dataclasses import dataclass
@@ -19,25 +22,23 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import InvalidBoundError, TableRangeError
+from .errors import InvalidBoundError
 
 
 @dataclass
 class ArithmeticTable:
-    """Sieve output for 1..n_max.  Index 0 of every array is unused.
+    """Sieve output for rows 0..n_max.  Index 0 of every array reads 0.
 
     Attributes:
         n_max: inclusive upper bound of the table.
         omega: int8 prime-factor counts with multiplicity, omega[1] = 0.
             Omega(n) <= 30 < 2**7 for every n <= 2**31 - 1.
         liouville: int8 values in {-1, +1}, liouville[n] = (-1)**omega[n].
-        beta: int8 values in {1, -2, 0} via the square / twice-square rule.
     """
 
     n_max: int
     omega: np.ndarray
     liouville: np.ndarray
-    beta: np.ndarray
 
 
 def _primes_up_to(limit: int) -> np.ndarray:
@@ -52,23 +53,57 @@ def _primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def build_table(n_max: int) -> ArithmeticTable:
-    """Sieve Omega, liouville and beta up to n_max.
+def sieve(n_max: int, n_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Omega and liouville for n_lo <= n <= n_max, in slots 0..n_max - n_lo.
 
-    Walks the primes p <= isqrt(n_max).  Along every p**k::p**k each adds
-    1 to Omega and divides an int32 cofactor array (initially n) by p.  A
+    Walks the primes p <= isqrt(n_max).  Along every multiple of p**k in
+    the range, from the first at or above max(n_lo, 1), each adds 1 to
+    Omega and divides an int32 cofactor array (initially n) by p.  A
     cofactor left > 1 is the one prime factor above isqrt(n_max) and adds
-    1 more to Omega.  The Python loop runs pi(isqrt(n_max)) times (303 at
-    4e6), not n_max times; the cost is the strided passes, about
-    n_max * (sum of 1/p**k) element operations.  The int32 cofactor is
-    dropped once Omega is known; the table keeps 3 bytes per n (int8
-    omega, liouville and beta).
+    1 more to Omega.  The Python loop runs over the prime powers up to
+    n_max (303 primes at 4e6), not over the rows; the cost is the strided
+    passes, about (n_max - n_lo) * (sum of 1/p**k) element operations.
+    Every row has the same value whatever range sieves it, and n = 0
+    reads 0 in both arrays.  The sieve holds 4 B per row of cofactor and
+    returns 1 B per row in each array.
 
     Args:
-        n_max: inclusive bound, 1 <= n_max <= 2**31 - 1 (int32 storage).
+        n_max: inclusive upper bound, n_max <= 2**31 - 1 (int32 storage).
+        n_lo: inclusive lower bound, 0 <= n_lo <= n_max.
 
     Returns:
-        ArithmeticTable with all three arrays populated.
+        (omega, liouville), both int8.
+
+    Raises:
+        InvalidBoundError: unless 0 <= n_lo <= n_max <= 2**31 - 1,
+            before anything is allocated.
+    """
+    if not 0 <= n_lo <= n_max:
+        raise InvalidBoundError(f"sieve needs 0 <= n_lo <= n_max, got {n_lo}..{n_max}")
+    if n_max > 2**31 - 1:
+        raise InvalidBoundError(f"sieve bound must be <= 2**31 - 1 (int32 storage), got {n_max}")
+
+    omega = np.zeros(n_max - n_lo + 1, dtype=np.int8)
+    cofactor = np.arange(n_lo, n_max + 1, dtype=np.int32)
+    first = max(n_lo, 1)
+    for p in _primes_up_to(isqrt(n_max)).tolist():
+        pk = p
+        while pk <= n_max:
+            start = -(-first // pk) * pk - n_lo
+            omega[start::pk] += 1
+            cofactor[start::pk] //= p
+            pk *= p
+    omega += cofactor > 1
+    del cofactor
+
+    liouville = 1 - 2 * (omega & 1)
+    if n_lo == 0:
+        liouville[0] = 0
+    return omega, liouville
+
+
+def build_table(n_max: int) -> ArithmeticTable:
+    """Omega and liouville for rows 0..n_max, one sieve.
 
     Raises:
         InvalidBoundError: if n_max < 1 or n_max > 2**31 - 1, before
@@ -76,24 +111,7 @@ def build_table(n_max: int) -> ArithmeticTable:
     """
     if n_max < 1:
         raise InvalidBoundError(f"table bound must be >= 1, got {n_max}")
-    if n_max > 2**31 - 1:
-        raise InvalidBoundError(f"table bound must be <= 2**31 - 1 (int32 storage), got {n_max}")
-
-    omega = np.zeros(n_max + 1, dtype=np.int8)
-    cofactor = np.arange(n_max + 1, dtype=np.int32)
-    for p in _primes_up_to(isqrt(n_max)).tolist():
-        pk = p
-        while pk <= n_max:
-            omega[pk::pk] += 1
-            cofactor[pk::pk] //= p
-            pk *= p
-    omega += cofactor > 1
-    del cofactor
-
-    liouville = 1 - 2 * (omega & 1)
-    liouville[0] = 0
-
-    return ArithmeticTable(n_max, omega, liouville, beta_closed_table(n_max))
+    return ArithmeticTable(n_max, *sieve(n_max))
 
 
 def beta_closed_table(n_max: int, n_lo: int = 0) -> np.ndarray:
@@ -109,23 +127,6 @@ def beta_closed_table(n_max: int, n_lo: int = 0) -> np.ndarray:
     twice = np.arange(isqrt((lo + 1) // 2 - 1) + 1, isqrt(n_max // 2) + 1, dtype=np.int64)
     beta[2 * twice**2 - n_lo] = -2
     return beta
-
-
-def _check_index(table: ArithmeticTable, n: int) -> None:
-    if not 1 <= n <= table.n_max:
-        raise TableRangeError(f"index {n} outside table range 1..{table.n_max}")
-
-
-def omega(table: ArithmeticTable, m: int) -> int:
-    """Prime-factor count of m with multiplicity."""
-    _check_index(table, m)
-    return int(table.omega[m])
-
-
-def liouville(table: ArithmeticTable, m: int) -> int:
-    """Liouville function (-1)**Omega(m)."""
-    _check_index(table, m)
-    return int(table.liouville[m])
 
 
 def beta_closed_form(n: int) -> int:

@@ -30,7 +30,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .arithmetic import beta_definition_table, build_table
+from .arithmetic import beta_closed_table, beta_definition_table, build_table
 from .dirichlet_eval import (
     EXCEPTIONAL_SPACING,
     beta_series_partial,
@@ -198,11 +198,12 @@ def cmd_beta(args) -> tuple:
         )
     table = build_table(args.n_max)
     by_def = beta_definition_table(table)
-    mismatch = by_def != table.beta
+    closed = beta_closed_table(args.n_max)
+    mismatch = by_def != closed
     record = {
         "n_max": args.n_max,
         "mismatches": int(np.count_nonzero(mismatch[1:])),
-        "rows": _beta_rows((table.omega, table.liouville, by_def, table.beta, mismatch)),
+        "rows": _beta_rows((table.omega, table.liouville, by_def, closed, mismatch)),
     }
     return record, _BETA_HEADER, lambda r: (row.values() for row in r["rows"])
 

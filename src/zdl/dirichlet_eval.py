@@ -25,14 +25,8 @@ from math import isqrt
 
 import numpy as np
 
-from .arithmetic import ArithmeticTable, _primes_up_to
-from .errors import (
-    DomainError,
-    ExceptionalPointError,
-    InvalidBoundError,
-    PoleError,
-    TableRangeError,
-)
+from .arithmetic import _primes_up_to, sieve
+from .errors import DomainError, ExceptionalPointError, InvalidBoundError, PoleError
 
 # Geometric rate of the acceleration scheme; one accelerated term gains
 # log10(3+sqrt(8)) ~ 0.77 digits.
@@ -341,25 +335,27 @@ def zeta_at_exceptional(k: int) -> EvalResult:
     return EvalResult(value, estimate, terms)
 
 
-def lambda_series_partial(s: complex, M: int, table: ArithmeticTable) -> complex:
+def lambda_series_partial(s: complex, M: int) -> complex:
     """Partial sum of liouville(m) / m**s for m <= M.
 
     A finite sum, evaluated for any finite s; the full series converges
     only for re(s) > 1, so results deeper in the strip are exploratory.
-    Summation is chunked with a fixed chunk size and pairwise reduction
-    inside each chunk, making the result reproducible bit for bit.
+    Each chunk of _SERIES_CHUNK rows sieves its own liouville and is
+    summed pairwise; the chunk sums are added in order, making the result
+    reproducible bit for bit.  Memory is one chunk's sieve, whatever M.
+
+    Raises:
+        InvalidBoundError: if M < 1 or M > 2**31 - 1, before anything is
+            allocated.
     """
     s = _require_point(s)
-    if M < 1:
-        raise InvalidBoundError(f"M must be at least 1, got {M}")
-    if M > table.n_max:
-        raise TableRangeError(f"M = {M} exceeds table bound {table.n_max}")
-    lam = table.liouville
+    if not 1 <= M <= 2**31 - 1:
+        raise InvalidBoundError(f"M must be in 1..2**31 - 1 (int32 sieve), got {M}")
     pieces = []
     for lo in range(1, M + 1, _SERIES_CHUNK):
         hi = min(lo + _SERIES_CHUNK - 1, M)
         m = np.arange(lo, hi + 1, dtype=np.float64)
-        pieces.append(complex(np.sum(lam[lo : hi + 1] * np.exp(-s * np.log(m)))))
+        pieces.append(complex(np.sum(sieve(hi, lo)[1] * np.exp(-s * np.log(m)))))
     total = 0j
     for piece in pieces:
         total += piece

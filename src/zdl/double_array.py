@@ -25,8 +25,8 @@ The arrays provided:
   over n**s.  The three orders agree where everything converges
   absolutely and pull apart as re(s) shrinks.  Its pairs enumerate the
   divisor hits directly instead of scanning the rectangle, and it sieves
-  liouville itself, only as far as the rows it reads: columns read
-  beta's closed form.
+  liouville itself, each row once and only as far as the rows it reads:
+  columns read beta's closed form.
 * CesaroArray: the classical counterexample whose rows sum to 2**(-m)
   (total 1) while its columns sum to (-1)**(n+1) (oscillating partials).
 * SyntheticArray: calibration rules with known behavior ("zeros" and the
@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import beta_closed_table, build_table
+from .arithmetic import beta_closed_table, sieve
 from .dirichlet_eval import eta
 from .errors import DomainError, InvalidBoundError
 
@@ -224,7 +224,8 @@ class LeeArray(DoubleArray):
     else 0.  Requires re(s) > 0.  liouville is read only at the row, and
     the array sieves it itself, 1 byte per row: terms, pairs and
     row_limits first make every refusal of the call, then grow the sieve
-    to the highest row they read, at least doubling it.  Rows go up to
+    to the highest row they read, at least doubling it and sieving only
+    the rows it lacks, so each row is sieved once.  Rows go up to
     MAX_GRID_CELLS, more than any window, scan or rectangle reads;
     columns read beta's closed form, no sieve, and go up to
     MAX_LEE_COLUMN.  A window of pairs holds about 32 B per divisor hit
@@ -248,9 +249,9 @@ class LeeArray(DoubleArray):
         """liouville at rows 0..m_max at least; a row past the sieve grows it.
 
         The sieve grows to the larger of m_max and twice its length, at
-        most MAX_GRID_CELLS, so rows read in rising order cost about two
-        sieves of the last row.  A row above MAX_GRID_CELLS is refused
-        before any sieve.
+        most MAX_GRID_CELLS, by sieving only the rows it lacks, so each
+        row is sieved once.  A row above MAX_GRID_CELLS is refused before
+        any sieve.
         """
         if m_max > MAX_GRID_CELLS:
             raise InvalidBoundError(
@@ -259,7 +260,7 @@ class LeeArray(DoubleArray):
             )
         if m_max >= len(self._lam):
             rows = min(max(m_max, 2 * len(self._lam)), MAX_GRID_CELLS)
-            self._lam = build_table(rows).liouville
+            self._lam = np.concatenate((self._lam, sieve(rows, len(self._lam))[1]))
         return self._lam
 
     @staticmethod
@@ -556,9 +557,9 @@ def iterated_sum(
     order "rows_then_m" sums each row to its limit and traces the partial
     sums over m; "columns_then_n" does the transpose.  The verdict is the
     trace classification at the given tolerance.  The limits are taken
-    _LIMIT_SLOTS at a time and summed in the trace under one running
-    sum, with the bits of one cumulative sum over all of them, so memory
-    is the trace's 16 B per step plus one window.
+    _LIMIT_SLOTS at a time and summed in the trace as _running_sum
+    carries them, with the bits of one cumulative sum over all of them,
+    so memory is the trace's 16 B per step plus one window.
     """
     _check_outer_limit(outer_limit)
     if order == "rows_then_m":
@@ -574,14 +575,11 @@ def iterated_sum(
     # its rows at once.
     limits(outer_limit, outer_limit)
     trace = np.empty(outer_limit, dtype=np.complex128)
+    carry = None
     for lo in range(1, outer_limit + 1, _LIMIT_SLOTS):
         part = trace[lo - 1 : lo - 1 + _LIMIT_SLOTS]
         part[:] = limits(lo + len(part) - 1, lo)
-        # The first slot starts the running sum as it is; adding it to a
-        # zero carry would flip a -0.0 part to +0.0.
-        if lo > 1:
-            part[0] = trace[lo - 2] + part[0]
-        np.cumsum(part, out=part)
+        carry = _running_sum(carry, part)
     verdict = classify_trace(trace, tolerance)
     return SummationReport(mode, trace, verdict, notes={"outer_limit": outer_limit})
 

@@ -14,10 +14,6 @@ class InvalidBoundError(ZdlError):
     """A table or series bound was zero, negative, or otherwise unusable."""
 
 
-class TableRangeError(ZdlError):
-    """An index fell outside the range covered by a sieved table."""
-
-
 class DomainError(ZdlError):
     """An evaluation point lies outside the operation's domain."""
 

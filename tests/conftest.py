@@ -2,17 +2,12 @@
 
 import pytest
 
-from zdl import build_table, double_array, refine, scan_critical_line
+from zdl import build_table, double_array, refine, scan_critical_line, sieve
 
 
 @pytest.fixture(scope="session")
 def table2k():
     return build_table(2000)
-
-
-@pytest.fixture(scope="session")
-def table100k():
-    return build_table(100_000)
 
 
 @pytest.fixture(scope="session")
@@ -44,23 +39,28 @@ def no_numpy(monkeypatch):
 
 @pytest.fixture
 def sieved(monkeypatch):
-    """The bound of every sieve LeeArray runs, in order."""
-    bounds = []
-    monkeypatch.setattr(double_array, "build_table", lambda n: bounds.append(n) or build_table(n))
-    return bounds
+    """The row range (n_lo, n_max) of every sieve LeeArray runs, in order."""
+    ranges = []
+
+    def record(n_max, n_lo=0):
+        ranges.append((n_lo, n_max))
+        return sieve(n_max, n_lo)
+
+    monkeypatch.setattr(double_array, "sieve", record)
+    return ranges
 
 
 @pytest.fixture
 def no_sieve(monkeypatch):
-    """The bounds LeeArray asks to sieve, each refused with an AssertionError.
+    """The row ranges LeeArray asks to sieve, each refused with an AssertionError.
 
     A refusal tested under the stub provably comes before any sieve.
     """
-    bounds = []
+    ranges = []
 
-    def refuse(n_max):
-        bounds.append(n_max)
-        raise AssertionError(f"asked to sieve {n_max} rows before the input check")
+    def refuse(n_max, n_lo=0):
+        ranges.append((n_lo, n_max))
+        raise AssertionError(f"asked to sieve rows {n_lo}..{n_max} before the input check")
 
-    monkeypatch.setattr(double_array, "build_table", refuse)
-    return bounds
+    monkeypatch.setattr(double_array, "sieve", refuse)
+    return ranges

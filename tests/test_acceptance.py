@@ -30,6 +30,7 @@ from zdl import (
     zeros_between,
     zeta,
 )
+from zdl.arithmetic import beta_closed_table
 
 from oracles import (
     FIRST_ZERO_T,
@@ -41,10 +42,10 @@ from oracles import (
 
 def test_criterion_1_beta_routes_agree_to_1e5():
     started = time.perf_counter()
-    table = build_table(100_000)
-    by_definition = beta_definition_table(table)
+    by_definition = beta_definition_table(build_table(100_000))
+    closed = beta_closed_table(100_000)
     elapsed = time.perf_counter() - started
-    mismatches = int(np.count_nonzero(by_definition[1:] != table.beta[1:]))
+    mismatches = int(np.count_nonzero(by_definition[1:] != closed[1:]))
     assert mismatches == 0
     assert elapsed < 30.0
     print(f"PASS 1/8: both beta routes agree on 1..100000 ({elapsed:.2f}s)")
@@ -66,8 +67,8 @@ def test_criterion_2_identity_residual_within_tail_bound():
     print("PASS 2/8: squared-argument identity holds at all five points")
 
 
-def test_criterion_3_liouville_series_hits_the_zeta_ratio(table1m):
-    value = lambda_series_partial(2.0, 10**6, table1m)
+def test_criterion_3_liouville_series_hits_the_zeta_ratio():
+    value = lambda_series_partial(2.0, 10**6)
     assert abs(value - LAMBDA_SERIES_AT_2) <= 1e-5
     print("PASS 3/8: Liouville series at s=2 within 1e-5 of the direct-sum target")
 

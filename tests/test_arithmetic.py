@@ -12,40 +12,60 @@ from zdl import (
     beta_closed_form,
     beta_definition_table,
     build_table,
-    liouville,
-    omega,
+    sieve,
 )
 from zdl.arithmetic import beta_closed_table
-from zdl.errors import InvalidBoundError, TableRangeError
+from zdl.errors import InvalidBoundError
 
 from oracles import beta_brute, beta_definition_per_m, liouville_brute, omega_brute
 
 
 def test_build_table_basics(table2k):
     assert table2k.n_max == 2000
-    assert omega(table2k, 1) == 0
-    assert liouville(table2k, 1) == 1
+    assert (table2k.omega[:2].tolist(), table2k.liouville[:2].tolist()) == ([0, 0], [0, 1])
+
+
+# Square and cube steps p**2 and p**3, where isqrt(n_max) admits p to the
+# loop or p**3 joins it, and products p * q of consecutive primes.
+_EDGES = (4, 6, 8, 9, 15, 25, 27, 35, 49, 77, 121, 125, 143, 343, 899, 961)
 
 
 def test_sieve_matches_trial_division_across_square_steps():
-    # The loop bound isqrt(n_max) steps at p**2 = 4, 9, 25, 49, 121 and 961,
-    # so these bounds put each such p just outside and just inside the loop.
-    for n_max in [*range(1, 131), 960, 961, 962]:
+    # Whole tables up to each bound, then windows whose ends sit just
+    # below, on and just above every edge.
+    omegas = [0] + [omega_brute(n) for n in range(1, 2001)]
+    lams = [0] + [liouville_brute(n) for n in range(1, 2001)]
+    for n_max in [*range(1, 131), 960, 961, 962, 2000]:
         table = build_table(n_max)
-        ns = range(1, n_max + 1)
-        assert table.omega.tolist() == [0] + [omega_brute(n) for n in ns], n_max
-        assert table.liouville.tolist() == [0] + [liouville_brute(n) for n in ns], n_max
+        assert table.omega.tolist() == omegas[: n_max + 1], n_max
+        assert table.liouville.tolist() == lams[: n_max + 1], n_max
+    ends = sorted({0} | {e + d for e in _EDGES for d in (-1, 0, 1)})
+    for n_lo in ends:
+        for n_max in (e for e in ends if e >= n_lo):
+            omega, lam = sieve(n_max, n_lo)
+            assert (omega.dtype, lam.dtype) == (np.int8, np.int8)
+            assert omega.tolist() == omegas[n_lo : n_max + 1], (n_lo, n_max)
+            assert lam.tolist() == lams[n_lo : n_max + 1], (n_lo, n_max)
+
+
+@given(ends=st.lists(st.integers(0, 1_000_000), min_size=2, max_size=2))
+def test_sieve_windows_are_slices_of_the_whole(table1m, ends):
+    n_lo, n_max = sorted(ends)
+    n_max = min(n_max, n_lo + 50_000)
+    omega, lam = sieve(n_max, n_lo)
+    assert omega.tobytes() == table1m.omega[n_lo : n_max + 1].tobytes()
+    assert lam.tobytes() == table1m.liouville[n_lo : n_max + 1].tobytes()
 
 
 def test_sieve_large_prime_leftovers(table1m):
-    assert omega(table1m, 999983) == 1 == omega_brute(999983)
+    assert table1m.omega[999983] == 1 == omega_brute(999983)
     for n in (2 * 499979, 3 * 333331):
-        assert omega(table1m, n) == 2 == omega_brute(n)
-        assert liouville(table1m, n) == 1 == liouville_brute(n)
+        assert table1m.omega[n] == 2 == omega_brute(n)
+        assert table1m.liouville[n] == 1 == liouville_brute(n)
 
 
-def test_sieve_keeps_three_bytes_per_n():
-    # int8 omega, liouville and beta; the int32 cofactor is the peak.
+def test_sieve_keeps_two_bytes_per_n():
+    # int8 omega and liouville; the int32 cofactor is the peak.
     n_max = 10**6
     tracemalloc.start()
     try:
@@ -56,17 +76,6 @@ def test_sieve_keeps_three_bytes_per_n():
     assert peak <= 8 * n_max, peak / n_max
     assert table.omega.dtype == np.int8
     assert table.liouville.dtype == np.int8
-    assert table.beta.dtype == np.int8
-
-
-def test_omega_matches_brute_force(table2k):
-    for n in range(1, 2001):
-        assert omega(table2k, n) == omega_brute(n)
-
-
-def test_liouville_matches_brute_force(table2k):
-    for n in range(1, 2001):
-        assert liouville(table2k, n) == liouville_brute(n)
 
 
 def test_beta_definition_table_matches_brute_force(table2k):
@@ -105,30 +114,32 @@ def test_beta_closed_table_windows_are_slices_of_the_whole():
 
 def test_beta_routes_agree_in_bulk(table2k):
     by_def = beta_definition_table(table2k)
-    assert np.array_equal(by_def[1:], table2k.beta[1:])
+    assert np.array_equal(by_def[1:], beta_closed_table(2000)[1:])
 
 
 def test_rejects_nonpositive_bound():
     with pytest.raises(InvalidBoundError):
         build_table(0)
-
-
-def test_rejects_bound_beyond_int32_before_allocating(no_numpy):
-    no_numpy(arithmetic)
-    with pytest.raises(InvalidBoundError, match=r"<= 2\*\*31 - 1"):
-        build_table(2**31)
-
-
-def test_rejects_out_of_range_index(table2k):
-    with pytest.raises(TableRangeError):
-        omega(table2k, 0)
-    with pytest.raises(TableRangeError):
-        liouville(table2k, 2001)
     with pytest.raises(InvalidBoundError):
         beta_closed_form(0)
 
 
+@pytest.mark.parametrize(
+    "n_max, n_lo, message",
+    [(2**31, 0, r"<= 2\*\*31 - 1"), (2**31, 2**31 - 5, r"<= 2\*\*31 - 1"),
+     (10, 11, "n_lo <= n_max"), (10, -1, "0 <= n_lo"), (-1, 0, "0 <= n_lo")],
+)
+def test_sieve_rejects_bad_ranges_before_allocating(no_numpy, n_max, n_lo, message):
+    no_numpy(arithmetic)
+    with pytest.raises(InvalidBoundError, match=message):
+        sieve(n_max, n_lo)
+    if n_lo == 0:
+        with pytest.raises(InvalidBoundError):
+            build_table(n_max)
+
+
 @given(a=st.integers(1, 1000), b=st.integers(1, 1000))
 def test_liouville_completely_multiplicative(table1m, a, b):
-    assert liouville(table1m, a * b) == liouville(table1m, a) * liouville(table1m, b)
-    assert omega(table1m, a * b) == omega(table1m, a) + omega(table1m, b)
+    lam, omega = table1m.liouville, table1m.omega
+    assert lam[a * b] == lam[a] * lam[b]
+    assert omega[a * b] == omega[a] + omega[b]

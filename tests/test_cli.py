@@ -560,16 +560,20 @@ def test_window_budgets_leave_output_bytes_unchanged(capsys, monkeypatch, name):
 
 
 if __name__ == "__main__":
-    # Rewrite the golden files from the code on PYTHONPATH:
-    #   PYTHONPATH=src python tests/test_cli.py
+    # Write the golden files from the code on PYTHONPATH into DIR, by
+    # default tests/golden itself:
+    #   PYTHONPATH=src python tests/test_cli.py [DIR]
+    # Two runs into fresh directories must agree byte for byte.
     import contextlib
     import io
+    import sys
 
-    GOLDEN.mkdir(exist_ok=True)
+    target = Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN
+    target.mkdir(parents=True, exist_ok=True)
     for name, (argv, status) in GOLDEN_CASES.items():
         for fmt in ("json", "csv"):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 assert main([*argv, "--format", fmt]) == status, name
             text = (err if status == 2 else out).getvalue()
-            (GOLDEN / f"{name}.{fmt}").write_text(text)
+            (target / f"{name}.{fmt}").write_text(text)

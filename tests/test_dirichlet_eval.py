@@ -12,6 +12,7 @@ from zdl import (
     EXCEPTIONAL_SPACING,
     beta_series_partial,
     bridge_factor,
+    build_table,
     default_order,
     eta,
     eta_line,
@@ -21,13 +22,7 @@ from zdl import (
     zeta_at_exceptional,
 )
 from zdl.dirichlet_eval import MAX_SQUARE_INDEX
-from zdl.errors import (
-    DomainError,
-    ExceptionalPointError,
-    InvalidBoundError,
-    PoleError,
-    TableRangeError,
-)
+from zdl.errors import DomainError, ExceptionalPointError, InvalidBoundError, PoleError
 
 from oracles import ZETA2, eta_reference, liouville_brute, zeta_em
 
@@ -249,13 +244,43 @@ def test_exceptional_rejects_pole_index():
         zeta_at_exceptional(0)
 
 
-def test_lambda_series_small_prefix(table2k):
+def test_lambda_series_small_prefix():
     manual = sum(liouville_brute(m) * m ** -2.0 for m in range(1, 51))
-    assert abs(lambda_series_partial(2.0, 50, table2k) - manual) <= 1e-14
-    with pytest.raises(TableRangeError):
-        lambda_series_partial(2.0, 4000, table2k)
+    assert abs(lambda_series_partial(2.0, 50) - manual) <= 1e-14
     with pytest.raises(InvalidBoundError):
-        lambda_series_partial(2.0, 0, table2k)
+        lambda_series_partial(2.0, 0)
+
+
+@pytest.mark.parametrize("M", [2**31, 10**12])
+def test_lambda_series_rejects_M_above_int32_before_allocating(no_numpy, M):
+    no_numpy(dirichlet_eval)
+    with pytest.raises(InvalidBoundError, match=r"2\*\*31 - 1"):
+        lambda_series_partial(2.0, M)
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5 + 14.134725j])
+def test_lambda_series_is_bitwise_the_chunked_table_sum(s):
+    # The former route: one table of 1e6 rows, chunk sums added in order.
+    lam = build_table(10**6).liouville
+    total = 0j
+    for lo in range(1, 10**6 + 1, 1 << 18):
+        hi = min(lo + (1 << 18) - 1, 10**6)
+        m = np.arange(lo, hi + 1, dtype=np.float64)
+        total += complex(np.sum(lam[lo : hi + 1] * np.exp(-s * np.log(m))))
+    got = np.complex128(lambda_series_partial(s, 10**6))
+    assert got.tobytes() == np.complex128(total).tobytes()
+
+
+def test_lambda_series_memory_is_one_chunk():
+    tracemalloc.start()
+    try:
+        lambda_series_partial(2.0, 4 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One 2**18-row chunk peaked at 10.3 MiB, as at M = 1e6; a table of
+    # 4e6 rows alone took 12 MB.
+    assert peak <= 11 * 2**20, f"lambda series peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_beta_series_is_the_paired_square_series():

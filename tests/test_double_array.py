@@ -11,8 +11,8 @@ from zdl import (
     CesaroArray,
     LeeArray,
     SyntheticArray,
+    beta_closed_form,
     build_grid,
-    build_table,
     classify_trace,
     double_array,
     eta,
@@ -338,24 +338,28 @@ def test_lee_entries_past_the_sieve_match_a_sieve_to_n(sieved):
     assert grown.terms(m, n).tobytes() == direct.terms(m, n).tobytes()
     assert _same_pairs(grown, direct, 1, 2000, n_far, n_far - 5000)
     assert len(grown.pairs(1999, 5000, 2000)[0]) == 2
-    assert sieved == [n_far, 2000]
+    assert sieved == [(1, n_far), (1, 2000)]
     assert grown.row_limits(n_far).tobytes() == whole.tobytes()
-    assert sieved == [n_far, 2000, n_far]
+    assert sieved == [(1, n_far), (1, 2000), (2001, n_far)]
     m = np.arange(n_far - 1000, n_far + 1)[:, None]
     assert grown.terms(m, n).tobytes() == direct.terms(m, n).tobytes()
     assert _same_pairs(grown, direct, 1, n_far, n_far, n_far - 5000)
-    # Columns read beta's closed form, bit for bit the sieved table's.
-    cols = np.arange(1, 100_001, dtype=np.float64)
-    by_table = build_table(100_000).beta[1:] * np.exp(-s * np.log(cols))
-    assert grown.column_limits(100_000)[1:].tobytes() == by_table.tobytes()
+    # Columns read beta's closed form, bit for bit its scalar route's.
+    cols = np.arange(1, 100_001)
+    beta = np.array([beta_closed_form(n) for n in cols], dtype=np.int8)
+    by_scalar = beta * np.exp(-s * np.log(cols.astype(np.float64)))
+    assert grown.column_limits(100_000)[1:].tobytes() == by_scalar.tobytes()
 
 
-def test_lee_sieve_at_least_doubles_as_rows_climb(sieved):
+def test_lee_sieves_each_row_once_as_rows_climb(sieved):
     lee = LeeArray(0.5 + 14.134725j)
     for lo in range(1, 2**20 + 1, 64):
         lee.row_limits(lo + 63, lo)
-    assert len(sieved) <= 21, sieved
-    assert sieved == sorted(sieved) and sieved[-1] >= 2**20
+    # Contiguous segments from row 1, none overlapping, that make up the
+    # whole sieve; growth at least doubles it, so there are few of them.
+    assert [lo for lo, _ in sieved] == [1] + [hi + 1 for _, hi in sieved[:-1]], sieved
+    assert sum(hi - lo + 1 for lo, hi in sieved) + 1 == len(lee._liouville(0))
+    assert sieved[-1][1] >= 2**20 and len(sieved) <= 21, sieved
 
 
 def test_synthetic_rejects_unknown_rule():

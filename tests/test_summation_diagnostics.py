@@ -12,12 +12,12 @@ from zdl import (
     LeeArray,
     SyntheticArray,
     build_grid,
-    build_table,
     classify,
     diagnostics_report,
     lee_verified_scan,
     needed_uniformity_scan,
     probe_limits,
+    sieve,
 )
 from zdl import double_array, summation_diagnostics
 from zdl.cli import _jsonable
@@ -258,7 +258,7 @@ def test_scan_input_guards(no_sieve, monkeypatch):
         lee_verified_scan(lee, (16,), block=1 << 14, m_reach=1 << 13)
     assert no_sieve == []
     # The sieve follows the rows read, not the columns.
-    monkeypatch.setattr(double_array, "build_table", build_table)
+    monkeypatch.setattr(double_array, "sieve", sieve)
     assert lee_verified_scan(lee, (1999,), block=8, m_reach=64).sup_trace[0] > 0
 
 
