@@ -15,13 +15,7 @@ The package splits into five layers:
   series, the experimental regime for the array diagnostics.
 """
 
-from .arithmetic import (
-    ArithmeticTable,
-    beta_closed_form,
-    beta_definition_table,
-    build_table,
-    sieve,
-)
+from .arithmetic import beta_closed_form, beta_definition_table, sieve
 from .dirichlet_eval import (
     EXCEPTIONAL_SPACING,
     EvalResult,
@@ -81,7 +75,6 @@ from .zero_finder import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithmeticTable",
     "CesaroArray",
     "DomainError",
     "EXCEPTIONAL_SPACING",
@@ -108,7 +101,6 @@ __all__ = [
     "beta_series_partial",
     "bridge_factor",
     "build_grid",
-    "build_table",
     "classify",
     "classify_trace",
     "default_order",

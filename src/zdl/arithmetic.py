@@ -17,28 +17,11 @@ every value straight from the divisor sum so the two routes can be played
 off against each other.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
 from .errors import InvalidBoundError
-
-
-@dataclass
-class ArithmeticTable:
-    """Sieve output for rows 0..n_max.  Index 0 of every array reads 0.
-
-    Attributes:
-        n_max: inclusive upper bound of the table.
-        omega: int8 prime-factor counts with multiplicity, omega[1] = 0.
-            Omega(n) <= 30 < 2**7 for every n <= 2**31 - 1.
-        liouville: int8 values in {-1, +1}, liouville[n] = (-1)**omega[n].
-    """
-
-    n_max: int
-    omega: np.ndarray
-    liouville: np.ndarray
 
 
 def _primes_up_to(limit: int) -> np.ndarray:
@@ -72,7 +55,8 @@ def sieve(n_max: int, n_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
         n_lo: inclusive lower bound, 0 <= n_lo <= n_max.
 
     Returns:
-        (omega, liouville), both int8.
+        (omega, liouville), both int8: Omega(n) <= 30 < 2**7 for every
+        n <= 2**31 - 1.
 
     Raises:
         InvalidBoundError: unless 0 <= n_lo <= n_max <= 2**31 - 1,
@@ -100,18 +84,6 @@ def sieve(n_max: int, n_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
     if n_lo == 0:
         liouville[0] = 0
     return omega, liouville
-
-
-def build_table(n_max: int) -> ArithmeticTable:
-    """Omega and liouville for rows 0..n_max, one sieve.
-
-    Raises:
-        InvalidBoundError: if n_max < 1 or n_max > 2**31 - 1, before
-            anything is allocated.
-    """
-    if n_max < 1:
-        raise InvalidBoundError(f"table bound must be >= 1, got {n_max}")
-    return ArithmeticTable(n_max, *sieve(n_max))
 
 
 def beta_closed_table(n_max: int, n_lo: int = 0) -> np.ndarray:
@@ -148,31 +120,32 @@ def beta_closed_form(n: int) -> int:
     return 0
 
 
-def beta_definition_table(table: ArithmeticTable) -> np.ndarray:
+def beta_definition_table(liouville: np.ndarray) -> np.ndarray:
     """Divisor-sum route for every n at once.
 
-    Accumulates liouville(m) * (-1)**(l+1) into slot m*l for all pairs
-    m*l <= n_max.  This enumerates exactly the divisor pairs of each n,
-    so it is the definition, vectorized; it never consults the square /
-    twice-square rule.  Each step is one strided integer add: a row m <=
-    isqrt(n_max) takes its columns l = 1..n_max // m at once, and the
-    rows above, whose quotients n_max // m all lie below isqrt(n_max) + 1,
-    are grouped by column l instead, every row m with l <= n_max // m in
-    one add.  The Python loop runs about 2 * isqrt(n_max) times.
+    liouville holds rows 0..n_max as sieve(n_max) returns it; n_max is
+    its length less one.  Accumulates liouville(m) * (-1)**(l+1) into
+    slot m*l for all pairs m*l <= n_max.  This enumerates exactly the
+    divisor pairs of each n, so it is the definition, vectorized; it
+    never consults the square / twice-square rule.  Each step is one
+    strided integer add: a row m <= isqrt(n_max) takes its columns l =
+    1..n_max // m at once, and the rows above, whose quotients n_max // m
+    all lie below isqrt(n_max) + 1, are grouped by column l instead,
+    every row m with l <= n_max // m in one add.  The Python loop runs
+    about 2 * isqrt(n_max) times.
 
     Returns:
         int64 array b with b[n] = beta(n) for 1 <= n <= n_max, b[0] = 0.
     """
-    n_max = table.n_max
+    n_max = len(liouville) - 1
     acc = np.zeros(n_max + 1, dtype=np.int64)
     alt = np.empty(n_max + 1, dtype=np.int64)
     alt[1::2] = 1
     alt[0::2] = -1
-    lam = table.liouville
     root = isqrt(n_max)
     for m in range(1, root + 1):
-        acc[m::m] += int(lam[m]) * alt[1 : n_max // m + 1]
+        acc[m::m] += int(liouville[m]) * alt[1 : n_max // m + 1]
     for l in range(1, n_max // (root + 1) + 1):
         last = n_max // l
-        acc[l * (root + 1) : l * last + 1 : l] += int(alt[l]) * lam[root + 1 : last + 1]
+        acc[l * (root + 1) : l * last + 1 : l] += int(alt[l]) * liouville[root + 1 : last + 1]
     return acc

@@ -15,7 +15,8 @@ differences with one Richardson step.
 
 Also provided: partial sums of the Liouville Dirichlet series and of the
 sparse signed-square series, the two series whose comparison drives the
-double-array experiments.
+double-array experiments.  Both stream by one rule: each chunk of terms
+is one np.sum, and the chunk sums are added in order.
 """
 
 import cmath
@@ -46,14 +47,15 @@ _MAX_ORDER = 380
 # Guard radius around exceptional points for the bridge evaluator.
 EXCEPTIONAL_RADIUS = 1e-8
 
+# Rows per chunk of lambda_series_partial.  Each chunk is one np.sum, so
+# the value sets the grouping of the sum, and so its bits.
 _SERIES_CHUNK = 1 << 18
 
 # Square roots per chunk of beta_series_partial: a chunk holds about
-# 1.7 times as many terms, squares and twice-squares.
+# 1.7 times as many terms, squares and twice-squares.  As _SERIES_CHUNK
+# does for lambda, the value sets the grouping of the sum, and so its
+# bits for K >= 46341, where the terms first span two chunks.
 _SQUARE_CHUNK = 1 << 16
-
-# Largest run of entries a _PairwiseSum hands to np.sum at once.
-_LEAF = 1 << 16
 
 # Rows of t per eta_line chunk.  Its buffers hold pi(order) * _LINE_CHUNK
 # angles plus order * _LINE_CHUNK complex phases: 13.6 MB at order 186
@@ -335,14 +337,40 @@ def zeta_at_exceptional(k: int) -> EvalResult:
     return EvalResult(value, estimate, terms)
 
 
+def _add_in_order(chunk_sums) -> complex:
+    """The chunk sums added left to right, starting from 0j.
+
+    The rule both reference series follow: each chunk is one np.sum,
+    and the chunk sums meet here one at a time, so a result's bits are
+    set by the chunk size alone.  The builtin sum is not used, as from
+    Python 3.12 it compensates float sums.
+    """
+    total = 0j
+    for chunk_sum in chunk_sums:
+        total += chunk_sum
+    return total
+
+
+def _liouville_chunks(s: complex, M: int):
+    """Per-chunk sums of liouville(m) / m**s for m <= M, in increasing m.
+
+    Each chunk of _SERIES_CHUNK rows sieves its own liouville.  Only its
+    sum is yielded, so its terms are freed before the next chunk is built.
+    """
+    for lo in range(1, M + 1, _SERIES_CHUNK):
+        hi = min(lo + _SERIES_CHUNK - 1, M)
+        m = np.arange(lo, hi + 1, dtype=np.float64)
+        yield complex(np.sum(sieve(hi, lo)[1] * np.exp(-s * np.log(m))))
+
+
 def lambda_series_partial(s: complex, M: int) -> complex:
     """Partial sum of liouville(m) / m**s for m <= M.
 
     A finite sum, evaluated for any finite s; the full series converges
     only for re(s) > 1, so results deeper in the strip are exploratory.
-    Each chunk of _SERIES_CHUNK rows sieves its own liouville and is
-    summed pairwise; the chunk sums are added in order, making the result
-    reproducible bit for bit.  Memory is one chunk's sieve, whatever M.
+    Summed chunk by chunk (_SERIES_CHUNK rows, each one np.sum, the
+    chunk sums added in order), so the result is reproducible bit for
+    bit.  Memory is one chunk's sieve, whatever M.
 
     Raises:
         InvalidBoundError: if M < 1 or M > 2**31 - 1, before anything is
@@ -351,89 +379,16 @@ def lambda_series_partial(s: complex, M: int) -> complex:
     s = _require_point(s)
     if not 1 <= M <= 2**31 - 1:
         raise InvalidBoundError(f"M must be in 1..2**31 - 1 (int32 sieve), got {M}")
-    pieces = []
-    for lo in range(1, M + 1, _SERIES_CHUNK):
-        hi = min(lo + _SERIES_CHUNK - 1, M)
-        m = np.arange(lo, hi + 1, dtype=np.float64)
-        pieces.append(complex(np.sum(sieve(hi, lo)[1] * np.exp(-s * np.log(m)))))
-    total = 0j
-    for piece in pieces:
-        total += piece
-    return total
-
-
-def _pairwise_plan(count: int, leaf: int):
-    """np.sum's pairwise tree over count entries, in postfix order.
-
-    numpy sums more than 64 complex entries as the sum of its first
-    4 * (count // 8) entries plus the sum of the rest, each split the
-    same way.  The plan yields the size of every run of at most leaf
-    entries (leaf >= 64) that np.sum takes whole, left to right, and
-    None where the last two partial sums are added.
-    """
-    if count <= leaf:
-        if count:
-            yield count
-        return
-    k = 4 * (count // 8)
-    yield from _pairwise_plan(k, leaf)
-    yield from _pairwise_plan(count - k, leaf)
-    yield None
-
-
-class _PairwiseSum:
-    """np.sum of count complex entries fed in chunks, with the same bits.
-
-    beta_series_partial is its one user: it keeps the bits of the
-    series as one np.sum while the terms stream.  Entries go through one
-    leaf buffer of at most leaf entries; each full leaf is one np.sum,
-    and finished subtrees are added as _pairwise_plan says, so only
-    O(log count) partial sums are held.
-    """
-
-    def __init__(self, count: int, leaf: int = _LEAF):
-        self._plan = _pairwise_plan(count, leaf)
-        self._leaf = np.empty(min(count, leaf), dtype=np.complex128)
-        self._filled = 0
-        self._partials = []
-        self._next_leaf()
-
-    def _next_leaf(self) -> None:
-        for size in self._plan:
-            if size is not None:
-                self._size = size
-                return
-            right = self._partials.pop()
-            self._partials[-1] = self._partials[-1] + right
-        self._size = 0
-
-    def add(self, values: np.ndarray) -> None:
-        while len(values):
-            if not self._size:
-                raise ValueError("more entries than the declared count")
-            take = min(self._size - self._filled, len(values))
-            self._leaf[self._filled : self._filled + take] = values[:take]
-            values = values[take:]
-            self._filled += take
-            if self._filled == self._size:
-                self._partials.append(np.sum(self._leaf[: self._size]))
-                self._filled = 0
-                self._next_leaf()
-
-    @property
-    def total(self) -> complex:
-        if self._size:
-            raise ValueError("fewer entries than the declared count")
-        return complex(self._partials[0]) if self._partials else 0j
+    return _add_in_order(_liouville_chunks(s, M))
 
 
 def _signed_square_chunks(s: complex, K: int):
-    """The signed-square series' terms in increasing n, a chunk at a time.
+    """Per-chunk sums of the signed-square series, in increasing n.
 
     A chunk covers n_lo < n <= n_hi with isqrt(n_hi) = isqrt(n_lo) +
     _SQUARE_CHUNK: the squares k*k and twice-squares 2*j*j there (k, j
-    <= K), merged by n.  The two never tie, as k*k = 2*j*j has no
-    solution in positive integers.
+    <= K), merged by n and summed in that order.  The two never tie, as
+    k*k = 2*j*j has no solution in positive integers.
     """
     twice = -2.0 * cmath.exp(-s * math.log(2.0))
     n_lo, n_end = 0, 2 * K * K
@@ -446,7 +401,7 @@ def _signed_square_chunks(s: complex, K: int):
         # complex multiply takes another loop, with other rounding.
         jpow = np.exp(-2.0 * s * np.log(j))
         terms = np.concatenate([np.exp(-2.0 * s * np.log(k)), twice * jpow])
-        yield terms[np.argsort(ns, kind="stable")]
+        yield complex(np.sum(terms[np.argsort(ns, kind="stable")]))
         n_lo = n_hi
 
 
@@ -457,18 +412,16 @@ def beta_series_partial(s: complex, K: int) -> complex:
     square k*k and -2 at each twice-square 2*k*k.  Both families are
     truncated at square-root index K and the terms are added in increasing
     order of the underlying index n, matching how the series is written
-    out term by term.  The terms stream through a _PairwiseSum in chunks
-    over n, so the sum has the bits of one np.sum over all 2K terms in
-    that order while memory stays a few MB.  K must lie in
-    1..MAX_SQUARE_INDEX = 2**22, which bounds the time; a larger K raises
-    InvalidBoundError.
+    out term by term.  It is summed by lambda_series_partial's rule: each
+    chunk of _SQUARE_CHUNK square roots is one np.sum in n order, and the
+    chunk sums are added in order, so memory stays a few MB.  For K <=
+    46340 (2*K*K <= 2**32) the first chunk holds every term, and the sum
+    is one np.sum over all 2K terms.  K must lie in 1..MAX_SQUARE_INDEX =
+    2**22, which bounds the time; a larger K raises InvalidBoundError.
     """
     s = _require_point(s)
     if s.real <= 0.0:
         raise DomainError(f"series requires re(s) > 0, got {s}")
     if not 1 <= K <= MAX_SQUARE_INDEX:
         raise InvalidBoundError(f"K must be in 1..{MAX_SQUARE_INDEX}, got {K}")
-    total = _PairwiseSum(2 * K)
-    for terms in _signed_square_chunks(s, K):
-        total.add(terms)
-    return total.total
+    return _add_in_order(_signed_square_chunks(s, K))

@@ -1,18 +1,20 @@
-"""Shared fixtures: sieve tables, the first refined zero, numpy and sieve stubs."""
+"""Shared fixtures: whole sieves, the first refined zero, numpy and sieve stubs."""
 
 import pytest
 
-from zdl import build_table, double_array, refine, scan_critical_line, sieve
+from zdl import double_array, refine, scan_critical_line, sieve
 
 
 @pytest.fixture(scope="session")
-def table2k():
-    return build_table(2000)
+def sieve2k():
+    """(omega, liouville) for rows 0..2000."""
+    return sieve(2000)
 
 
 @pytest.fixture(scope="session")
-def table1m():
-    return build_table(1_000_000)
+def sieve1m():
+    """(omega, liouville) for rows 0..1_000_000."""
+    return sieve(1_000_000)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,6 @@ from zdl import (
     beta_series_partial,
     bridge_factor,
     build_grid,
-    build_table,
     classify,
     exceptional_zero,
     iterated_sum,
@@ -27,6 +26,7 @@ from zdl import (
     needed_uniformity_scan,
     pringsheim_trace,
     probe_limits,
+    sieve,
     zeros_between,
     zeta,
 )
@@ -42,7 +42,7 @@ from oracles import (
 
 def test_criterion_1_beta_routes_agree_to_1e5():
     started = time.perf_counter()
-    by_definition = beta_definition_table(build_table(100_000))
+    by_definition = beta_definition_table(sieve(100_000)[1])
     closed = beta_closed_table(100_000)
     elapsed = time.perf_counter() - started
     mismatches = int(np.count_nonzero(by_definition[1:] != closed[1:]))

@@ -1,4 +1,4 @@
-"""Sieve table and the divisor-transform coefficient against brute force."""
+"""The sieve and the divisor-transform coefficient against brute force."""
 
 import math
 import tracemalloc
@@ -11,7 +11,6 @@ from zdl import (
     arithmetic,
     beta_closed_form,
     beta_definition_table,
-    build_table,
     sieve,
 )
 from zdl.arithmetic import beta_closed_table
@@ -20,9 +19,10 @@ from zdl.errors import InvalidBoundError
 from oracles import beta_brute, beta_definition_per_m, liouville_brute, omega_brute
 
 
-def test_build_table_basics(table2k):
-    assert table2k.n_max == 2000
-    assert (table2k.omega[:2].tolist(), table2k.liouville[:2].tolist()) == ([0, 0], [0, 1])
+def test_sieve_rows_start_at_zero(sieve2k):
+    omega, lam = sieve2k
+    assert (len(omega), len(lam)) == (2001, 2001)
+    assert (omega[:2].tolist(), lam[:2].tolist()) == ([0, 0], [0, 1])
 
 
 # Square and cube steps p**2 and p**3, where isqrt(n_max) admits p to the
@@ -31,14 +31,14 @@ _EDGES = (4, 6, 8, 9, 15, 25, 27, 35, 49, 77, 121, 125, 143, 343, 899, 961)
 
 
 def test_sieve_matches_trial_division_across_square_steps():
-    # Whole tables up to each bound, then windows whose ends sit just
+    # Whole sieves up to each bound, then windows whose ends sit just
     # below, on and just above every edge.
     omegas = [0] + [omega_brute(n) for n in range(1, 2001)]
     lams = [0] + [liouville_brute(n) for n in range(1, 2001)]
     for n_max in [*range(1, 131), 960, 961, 962, 2000]:
-        table = build_table(n_max)
-        assert table.omega.tolist() == omegas[: n_max + 1], n_max
-        assert table.liouville.tolist() == lams[: n_max + 1], n_max
+        omega, lam = sieve(n_max)
+        assert omega.tolist() == omegas[: n_max + 1], n_max
+        assert lam.tolist() == lams[: n_max + 1], n_max
     ends = sorted({0} | {e + d for e in _EDGES for d in (-1, 0, 1)})
     for n_lo in ends:
         for n_max in (e for e in ends if e >= n_lo):
@@ -49,19 +49,20 @@ def test_sieve_matches_trial_division_across_square_steps():
 
 
 @given(ends=st.lists(st.integers(0, 1_000_000), min_size=2, max_size=2))
-def test_sieve_windows_are_slices_of_the_whole(table1m, ends):
+def test_sieve_windows_are_slices_of_the_whole(sieve1m, ends):
     n_lo, n_max = sorted(ends)
     n_max = min(n_max, n_lo + 50_000)
     omega, lam = sieve(n_max, n_lo)
-    assert omega.tobytes() == table1m.omega[n_lo : n_max + 1].tobytes()
-    assert lam.tobytes() == table1m.liouville[n_lo : n_max + 1].tobytes()
+    assert omega.tobytes() == sieve1m[0][n_lo : n_max + 1].tobytes()
+    assert lam.tobytes() == sieve1m[1][n_lo : n_max + 1].tobytes()
 
 
-def test_sieve_large_prime_leftovers(table1m):
-    assert table1m.omega[999983] == 1 == omega_brute(999983)
+def test_sieve_large_prime_leftovers(sieve1m):
+    omega, lam = sieve1m
+    assert omega[999983] == 1 == omega_brute(999983)
     for n in (2 * 499979, 3 * 333331):
-        assert table1m.omega[n] == 2 == omega_brute(n)
-        assert table1m.liouville[n] == 1 == liouville_brute(n)
+        assert omega[n] == 2 == omega_brute(n)
+        assert lam[n] == 1 == liouville_brute(n)
 
 
 def test_sieve_keeps_two_bytes_per_n():
@@ -69,27 +70,27 @@ def test_sieve_keeps_two_bytes_per_n():
     n_max = 10**6
     tracemalloc.start()
     try:
-        table = build_table(n_max)
+        omega, lam = sieve(n_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n_max, peak / n_max
-    assert table.omega.dtype == np.int8
-    assert table.liouville.dtype == np.int8
+    assert omega.dtype == np.int8
+    assert lam.dtype == np.int8
 
 
-def test_beta_definition_table_matches_brute_force(table2k):
-    by_def = beta_definition_table(table2k)
+def test_beta_definition_table_matches_brute_force(sieve2k):
+    by_def = beta_definition_table(sieve2k[1])
     assert by_def[1:].tolist() == [beta_brute(n) for n in range(1, 2001)]
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 10, 99, 100, 1000, 4096, 4097, 20011])
 def test_beta_definition_table_is_the_per_row_sum(n_max):
     # Rows grouped by quotient n_max // m give the row-by-row integers.
-    table = build_table(n_max)
-    by_def = beta_definition_table(table)
+    lam = sieve(n_max)[1]
+    by_def = beta_definition_table(lam)
     assert by_def.dtype == np.int64
-    assert by_def.tolist() == beta_definition_per_m(table.liouville, n_max)
+    assert by_def.tolist() == beta_definition_per_m(lam, n_max)
 
 
 def test_beta_closed_form_trichotomy():
@@ -112,14 +113,12 @@ def test_beta_closed_table_windows_are_slices_of_the_whole():
         assert (window.dtype, window.tolist()) == (np.int8, whole[lo : hi + 1].tolist())
 
 
-def test_beta_routes_agree_in_bulk(table2k):
-    by_def = beta_definition_table(table2k)
+def test_beta_routes_agree_in_bulk(sieve2k):
+    by_def = beta_definition_table(sieve2k[1])
     assert np.array_equal(by_def[1:], beta_closed_table(2000)[1:])
 
 
 def test_rejects_nonpositive_bound():
-    with pytest.raises(InvalidBoundError):
-        build_table(0)
     with pytest.raises(InvalidBoundError):
         beta_closed_form(0)
 
@@ -133,13 +132,10 @@ def test_sieve_rejects_bad_ranges_before_allocating(no_numpy, n_max, n_lo, messa
     no_numpy(arithmetic)
     with pytest.raises(InvalidBoundError, match=message):
         sieve(n_max, n_lo)
-    if n_lo == 0:
-        with pytest.raises(InvalidBoundError):
-            build_table(n_max)
 
 
 @given(a=st.integers(1, 1000), b=st.integers(1, 1000))
-def test_liouville_completely_multiplicative(table1m, a, b):
-    lam, omega = table1m.liouville, table1m.omega
+def test_liouville_completely_multiplicative(sieve1m, a, b):
+    omega, lam = sieve1m
     assert lam[a * b] == lam[a] * lam[b]
     assert omega[a * b] == omega[a] + omega[b]

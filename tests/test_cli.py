@@ -84,8 +84,8 @@ def test_beta_mismatch_forces_exit_one(capsys, monkeypatch):
 
     real = cli_module.beta_definition_table
 
-    def broken(table):
-        out = real(table).copy()
+    def broken(liouville):
+        out = real(liouville).copy()
         out[5] += 1
         return out
 
@@ -231,8 +231,10 @@ def test_zeros_command_past_the_doubled_order_cap(capsys):
         ("modes", "--array", "cesaro", "--k-max", "9000"),
         # a zero-scan grid of 1e13 points, above MAX_SCAN_POINTS
         ("zeros", "--t-lo", "10", "--t-hi", "20", "--step", "1e-12"),
-        # one row past MAX_BETA_ROWS
+        # one row past MAX_BETA_ROWS, and tables with no row
         ("beta", "--n-max", "1048577"),
+        ("beta", "--n-max", "0"),
+        ("beta", "--n-max", "-1"),
     ],
 )
 def test_refused_bounds_exit_two(capsys, argv):
@@ -242,20 +244,22 @@ def test_refused_bounds_exit_two(capsys, argv):
     assert json.loads(err)["error"] == "InvalidBoundError"
 
 
-def test_beta_table_is_refused_before_the_sieve(capsys, no_numpy):
+@pytest.mark.parametrize(
+    "n_max, message",
+    [("5000000", "beta --n-max must be <= 2**20 (1048576) rows, got 5000000"),
+     ("0", "beta --n-max must be >= 1, got 0"),
+     ("-1", "beta --n-max must be >= 1, got -1")],
+)
+def test_beta_table_is_refused_before_the_sieve(capsys, no_numpy, n_max, message):
     # The rows stream, so the cap bounds time: 2**20 rows take about 13 s
     # as JSON on 2 vCPUs, though the sieve itself accepts any bound up to
-    # 2**31 - 1.
+    # 2**31 - 1.  The sieve would also take n_max = 0, a table of no rows.
     no_numpy(cli)
     no_numpy(arithmetic)
-    code, out, err = run(capsys, "beta", "--n-max", "5000000")
+    code, out, err = run(capsys, "beta", "--n-max", n_max)
     assert code == 2
     assert out == ""
-    assert json.loads(err) == {
-        "schema": 1,
-        "error": "InvalidBoundError",
-        "message": "beta --n-max must be <= 2**20 (1048576) rows, got 5000000",
-    }
+    assert json.loads(err) == {"schema": 1, "error": "InvalidBoundError", "message": message}
 
 
 @pytest.mark.parametrize(
@@ -439,6 +443,8 @@ GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "beta": (("beta", "--n-max", "30"), 0),
     "identity": (("identity", "--s", "0.75", "--K", "1000"), 0),
+    # Three chunks of the signed-square series, so a moved chunk sum shows.
+    "identity_chunks": (("identity", "--s", "0.6+3i", "--K", "100000"), 0),
     "modes_lee": (("modes", "--array", "lee", "--s", "2", "--outer", "2000",
                    "--k-max", "500"), 0),
     "modes_lee_zero": (("modes", "--array", "lee", "--s", "0.5+14.134725i",
