@@ -7,10 +7,11 @@ The package splits into five layers:
 * dirichlet_eval: accelerated evaluation of the alternating zeta series,
   the bridge to zeta, and the partial Dirichlet sums used as references.
 * double_array: the divisor-supported array, the classical row/column
-  counterexample, synthetic calibration arrays, and the three summation
-  modes with convergence verdicts.
-* summation_diagnostics: limit probes, uniformity scans, and the
-  hypothesis-by-hypothesis interchange-theorem classifier.
+  counterexample, synthetic calibration arrays, the slabs of rectangle
+  partial sums, and the three summation modes with convergence verdicts.
+* summation_diagnostics: uniformity scans, and one walk over a window's
+  slabs that gives the limit probes and checks the interchange theorems
+  hypothesis by hypothesis.
 * zero_finder: critical-line and exceptional zeros of the alternating
   series, the experimental regime for the array diagnostics.
 """
@@ -32,15 +33,15 @@ from .dirichlet_eval import (
 from .double_array import (
     CesaroArray,
     LeeArray,
-    PartialSumGrid,
     SummationReport,
     SyntheticArray,
     Verdict,
-    build_grid,
     classify_trace,
     iterated_sum,
     pringsheim_trace,
     row_sum,
+    slab,
+    slabs,
 )
 from .errors import (
     DomainError,
@@ -57,11 +58,10 @@ from .summation_diagnostics import (
     LimitProbe,
     TheoremCheck,
     UniformityScan,
-    classify,
     diagnostics_report,
     lee_verified_scan,
     needed_uniformity_scan,
-    probe_limits,
+    probe_window,
 )
 from .zero_finder import (
     ZeroCandidate,
@@ -86,7 +86,6 @@ __all__ = [
     "LimitProbe",
     "NotAZeroError",
     "OutputError",
-    "PartialSumGrid",
     "PoleError",
     "ScanStepError",
     "SummationReport",
@@ -100,8 +99,6 @@ __all__ = [
     "beta_definition_table",
     "beta_series_partial",
     "bridge_factor",
-    "build_grid",
-    "classify",
     "classify_trace",
     "default_order",
     "diagnostics_report",
@@ -114,11 +111,13 @@ __all__ = [
     "needed_uniformity_scan",
     "off_line_sweep",
     "pringsheim_trace",
-    "probe_limits",
+    "probe_window",
     "refine",
     "row_sum",
     "scan_critical_line",
     "sieve",
+    "slab",
+    "slabs",
     "zeros_between",
     "zeta",
     "zeta_at_exceptional",

@@ -5,7 +5,7 @@ pairs.  Every array meets one contract (DoubleArray): vectorized entries
 terms(m, n), the nonzero entries of a rectangle m_lo..m_hi x n_lo..n_max
 as COO arrays pairs(m_lo, m_hi, n_max, n_lo=1), the bound pair_bound on
 what such a call holds, and the row and column limits row_limits and
-column_limits.  Grids, the rectangle trace and both uniformity scans
+column_limits.  Slabs, the rectangle trace and both uniformity scans
 reach an array only through that contract, so each keeps one code path
 for every array; the block-tail scan walks n, and the rectangle trace K,
 in windows of pairs sized by pair_bound.
@@ -452,16 +452,19 @@ class SyntheticArray(DoubleArray):
         return out
 
 
-@dataclass
-class PartialSumGrid:
-    """Rectangle partial sums S(M, N) for M <= m_max, N <= n_max, in slabs of rows.
+def slab(
+    array: DoubleArray, lo: int, m_max: int, above: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """S(m, 0..n) for rows m = lo..lo + SLAB_ROWS - 1 (at most m_max).
 
-    No cell is stored.  S is built in slabs of SLAB_ROWS rows: each slab
-    takes its rows' terms, sums them along n from an explicit +0 in
-    column 0, adds the last row of the slab above (zeros above the first)
-    to its first row and sums down m.  Those are the additions, in the
-    order, of one cumulative sum along rows and then down columns over
-    the whole grid with a zero row 0 and column 0, which realizes
+    above is S(lo - 1, 0..n); its length sets n.  The slab is written
+    into out when given, an array of that shape.
+
+    The slab takes its rows' terms, sums them along n from an explicit
+    +0 in column 0, adds the row above to its first row and sums down m.
+    Those are the additions, in the order, of one cumulative sum along
+    rows and then down columns over the whole window with a zero row 0
+    and column 0, which realizes
 
         S(M, N) = S(M-1, N) + S(M, N-1) - S(M-1, N-1) + a(M, N)
 
@@ -470,62 +473,36 @@ class PartialSumGrid:
     whatever slab computes it, and a replay of those operations must
     match it bit for bit.
     """
-
-    array: DoubleArray
-    m_max: int
-    n_max: int
-
-    def slab(self, lo: int, above: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """S(m, 0..n) for rows m = lo..lo + SLAB_ROWS - 1 (at most m_max).
-
-        above is S(lo - 1, 0..n); its length sets n.  The slab is written
-        into out when given, an array of that shape.
-        """
-        n = len(above) - 1
-        rows = min(SLAB_ROWS, self.m_max + 1 - lo)
-        sums = np.empty((rows, n + 1), dtype=np.complex128) if out is None else out
-        sums[:, 0] = 0
-        # Terms a few rows at a time keep their temporaries small next to
-        # the slab.
-        step = max(1, _TERMS_CELLS // n)
-        cols = np.arange(1, n + 1)
-        for i in range(0, rows, step):
-            m = np.arange(lo + i, lo + min(i + step, rows))
-            sums[i : i + len(m), 1:] = self.array.terms(m[:, None], cols)
-        np.cumsum(sums, axis=1, out=sums)
-        np.add(above, sums[0], out=sums[0])
-        np.cumsum(sums, axis=0, out=sums)
-        return sums
-
-    def slabs(self):
-        """(lo, S(lo.., 0..n_max)) for every slab, from the top row down.
-
-        Each slab is written over the one before it, so a consumer
-        copies what it keeps.
-        """
-        buffer = np.empty((SLAB_ROWS, self.n_max + 1), dtype=np.complex128)
-        above = np.zeros(self.n_max + 1, dtype=np.complex128)
-        for lo in range(1, self.m_max + 1, SLAB_ROWS):
-            sums = self.slab(lo, above, buffer[: min(SLAB_ROWS, self.m_max + 1 - lo)])
-            yield lo, sums
-            above[:] = sums[-1]
+    n = len(above) - 1
+    rows = min(SLAB_ROWS, m_max + 1 - lo)
+    sums = np.empty((rows, n + 1), dtype=np.complex128) if out is None else out
+    sums[:, 0] = 0
+    # Terms a few rows at a time keep their temporaries small next to
+    # the slab.
+    step = max(1, _TERMS_CELLS // n)
+    cols = np.arange(1, n + 1)
+    for i in range(0, rows, step):
+        m = np.arange(lo + i, lo + min(i + step, rows))
+        sums[i : i + len(m), 1:] = array.terms(m[:, None], cols)
+    np.cumsum(sums, axis=1, out=sums)
+    np.add(above, sums[0], out=sums[0])
+    np.cumsum(sums, axis=0, out=sums)
+    return sums
 
 
-def build_grid(array: DoubleArray, m_max: int, n_max: int) -> PartialSumGrid:
-    """The partial-sum grid over [1..m_max] x [1..n_max], checked, not filled.
+def slabs(array: DoubleArray, m_max: int, n_max: int):
+    """(lo, S(lo.., 0..n_max)) for every slab of rows 1..m_max, from the top down.
 
-    Its consumers walk it slab by slab, so a probe holds one slab of
-    SLAB_ROWS x (n_max + 1) cells at a time, not the grid.
+    A walk holds one slab of SLAB_ROWS x (n_max + 1) cells at a time,
+    not the window: each slab is written over the one before it, so a
+    consumer copies what it keeps.
     """
-    if m_max < 1 or n_max < 1:
-        raise InvalidBoundError(f"grid needs positive extents, got {m_max} x {n_max}")
-    cells = (m_max + 1) * (n_max + 1)
-    if cells > MAX_GRID_CELLS:
-        raise InvalidBoundError(
-            f"grid of {m_max} x {n_max} cells exceeds the window limit; "
-            f"use a window with (m_max + 1) * (n_max + 1) <= {MAX_GRID_CELLS}"
-        )
-    return PartialSumGrid(array, m_max, n_max)
+    buffer = np.empty((SLAB_ROWS, n_max + 1), dtype=np.complex128)
+    above = np.zeros(n_max + 1, dtype=np.complex128)
+    for lo in range(1, m_max + 1, SLAB_ROWS):
+        sums = slab(array, lo, m_max, above, buffer[: min(SLAB_ROWS, m_max + 1 - lo)])
+        yield lo, sums
+        above[:] = sums[-1]
 
 
 def row_sum(array: DoubleArray, m: int, n_upto: int | None = None) -> complex:

@@ -34,9 +34,9 @@ from .double_array import (
     SLAB_ROWS,
     DoubleArray,
     LeeArray,
-    PartialSumGrid,
-    build_grid,
     _box_diameter,
+    slab,
+    slabs,
 )
 from .errors import InsufficientWindowError, InvalidBoundError
 
@@ -311,15 +311,23 @@ def _double_probe(trace, corners, corner_vals, tolerance) -> LimitProbe:
     return _probe("double", trace, max(spread, tail_diam), tolerance, detail)
 
 
-def _check_probe_window(grid: PartialSumGrid) -> None:
-    if grid.m_max < 16 or grid.n_max < 16:
+def _check_window(m_max: int, n_max: int) -> None:
+    """Refuse a probe window before any of its rows is read."""
+    if m_max < 1 or n_max < 1:
+        raise InvalidBoundError(f"grid needs positive extents, got {m_max} x {n_max}")
+    if (m_max + 1) * (n_max + 1) > MAX_GRID_CELLS:
+        raise InvalidBoundError(
+            f"grid of {m_max} x {n_max} cells exceeds the window limit; "
+            f"use a window with (m_max + 1) * (n_max + 1) <= {MAX_GRID_CELLS}"
+        )
+    if m_max < 16 or n_max < 16:
         raise InsufficientWindowError(
-            f"probe window {grid.m_max} x {grid.n_max} is below the 16 x 16 minimum"
+            f"probe window {m_max} x {n_max} is below the 16 x 16 minimum"
         )
 
 
-def _analyze(grid: PartialSumGrid, tolerance: float):
-    """The five probes and both settle profiles from one walk over the grid's slabs.
+def _analyze(array: DoubleArray, m_max: int, n_max: int, tolerance: float):
+    """The five probes and both settle profiles from one walk over the window's slabs.
 
     Each slab of _BLOCK rows finishes its rows' settle profiles, since a
     row's suffix extents lie in the row.  It adds its per-column max and
@@ -333,8 +341,6 @@ def _analyze(grid: PartialSumGrid, tolerance: float):
     plus about 48 B per column per slab; every value has the bits a whole
     grid in memory gives.
     """
-    _check_probe_window(grid)
-    m_max, n_max = grid.m_max, grid.n_max
     # The double limit's samples: the diagonal through the window, then
     # the four corners (half/full window in each direction).
     steps = min(m_max, n_max)
@@ -355,7 +361,7 @@ def _analyze(grid: PartialSumGrid, tolerance: float):
     half = m_max // 2
     half_end = min((half // _BLOCK + 1) * _BLOCK, m_max)
     row_profiles = []
-    for j, (lo, sums) in enumerate(grid.slabs()):
+    for j, (lo, sums) in enumerate(slabs(array, m_max, n_max)):
         body = sums[:, 1:]
         row_profiles.append(_settle_profile(body, tolerance))
         extents[:, j] = _extents(body, 0)
@@ -378,7 +384,7 @@ def _analyze(grid: PartialSumGrid, tolerance: float):
         for b in np.unique(block).tolist():
             at = np.flatnonzero(block == b)
             # Columns up to the last one read: a cell needs none after it.
-            sums = grid.slab(b * _BLOCK + 1, above[b, : cols[at[-1]] + 2])
+            sums = slab(array, b * _BLOCK + 1, m_max, above[b, : cols[at[-1]] + 2])
             # Entries past the trace end repeat its last entry.
             rows = np.minimum(np.arange(_BLOCK), len(sums) - 1)
             seg[:, at] = sums[rows[:, None], cols[at] + 1]
@@ -406,17 +412,6 @@ def _analyze(grid: PartialSumGrid, tolerance: float):
         "double": _double_probe(samples[:steps], corners, samples[steps:], tolerance),
     }
     return probes, row_profile, col_profile
-
-
-def probe_limits(grid: PartialSumGrid, tolerance: float = 1e-6) -> dict:
-    """All five limit probes on the grid window, keyed by kind.
-
-    Iterated probes are built from the settled partial limits only; the
-    count of settled indices rides along in the probe detail so a thin
-    settled subset is visible in the report.
-    """
-    probes, _, _ = _analyze(grid, tolerance)
-    return probes
 
 
 def _scan_verdict(quantity, outer_label, outer_values, sups, threshold, window):
@@ -618,6 +613,16 @@ def _probe_status(probe: LimitProbe):
 
 
 # theorem -> (hypotheses, conclusion, limits whose values it equates).
+# Each check is named by what it claims:
+#
+# * uniform_rows_give_double: row limits settling uniformly plus a
+#   settled second iterated limit would force the double limit.
+# * uniform_rows_transfer_double_to_iterated: the converse transfer
+#   from a settled double limit to the second iterated limit.
+# * two_sided_uniform_limits_equate_iterated: both partial-limit
+#   families settling uniformly lets the two iterated limits agree.
+# * moore_symmetric_limits: pointwise row limits plus uniformly
+#   settling column limits force all three limits to exist and agree.
 THEOREMS = {
     "uniform_rows_give_double": (
         ("row_limits_settle_uniformly", "second_iterated_limit_settles"),
@@ -646,32 +651,25 @@ THEOREMS = {
 }
 
 
-def classify(grid: PartialSumGrid, tolerance: float = 1e-6) -> list:
-    """Check the interchange theorems hypothesis by hypothesis.
+def probe_window(array: DoubleArray, m_max: int, n_max: int, tolerance: float = 1e-6):
+    """The five limit probes, keyed by kind, and the theorem checks, from one walk.
 
-    Four checks, one per row of THEOREMS, named by what they claim:
+    The window is rows 1..m_max x columns 1..n_max.  An extent below 1,
+    or more than MAX_GRID_CELLS cells counting row and column 0, raises
+    InvalidBoundError, and an extent below 16 InsufficientWindowError,
+    before any row is read.
 
-    * uniform_rows_give_double: row limits settling uniformly plus a
-      settled second iterated limit would force the double limit.
-    * uniform_rows_transfer_double_to_iterated: the converse transfer
-      from a settled double limit to the second iterated limit.
-    * two_sided_uniform_limits_equate_iterated: both partial-limit
-      families settling uniformly lets the two iterated limits agree.
-    * moore_symmetric_limits: pointwise row limits plus uniformly
-      settling column limits force all three limits to exist and agree.
-
-    A conclusion is asserted only when every hypothesis holds on the
-    window.  Everything is window-relative: a hypothesis can hold here
-    and fail in the large, which is precisely the failure mode these
-    reports are built to expose, so the window always travels with the
-    verdicts.  Iterated probes built from a thin settled subset carry
-    their subset size in the probe detail for the same reason.
+    Iterated probes are built from the settled partial limits only; the
+    count of settled indices rides along in the probe detail so a thin
+    settled subset is visible in the report.  There is one check per
+    row of THEOREMS, and a conclusion is asserted only when every
+    hypothesis holds on the window.  Everything is window-relative: a
+    hypothesis can hold here and fail in the large, which is precisely
+    the failure mode these reports are built to expose, so the window
+    always travels with the verdicts.
     """
-    probes, row_profile, col_profile = _analyze(grid, tolerance)
-    return _classify_from(probes, row_profile, col_profile, tolerance)
-
-
-def _classify_from(probes, row_profile, col_profile, tolerance):
+    _check_window(m_max, n_max)
+    probes, row_profile, col_profile = _analyze(array, m_max, n_max, tolerance)
     statuses = {
         "row_limits_settle_uniformly": _uniform_status(row_profile),
         "column_limits_settle_uniformly": _uniform_status(col_profile),
@@ -693,7 +691,7 @@ def _classify_from(probes, row_profile, col_profile, tolerance):
         checks.append(
             TheoremCheck(theorem, hypotheses, conclusion, asserted, observed, consistent)
         )
-    return checks
+    return probes, checks
 
 
 def _default_outer(limit: int, block: int):
@@ -726,8 +724,7 @@ def diagnostics_report(
     The window is checked first and the scans run before the probes, so
     a refused window, or a refused first block tail, reads no row.
     """
-    grid = build_grid(array, m_max, n_max)
-    _check_probe_window(grid)
+    _check_window(m_max, n_max)
     if scan_reach is None:
         scan_reach = _default_reach(array)
     outer = _default_outer(scan_reach, block)
@@ -738,8 +735,7 @@ def diagnostics_report(
     verified = lee_verified_scan(
         array, outer, block, min(m_max, 4096), threshold
     )
-    probes, row_profile, col_profile = _analyze(grid, tolerance)
-    checks = _classify_from(probes, row_profile, col_profile, tolerance)
+    probes, checks = probe_window(array, m_max, n_max, tolerance)
 
     return {
         "array": array.label,

@@ -10,6 +10,9 @@ The dense partial-sum grid, the whole-table iterated sum and the
 row-by-row divisor listing at the end are the exception: they are the
 package's former code, frozen as the bitwise references of the slab
 walk, the windowed limits and the quotient listing that replaced them.
+Two helpers import the package: analyze_reference builds its probes
+from summation_diagnostics' own settle profile and verdict helpers, and
+slab_cell reads a cell off the package's own slabs.
 """
 
 import cmath
@@ -183,17 +186,20 @@ def grid_cell_replay(row_terms, m: int) -> complex:
     return total
 
 
-def slab_cell(grid, m: int, n: int) -> complex:
-    """S(m, n) of a partial-sum grid, read off grid.slabs() (m >= 1).
+def slab_cell(window, m: int, n: int) -> complex:
+    """S(m, n) of an (array, m_max, n_max) window, read off its slabs (m >= 1).
 
     Not an oracle: it walks the package's own slabs, the path every
     probe takes, so a test comparing it with one keeps that path under
     test.
     """
-    for lo, sums in grid.slabs():
+    from zdl.double_array import slabs
+
+    array, m_max, n_max = window
+    for lo, sums in slabs(array, m_max, n_max):
         if m < lo + len(sums):
             return complex(sums[m - lo, n])
-    raise IndexError(f"row {m} is past the grid's {grid.m_max} rows")
+    raise IndexError(f"row {m} is past the window's {m_max} rows")
 
 
 def needed_sup_brute(term, m_start: int, block: int, n_reach: int) -> float:

@@ -17,15 +17,13 @@ from zdl import (
     beta_definition_table,
     beta_series_partial,
     bridge_factor,
-    build_grid,
-    classify,
     exceptional_zero,
     iterated_sum,
     lambda_series_partial,
     lee_verified_scan,
     needed_uniformity_scan,
     pringsheim_trace,
-    probe_limits,
+    probe_window,
     sieve,
     zeros_between,
     zeta,
@@ -144,19 +142,15 @@ def test_criterion_7_scan_verdicts_at_the_first_zero(first_zero):
 
 
 def test_criterion_8_interchange_counterexample():
-    grid = build_grid(SyntheticArray("interchange_ratio"), 512, 512)
     tol = 0.02
-    probes = probe_limits(grid, tolerance=tol)
+    probes, checks = probe_window(SyntheticArray("interchange_ratio"), 512, 512, tolerance=tol)
     first = probes["first_iterated"]
     second = probes["second_iterated"]
     assert first.verdict == "exists" and abs(first.value - 1.0) <= 3 * tol
     assert second.verdict == "exists" and abs(second.value) <= 3 * tol
     assert probes["double"].verdict == "fails_to_settle"
 
-    moore = next(
-        c for c in classify(grid, tolerance=tol)
-        if c.theorem == "moore_symmetric_limits"
-    )
+    moore = next(c for c in checks if c.theorem == "moore_symmetric_limits")
     assert not moore.asserted
     assert any(h["status"] == "fails" for h in moore.hypotheses)
     print("PASS 8/8: ratio array separates 1, 0, and a failed double limit")

@@ -287,6 +287,20 @@ def test_oversized_rectangle_is_refused_before_the_sieve(capsys, no_sieve, argv)
     assert no_sieve == []
 
 
+@pytest.mark.parametrize("m_max, n_max", [(8, 16), (16, 8)])
+def test_small_window_is_refused_before_the_sieve(capsys, no_sieve, m_max, n_max):
+    code, out, err = run(
+        capsys, "uniformity", "--array", "lee", "--s", "2", "--window", f"{m_max}x{n_max}"
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "schema": 1,
+        "error": "InsufficientWindowError",
+        "message": f"probe window {m_max} x {n_max} is below the 16 x 16 minimum",
+    }
+    assert no_sieve == []
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

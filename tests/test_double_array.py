@@ -12,13 +12,13 @@ from zdl import (
     LeeArray,
     SyntheticArray,
     beta_closed_form,
-    build_grid,
     classify_trace,
     double_array,
     eta,
     iterated_sum,
     pringsheim_trace,
     row_sum,
+    slabs,
 )
 from zdl.double_array import MAX_GRID_CELLS
 from zdl.errors import DomainError, InvalidBoundError
@@ -45,8 +45,8 @@ def lee():
 
 
 @pytest.fixture(scope="module")
-def lee_grid(lee):
-    return build_grid(lee, 40, 300)
+def lee_window(lee):
+    return lee, 40, 300
 
 
 def test_term_supported_on_divisors(lee):
@@ -205,51 +205,43 @@ def test_term_is_bitwise_the_pairs_and_grid_value():
     for m, v in zip(m_col[at_n], values[at_n]):
         assert lee.terms(int(m), n) == v
     # A grid cell replays row-then-column running sums of the same terms.
-    grid = build_grid(lee, 6, 40)
     replay = grid_cell_replay(lambda m: [complex(lee.terms(m, k)) for k in range(1, 41)], 6)
-    assert slab_cell(grid, 6, 40) == replay
+    assert slab_cell((lee, 6, 40), 6, 40) == replay
 
 
-def test_grid_matches_brute_double_sum(lee_grid):
+def test_grid_matches_brute_double_sum(lee_window):
     total = 0j
     for m in range(1, 13):
         for n in range(1, 38):
             total += lee_term_brute(S_TEST, m, n)
-    assert abs(slab_cell(lee_grid, 12, 37) - total) <= 1e-13
+    assert abs(slab_cell(lee_window, 12, 37) - total) <= 1e-13
 
 
-def test_column_sum_matches_grid(lee, lee_grid):
+def test_column_sum_matches_grid(lee, lee_window):
     # Column n holds entries only at rows m | n, so for n <= 20 every
     # column lies inside the 40-row grid and its limit is a finite sum.
     limits = lee.column_limits(20)
     running = 0j
     for n in range(1, 21):
         running += limits[n]
-        assert abs(slab_cell(lee_grid, 40, n) - running) <= 1e-13
+        assert abs(slab_cell(lee_window, 40, n) - running) <= 1e-13
 
 
-def test_recompute_cell_is_bit_exact(lee_grid):
+def test_recompute_cell_is_bit_exact(lee, lee_window):
     rng = np.random.default_rng(7)
     for _ in range(25):
         m = int(rng.integers(1, 41))
         n = int(rng.integers(1, 301))
         row = np.arange(1, n + 1)
-        replay = grid_cell_replay(lambda r: lee_grid.array.terms(r, row).tolist(), m)
-        assert slab_cell(lee_grid, m, n) == replay
-
-
-def test_grid_size_guards(lee):
-    with pytest.raises(InvalidBoundError):
-        build_grid(lee, 0, 5)
-    with pytest.raises(InvalidBoundError):
-        build_grid(SyntheticArray("zeros"), 1 << 14, 1 << 13)
+        replay = grid_cell_replay(lambda r: lee.terms(r, row).tolist(), m)
+        assert slab_cell(lee_window, m, n) == replay
 
 
 def test_cesaro_grid_matches_closed_form():
-    grid = build_grid(CesaroArray(), 64, 64)
+    window = (CesaroArray(), 64, 64)
     for m in (1, 3, 17, 64):
         for n in (1, 2, 33, 64):
-            assert abs(slab_cell(grid, m, n) - cesaro_rectangle(m, n)) <= 1e-15
+            assert abs(slab_cell(window, m, n) - cesaro_rectangle(m, n)) <= 1e-15
 
 
 def test_cesaro_row_and_column_limits():
@@ -277,16 +269,16 @@ def test_cesaro_terms_match_closed_form():
 
 
 def test_zeros_array_is_identically_zero():
-    grid = build_grid(SyntheticArray("zeros"), 16, 16)
-    assert np.all(dense_grid_reference(grid.array, 16, 16) == 0)
-    assert all(np.all(sums == 0) for _, sums in grid.slabs())
+    zeros = SyntheticArray("zeros")
+    assert np.all(dense_grid_reference(zeros, 16, 16) == 0)
+    assert all(np.all(sums == 0) for _, sums in slabs(zeros, 16, 16))
 
 
 def test_ratio_grid_is_m_over_m_plus_n():
-    grid = build_grid(SyntheticArray("interchange_ratio"), 50, 50)
+    window = (SyntheticArray("interchange_ratio"), 50, 50)
     for m in (1, 7, 50):
         for n in (1, 29, 50):
-            assert abs(slab_cell(grid, m, n) - m / (m + n)) <= 1e-14
+            assert abs(slab_cell(window, m, n) - m / (m + n)) <= 1e-14
 
 
 def test_lee_rejects_bad_parameters(no_sieve):

@@ -11,13 +11,12 @@ from zdl import (
     CesaroArray,
     LeeArray,
     SyntheticArray,
-    build_grid,
-    classify,
     diagnostics_report,
     lee_verified_scan,
     needed_uniformity_scan,
-    probe_limits,
+    probe_window,
     sieve,
+    slabs,
 )
 from zdl import double_array, summation_diagnostics
 from zdl.cli import _jsonable
@@ -39,17 +38,17 @@ from oracles import (
 
 
 @pytest.fixture(scope="module")
-def ratio_grid():
-    return build_grid(SyntheticArray("interchange_ratio"), 512, 512)
+def ratio_window():
+    return SyntheticArray("interchange_ratio"), 512, 512
 
 
 @pytest.fixture(scope="module")
-def lee_grid_s2():
-    return build_grid(LeeArray(2.0 + 0j), 512, 4096)
+def lee_window_s2():
+    return LeeArray(2.0 + 0j), 512, 4096
 
 
-def test_ratio_probes_separate_the_limits(ratio_grid):
-    probes = probe_limits(ratio_grid, tolerance=0.02)
+def test_ratio_probes_separate_the_limits(ratio_window):
+    probes, _ = probe_window(*ratio_window, tolerance=0.02)
     first = probes["first_iterated"]
     second = probes["second_iterated"]
     assert first.verdict == "exists"
@@ -60,8 +59,8 @@ def test_ratio_probes_separate_the_limits(ratio_grid):
     assert probes["double"].value is None
 
 
-def test_ratio_classifier_withholds_every_conclusion(ratio_grid):
-    checks = classify(ratio_grid, tolerance=0.02)
+def test_ratio_classifier_withholds_every_conclusion(ratio_window):
+    _, checks = probe_window(*ratio_window, tolerance=0.02)
     assert len(checks) == 4
     assert all(not c.asserted for c in checks)
     moore = next(c for c in checks if c.theorem == "moore_symmetric_limits")
@@ -71,9 +70,9 @@ def test_ratio_classifier_withholds_every_conclusion(ratio_grid):
     assert columns["status"] == "fails"
 
 
-def test_lee_window_asserts_all_four(lee_grid_s2):
+def test_lee_window_asserts_all_four(lee_window_s2):
     tol = 1e-3
-    probes = probe_limits(lee_grid_s2, tolerance=tol)
+    probes, checks = probe_window(*lee_window_s2, tolerance=tol)
     assert set(probes) == set(PROBE_KINDS)
     values = []
     for probe in probes.values():
@@ -84,15 +83,14 @@ def test_lee_window_asserts_all_four(lee_grid_s2):
     assert spread <= 1e-9
     assert abs(values[0] - LEE_COMMON_VALUE_AT_2) <= 1e-4
 
-    checks = classify(lee_grid_s2, tolerance=tol)
     for check in checks:
         assert check.asserted
         assert check.consistent
 
 
-def test_exists_always_carries_value_and_residual(ratio_grid, lee_grid_s2):
-    for grid, tol in ((ratio_grid, 0.02), (lee_grid_s2, 1e-3)):
-        for probe in probe_limits(grid, tolerance=tol).values():
+def test_exists_always_carries_value_and_residual(ratio_window, lee_window_s2):
+    for window, tol in ((ratio_window, 0.02), (lee_window_s2, 1e-3)):
+        for probe in probe_window(*window, tolerance=tol)[0].values():
             if probe.verdict == "exists":
                 assert probe.value is not None
                 assert probe.residual <= tol
@@ -101,8 +99,7 @@ def test_exists_always_carries_value_and_residual(ratio_grid, lee_grid_s2):
 
 
 def test_cesaro_window_asserts_row_side_only():
-    grid = build_grid(CesaroArray(), 512, 128)
-    checks = {c.theorem: c for c in classify(grid)}
+    checks = {c.theorem: c for c in probe_window(CesaroArray(), 512, 128)[1]}
     assert checks["uniform_rows_give_double"].asserted
     assert checks["uniform_rows_transfer_double_to_iterated"].asserted
     assert not checks["two_sided_uniform_limits_equate_iterated"].asserted
@@ -116,19 +113,37 @@ def test_cesaro_window_asserts_row_side_only():
         assert columns["status"] == "fails"
 
 
-def test_small_window_rejected(no_sieve):
-    grid = build_grid(SyntheticArray("zeros"), 8, 8)
-    with pytest.raises(InsufficientWindowError):
-        probe_limits(grid)
+@pytest.mark.parametrize(
+    "window, error, message",
+    [
+        ((0, 5), InvalidBoundError, "grid needs positive extents, got 0 x 5"),
+        ((16, 0), InvalidBoundError, "grid needs positive extents, got 16 x 0"),
+        # An extent below 1 is refused before the cell count.
+        ((0, 1 << 30), InvalidBoundError, "grid needs positive extents, got 0 x 1073741824"),
+        ((1 << 14, 1 << 13), InvalidBoundError,
+         "grid of 16384 x 8192 cells exceeds the window limit; "
+         f"use a window with (m_max + 1) * (n_max + 1) <= {MAX_GRID_CELLS}"),
+        # The cell count is refused before the 16 x 16 minimum.
+        ((8, 1 << 23), InvalidBoundError,
+         "grid of 8 x 8388608 cells exceeds the window limit; "
+         f"use a window with (m_max + 1) * (n_max + 1) <= {MAX_GRID_CELLS}"),
+        ((8, 16), InsufficientWindowError, "probe window 8 x 16 is below the 16 x 16 minimum"),
+        ((16, 8), InsufficientWindowError, "probe window 16 x 8 is below the 16 x 16 minimum"),
+    ],
+)
+def test_refused_windows_read_no_row(no_sieve, window, error, message):
     # The report refuses the window before its scans read a row.
-    with pytest.raises(InsufficientWindowError):
-        diagnostics_report(LeeArray(2.0), 8, 8)
+    array = LeeArray(2.0)
+    for probe in (probe_window, diagnostics_report):
+        with pytest.raises(error) as refusal:
+            probe(array, *window)
+        assert str(refusal.value) == message
+    assert no_sieve == []
 
 
 def test_zero_array_probes_and_scans():
     zeros = SyntheticArray("zeros")
-    grid = build_grid(zeros, 64, 64)
-    for probe in probe_limits(grid).values():
+    for probe in probe_window(zeros, 64, 64)[0].values():
         assert probe.verdict == "exists"
         assert probe.value == 0
         assert probe.residual == 0.0
@@ -295,8 +310,8 @@ def test_report_at_zero_keeps_needed_scan_honest(first_zero):
     assert max(verified["outer_values"]) > max(needed["outer_values"])
 
 
-def test_probe_detail_reports_settling(ratio_grid):
-    probes = probe_limits(ratio_grid, tolerance=0.02)
+def test_probe_detail_reports_settling(ratio_window):
+    probes, _ = probe_window(*ratio_window, tolerance=0.02)
     detail = probes["first_iterated"].detail
     assert detail["total"] == 512
     assert 0 < detail["settled"] <= detail["total"]
@@ -438,12 +453,12 @@ def _assert_report_is_the_dense_reference(monkeypatch, array, m_max, n_max, sums
     with monkeypatch.context() as patch:
         patch.setattr(
             summation_diagnostics, "_analyze",
-            lambda grid, tol: analyses.setdefault("slab", slab_analyze(grid, tol)),
+            lambda a, m, n, tol: analyses.setdefault("slab", slab_analyze(a, m, n, tol)),
         )
         report = diagnostics_report(array, m_max, n_max, tolerance, scan_reach=4096)
         patch.setattr(
             summation_diagnostics, "_analyze",
-            lambda grid, tol: analyses.setdefault("dense", analyze_reference(sums, tol)),
+            lambda a, m, n, tol: analyses.setdefault("dense", analyze_reference(sums, tol)),
         )
         reference = diagnostics_report(array, m_max, n_max, tolerance, scan_reach=4096)
     _assert_analyses_bitwise_equal(analyses["slab"], analyses["dense"])
@@ -467,8 +482,8 @@ def test_slab_probes_are_the_dense_reference_on_ragged_windows(
     )
     m_max, n_max = window
     sums = dense_grid_reference(array, m_max, n_max)
-    slabs = [s.copy() for _, s in build_grid(array, m_max, n_max).slabs()]
-    assert np.concatenate(slabs).tobytes() == sums[1:].tobytes()
+    walked = [s.copy() for _, s in slabs(array, m_max, n_max)]
+    assert np.concatenate(walked).tobytes() == sums[1:].tobytes()
     for tolerance in (1e-6, 2e-6):
         _assert_report_is_the_dense_reference(monkeypatch, array, m_max, n_max, sums, tolerance)
 
@@ -495,16 +510,14 @@ def test_slab_probes_keep_the_signed_zeros_of_the_dense_grid(array, monkeypatch)
     assert not np.signbit(sums.imag).any()
     assert np.signbit(array.terms(np.arange(1, 71)[:, None], np.arange(1, 131)).imag).all()
     _assert_report_is_the_dense_reference(monkeypatch, array, 70, 130, sums, 1e-6)
-    grid = build_grid(array, 70, 130)
     for m, n in ((1, 1), (1, 130), (70, 1), (64, 65), (65, 130), (70, 130)):
-        assert np.complex128(slab_cell(grid, m, n)).tobytes() == sums[m, n].tobytes()
+        assert np.complex128(slab_cell((array, 70, 130), m, n)).tobytes() == sums[m, n].tobytes()
 
 
 def _analyze_peak(array, m_max, n_max):
-    grid = build_grid(array, m_max, n_max)
     tracemalloc.start()
     try:
-        summation_diagnostics._analyze(grid, 1e-6)
+        summation_diagnostics._analyze(array, m_max, n_max, 1e-6)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
