@@ -58,9 +58,10 @@ _SERIES_CHUNK = 1 << 18
 _SQUARE_CHUNK = 1 << 16
 
 # Rows of t per eta_line chunk.  Its buffers hold pi(order) * _LINE_CHUNK
-# angles plus order * _LINE_CHUNK complex phases: 13.6 MB at order 186
-# (42 primes), 27.4 MB at 380 (75 primes).
-_LINE_CHUNK = 4096
+# angles plus one row of _LINE_CHUNK complex phases per kept k (see
+# _line_plan): 0.7 + 3.7 MB at order 186 (42 primes, 112 rows), 1.2 +
+# 7.3 MB at 380 (75 primes, 224 rows).
+_LINE_CHUNK = 2048
 
 # Largest square-root index K that beta_series_partial accepts.
 MAX_SQUARE_INDEX = 1 << 22
@@ -185,12 +186,17 @@ def eta(s: complex, order: int | None = None) -> EvalResult:
 
 
 def _line_plan(order: int) -> tuple:
-    """How eta_line builds its phases at one order, cached per order.
+    """How eta_line builds and sums its phases at one order, cached per order.
 
-    Slot 0 holds k = 1, slots 1..pi(order) the primes, and the rest the
-    composites, each group in increasing k.  Returns the weights and
-    log k in slot order, pi(order), and one (slot of k, slot of p, slot
-    of k/p) step per composite k, with p the smallest prime factor of k.
+    Terms are summed in slot order: k = 1, the primes, then the
+    composites, each group in increasing k.  A composite k is built as
+    p * (k/p), p its smallest prime factor, and both factors are at most
+    order // 2, so the buffer keeps only rows for k = 1 (row 0), the
+    primes (rows 1..pi(order)) and the composites up to order // 2; each
+    larger composite goes to one spare row, the last, and is summed
+    before the next overwrites it.  Returns the weights and log k in
+    slot order, pi(order), the number of buffer rows, and one (row of k,
+    row of p, row of k/p) step per composite in increasing k.
     """
     cached = _plan_cache.get(order)
     if cached is not None:
@@ -201,12 +207,13 @@ def _line_plan(order: int) -> tuple:
         for k in range(p * p, order + 1, p):
             smallest[k] = p
     composites = sorted(smallest)
-    slots = [1, *primes, *composites]
-    slot = {k: j for j, k in enumerate(slots)}
-    steps = [(slot[k], slot[smallest[k]], slot[k // smallest[k]]) for k in composites]
+    kept = [1, *primes, *(k for k in composites if k <= order // 2)]
+    row = {k: j for j, k in enumerate(kept)}
+    spare = len(kept)
+    steps = [(row.get(k, spare), row[smallest[k]], row[k // smallest[k]]) for k in composites]
     w, logk = _weights(order)
-    index = np.array(slots) - 1
-    cached = (w[index], logk[index], len(primes), steps)
+    index = np.array([1, *primes, *composites]) - 1
+    cached = (w[index], logk[index], len(primes), spare + 1, steps)
     _plan_cache[order] = cached
     return cached
 
@@ -219,12 +226,16 @@ def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarr
     k**(-it).  The phase is completely multiplicative in k, so cos and sin
     are taken only at the primes p <= order; each composite phase is one
     complex product p**(-it) * (k/p)**(-it), p its smallest prime factor,
-    built in increasing k.  The sum over k is elementwise multiply-adds
-    in one fixed k order, so a row's bits never depend on the grid around
-    it or on chunking; agreement with eta() is tested to 1e-13.  The grid
-    is walked in chunks of _LINE_CHUNK rows through one reused phase
-    buffer, so peak memory is one chunk whatever len(ts) is.  One order,
-    picked from the largest |t|, serves every row.
+    built in increasing k.  Each phase is added to the sum as soon as it
+    is built, as elementwise multiply-adds in one fixed k order, so a
+    row's bits never depend on the grid around it or on chunking;
+    agreement with eta() is tested to 1e-13.  The buffer keeps only the
+    phases a later product reads (k = 1, the primes and the composites
+    up to order // 2) plus one spare row.  The grid is walked in chunks
+    of _LINE_CHUNK rows through that one reused buffer, so peak memory
+    is one chunk whatever len(ts) is: about 4.4 MB at order 186 and 8.6
+    MB at the cap.  One order, picked from the largest |t|, serves every
+    row.
 
     Raises:
         DomainError: if sigma is not finite and positive, if any t is
@@ -242,13 +253,14 @@ def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarr
         order = default_order(complex(sigma, t_peak))
     elif not 1 <= order <= _MAX_ORDER:
         raise InvalidBoundError(f"order must be in 1..{_MAX_ORDER}, got {order}")
-    w, logk, n_primes, steps = _line_plan(order)
+    w, logk, n_primes, n_rows, steps = _line_plan(order)
     amp = (w * np.exp(-sigma * logk)).tolist()
     primes = slice(1, n_primes + 1)
     rows = min(ts.size, _LINE_CHUNK)
     x = np.empty((n_primes, rows))
-    # Row j holds k**(+it) for the k in slot j; the sum is conjugated once.
-    phase = np.empty((order, rows), dtype=np.complex128)
+    # Row j holds k**(+it) for a kept k (see _line_plan); the sum is
+    # conjugated once.
+    phase = np.empty((n_rows, rows), dtype=np.complex128)
     phase[0] = 1.0
     acc = np.empty(rows, dtype=np.complex128)
     term = np.empty(rows, dtype=np.complex128)
@@ -259,13 +271,16 @@ def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarr
         np.multiply.outer(logk[primes], ts[lo:hi], out=x[:, :n])
         np.cos(x[:, :n], out=phase.real[primes, :n])
         np.sin(x[:, :n], out=phase.imag[primes, :n])
-        for k, p, q in steps:
-            np.multiply(phase[p, :n], phase[q, :n], out=phase[k, :n])
-        acc[:n] = 0.0
-        for j, a in enumerate(amp):
-            np.multiply(phase[j, :n], a, out=term[:n])
-            np.add(acc[:n], term[:n], out=acc[:n])
-        np.conjugate(acc[:n], out=out[lo:hi])
+        held, total, part = list(phase[:, :n]), acc[:n], term[:n]
+        total[:] = 0.0
+        for j, a in enumerate(amp[: n_primes + 1]):
+            np.multiply(held[j], a, out=part)
+            np.add(total, part, out=total)
+        for (k, p, q), a in zip(steps, amp[n_primes + 1 :]):
+            np.multiply(held[p], held[q], out=held[k])
+            np.multiply(held[k], a, out=part)
+            np.add(total, part, out=total)
+        np.conjugate(total, out=out[lo:hi])
     return out
 
 
@@ -401,7 +416,11 @@ def _signed_square_chunks(s: complex, K: int):
         # complex multiply takes another loop, with other rounding.
         jpow = np.exp(-2.0 * s * np.log(j))
         terms = np.concatenate([np.exp(-2.0 * s * np.log(k)), twice * jpow])
-        yield complex(np.sum(terms[np.argsort(ns, kind="stable")]))
+        chunk_sum = complex(np.sum(terms[np.argsort(ns, kind="stable")]))
+        # Freed here, or they would stay alive across the yield while
+        # the caller has the next chunk built.
+        del k, j, ns, jpow, terms
+        yield chunk_sum
         n_lo = n_hi
 
 

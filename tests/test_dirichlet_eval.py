@@ -122,17 +122,28 @@ def test_eta_line_rows_do_not_depend_on_chunking(length, t0, dt, order):
     assert part.tobytes() == full[i : i + length].tobytes()
 
 
-def test_eta_line_peak_memory_is_one_chunk():
-    # a whole-grid phase matrix traces 58.6 MB on this grid
-    ts = np.arange(10.5, 60.0, 0.002)
-    eta_line(0.5, ts[-3:])  # same order: weights cached outside the trace
+def _eta_line_peak(ts):
+    """Traced peak bytes of eta_line(0.5, ts), its plan built beforehand."""
+    eta_line(0.5, ts[-3:])  # same order: weights and plan cached outside the trace
     tracemalloc.start()
     try:
         eta_line(0.5, ts)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6
+
+
+def test_eta_line_peak_memory_is_one_chunk():
+    # A whole-grid phase matrix traces 58.6 MB on this grid, and one
+    # 4096-row chunk of every phase 6.2 MB; one 2048-row chunk of the
+    # kept phases (order 74, 47 rows) traced 2.49 MB.
+    assert _eta_line_peak(np.arange(10.5, 60.0, 0.002)) <= 3e6
+
+
+def test_eta_line_peak_memory_at_the_order_cap():
+    # Order 380, the cap: one 4096-row chunk of every phase traced 27.8
+    # MB, one 2048-row chunk of the 224 kept rows 8.95 MB.
+    assert _eta_line_peak(np.arange(390.0, 402.0, 0.002)) <= 12e6
 
 
 def test_eta_line_against_mpmath_across_a_chunk_boundary():
@@ -213,6 +224,60 @@ def test_eta_line_takes_cos_and_sin_only_at_the_primes(monkeypatch):
         angles.update(cos=0, sin=0)
         eta_line(0.5, ts, order)
         assert angles == {"cos": primes * ts.size, "sin": primes * ts.size}
+
+
+def _primes_by_trial_division(n):
+    return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_eta_line_plan_keeps_only_the_factors_later_products_read():
+    for order in range(1, dirichlet_eval._MAX_ORDER + 1):
+        w, logk, n_primes, n_rows, steps = dirichlet_eval._line_plan(order)
+        primes = _primes_by_trial_division(order)
+        assert n_primes == len(primes)
+        assert n_rows <= order // 2 + len(primes) + 2
+        spare = n_rows - 1
+        # Rows 0..pi(order) are written before any step; None is unwritten.
+        held = [1, *primes] + [None] * (n_rows - 1 - n_primes)
+        summed = held[: n_primes + 1]
+        for k, p, q in steps:
+            assert spare not in (p, q), (order, k)
+            assert held[p] is not None and held[q] is not None, (order, k)
+            value = held[p] * held[q]
+            assert held[p] == min(d for d in primes if value % d == 0)
+            # Only a composite above order // 2 goes to the spare row.
+            assert (k == spare) == (value > order // 2), (order, value)
+            held[k] = value
+            summed.append(value)
+        # Every k <= order is summed once, in slot order.
+        composites = sorted(set(range(4, order + 1)) - set(primes))
+        assert summed == [1, *primes, *composites]
+        full_w, full_logk = dirichlet_eval._weights(order)
+        index = np.array(summed) - 1
+        assert w.tobytes() == full_w[index].tobytes()
+        assert logk.tobytes() == full_logk[index].tobytes()
+
+
+@pytest.mark.parametrize(
+    "sigma, ts, order, error",
+    [
+        (0.0, [14.0], None, DomainError),
+        (0.5, [14.0, math.inf], None, DomainError),
+        (0.5, [500.0], None, DomainError),
+        (0.5, [14.0], 381, InvalidBoundError),
+    ],
+)
+def test_eta_line_refuses_before_building_a_buffer(monkeypatch, sigma, ts, order, error):
+    class NoBuffers:
+        def __getattr__(self, name):
+            if name == "empty":
+                raise AssertionError("buffer built before the input check")
+            return getattr(np, name)
+
+    monkeypatch.setattr(dirichlet_eval, "np", NoBuffers())
+    monkeypatch.setattr(dirichlet_eval, "_line_plan", None)
+    with pytest.raises(error):
+        eta_line(sigma, ts, order)
 
 
 def test_zeta_through_the_bridge():
@@ -354,6 +419,7 @@ def test_beta_series_memory_is_chunked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One chunk of about 1.1e5 terms at a time: 7.54 MiB measured.  The
-    # whole series would be 2e6 terms.
-    assert peak <= 9 * 2**20, f"beta series peaked at {peak / 2**20:.2f} MiB"
+    # One chunk of about 1.1e5 terms at a time: 6.68 MiB measured, and
+    # 7.54 MiB while a chunk's arrays stayed alive into the next one's
+    # build.  The whole series would be 2e6 terms.
+    assert peak <= 7 * 2**20, f"beta series peaked at {peak / 2**20:.2f} MiB"
