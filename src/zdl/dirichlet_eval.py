@@ -10,8 +10,8 @@ recovered through the bridge
 
 which degenerates at s = 1 (pole) and at the off-axis zeros of the bridge
 factor, s = 1 + 2*pi*i*k/log(2) for k != 0.  At those exceptional points
-zeta is instead the limit eta'(s) / log(2), computed by central finite
-differences with one Richardson step.
+zeta is instead the limit eta'(s) / log(2), the same accelerated sum
+with log k weights.
 
 Also provided: partial sums of the Liouville Dirichlet series and of the
 sparse signed-square series, the two series whose comparison drives the
@@ -20,6 +20,7 @@ is one np.sum, and the chunk sums are added in order.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from math import isqrt
@@ -39,9 +40,9 @@ EXCEPTIONAL_SPACING = 2.0 * math.pi / math.log(2.0)
 
 # A policy bound, not an overflow: (top - dk) / top is exact big-integer
 # true division and _weights(800) is finite.  It caps default_order, and
-# so the zero scan, near |t| = 402 on the critical line, until a bound
+# so the zero scan, near |t| = 402 on the critical line, until a cap
 # derived from the phase rounding (about eps * t * log k per term, which
-# error_estimate leaves out) replaces it.
+# error_estimate counts) replaces it.
 _MAX_ORDER = 380
 
 # Guard radius around exceptional points for the bridge evaluator.
@@ -66,16 +67,14 @@ _LINE_CHUNK = 2048
 # Largest square-root index K that beta_series_partial accepts.
 MAX_SQUARE_INDEX = 1 << 22
 
-_weight_cache: dict = {}
-_plan_cache: dict = {}
-
 
 @dataclass(frozen=True)
 class EvalResult:
     """A value together with its error budget.
 
     error_estimate is an a-priori bound on the acceleration truncation
-    plus a rounding allowance; it is deliberately conservative.
+    (for eta', Cauchy's estimate of it) plus a rounding allowance that
+    counts the phase error of t * log k; it is deliberately conservative.
     """
 
     value: complex
@@ -90,6 +89,7 @@ def _require_point(s: complex) -> complex:
     return s
 
 
+@functools.cache
 def _weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Signed acceleration weights and log k for k = 1..order, cached per order.
 
@@ -97,9 +97,6 @@ def _weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     d_order and the d_j the exact integer partial sums of the
     Chebyshev-derived coefficient recurrence; eta(s) ~ sum w_k k**(-s).
     """
-    cached = _weight_cache.get(order)
-    if cached is not None:
-        return cached
     d = 1
     partial = [1]
     for i in range(1, order + 1):
@@ -108,15 +105,26 @@ def _weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     top = partial[-1]
     c = np.array([(top - dk) / top for dk in partial[:-1]], dtype=np.float64)
     signs = np.where(np.arange(order) % 2 == 0, 1.0, -1.0)
-    cached = (signs * c, np.log(np.arange(1, order + 1, dtype=np.float64)))
-    _weight_cache[order] = cached
-    return cached
+    return signs * c, np.log(np.arange(1, order + 1, dtype=np.float64))
 
 
 def _eta_value(s: complex, order: int) -> complex:
     """The accelerated sum at s, unchecked and without an error budget."""
     w, logk = _weights(order)
     return complex(np.sum(w * np.exp(-s * logk)))
+
+
+def _rounding_bound(s: complex, order: int, power: int) -> float:
+    """Rounding allowance for the sum of w_k (log k)**power k**(-s).
+
+    eps * sum |w_k| (log k)**power k**(-sigma) * (8 + 2|t| log k): eight
+    roundings per term plus the phase error, taken twice for margin; log
+    k and t * log k are each rounded, so a phase is off by eps * |t| log k.
+    """
+    w, logk = _weights(order)
+    size = np.abs(w) * logk**power * np.exp(-s.real * logk)
+    phase = 8.0 + 2.0 * abs(s.imag) * logk
+    return float(np.finfo(float).eps * np.sum(size * phase))
 
 
 def truncation_bound(order: int, s: complex) -> float:
@@ -177,14 +185,11 @@ def eta(s: complex, order: int | None = None) -> EvalResult:
         order = default_order(s)
     elif not 1 <= order <= _MAX_ORDER:
         raise InvalidBoundError(f"order must be in 1..{_MAX_ORDER}, got {order}")
-    w, _ = _weights(order)
-    k = np.arange(1, order + 1, dtype=np.float64)
-    value = _eta_value(s, order)
-    scale = float(np.sum(np.abs(w) * k ** (-s.real)))
-    estimate = truncation_bound(order, s) + 8.0 * np.finfo(float).eps * scale
-    return EvalResult(value, estimate, order)
+    estimate = truncation_bound(order, s) + _rounding_bound(s, order, 0)
+    return EvalResult(_eta_value(s, order), estimate, order)
 
 
+@functools.cache
 def _line_plan(order: int) -> tuple:
     """How eta_line builds and sums its phases at one order, cached per order.
 
@@ -198,9 +203,6 @@ def _line_plan(order: int) -> tuple:
     slot order, pi(order), the number of buffer rows, and one (row of k,
     row of p, row of k/p) step per composite in increasing k.
     """
-    cached = _plan_cache.get(order)
-    if cached is not None:
-        return cached
     primes = _primes_up_to(order).tolist()
     smallest = {}
     for p in reversed(primes):
@@ -213,9 +215,7 @@ def _line_plan(order: int) -> tuple:
     steps = [(row.get(k, spare), row[smallest[k]], row[k // smallest[k]]) for k in composites]
     w, logk = _weights(order)
     index = np.array([1, *primes, *composites]) - 1
-    cached = (w[index], logk[index], len(primes), spare + 1, steps)
-    _plan_cache[order] = cached
-    return cached
+    return w[index], logk[index], len(primes), spare + 1, steps
 
 
 def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarray:
@@ -323,33 +323,29 @@ def zeta(s: complex) -> EvalResult:
 
 
 def zeta_at_exceptional(k: int) -> EvalResult:
-    """zeta at the exceptional point s = 1 + 2*pi*i*k/log(2), k != 0.
+    """zeta at the exceptional point s0 = 1 + 2*pi*i*k/log(2), k != 0.
 
     Both eta and the bridge factor vanish there, so zeta continues to
-    eta'(s) / log(2).  The derivative is a central difference with step
-    1e-5 refined by one Richardson extrapolation.
+    eta'(s0) / log(2): the accelerated sum with weights -w_k log k, at
+    the default order at 1/2 + i(|t0| + 1/2).  Its truncation part is
+    Cauchy's estimate, twice truncation_bound there (the circle of
+    radius 1/2 about s0 stays in re(s) >= 1/2); its rounding part counts
+    the phase error of t * log k.
+
+    Raises:
+        PoleError: at k = 0.
+        DomainError: for |k| > 44, past _MAX_ORDER.
     """
     if k == 0:
         raise PoleError("k = 0 is the pole at s = 1, not an exceptional point")
     s0 = complex(1.0, k * EXCEPTIONAL_SPACING)
-    h = 1e-5
-    terms = 0
-
-    def diff(step: float) -> complex:
-        nonlocal terms
-        hi = eta(s0 + step)
-        lo = eta(s0 - step)
-        terms += hi.terms_used + lo.terms_used
-        return (hi.value - lo.value) / (2.0 * step)
-
-    d1 = diff(h)
-    d2 = diff(h / 2.0)
-    derivative = (4.0 * d2 - d1) / 3.0
+    rim = complex(0.5, abs(s0.imag) + 0.5)
+    order = default_order(rim)
+    w, logk = _weights(order)
+    derivative = -complex(np.sum(w * logk * np.exp(-s0 * logk)))
     ln2 = math.log(2.0)
-    value = derivative / ln2
-    # Richardson defect plus finite-difference amplification of eta noise.
-    estimate = (abs(d2 - d1) / 3.0 + 1e-15 / h) / ln2
-    return EvalResult(value, estimate, terms)
+    estimate = (2.0 * truncation_bound(order, rim) + _rounding_bound(s0, order, 1)) / ln2
+    return EvalResult(derivative / ln2, estimate, order)
 
 
 def _add_in_order(chunk_sums) -> complex:

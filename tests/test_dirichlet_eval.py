@@ -46,7 +46,7 @@ def test_error_estimate_covers_actual_error():
     for s in POINTS:
         result = eta(s)
         actual = abs(result.value - eta_reference(s))
-        assert actual <= result.error_estimate + 1e-13
+        assert actual <= result.error_estimate
 
 
 def test_truncation_bound_decreases_with_order():
@@ -307,6 +307,46 @@ def test_exceptional_value_by_independent_route():
 def test_exceptional_rejects_pole_index():
     with pytest.raises(PoleError):
         zeta_at_exceptional(0)
+
+
+@pytest.mark.parametrize("k", [44, -44])
+def test_exceptional_reaches_k_44(k):
+    # one sum, at the default order at 1/2 + i(|t0| + 1/2)
+    result = zeta_at_exceptional(k)
+    assert result.terms_used == default_order(complex(0.5, 44 * EXCEPTIONAL_SPACING + 0.5)) == 378
+    assert math.isfinite(result.error_estimate)
+
+
+@pytest.mark.parametrize("k", [45, -45])
+def test_exceptional_refuses_k_45(k):
+    # 1/2 + i(|t0| + 1/2) needs order 386, past the cap
+    with pytest.raises(DomainError):
+        zeta_at_exceptional(k)
+
+
+def test_estimates_bound_the_error_against_mpmath():
+    # An eta estimate without the phase error of t * log k misses at 46
+    # of these points, by up to 4.6x; a finite-difference eta' with one
+    # Richardson step missed its own estimate at k = 12 and -12.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(28)
+    points = rng.uniform((0.05, 0.0), (2.0, 400.0), size=(240, 2))
+    eta_misses, exceptional_misses = [], []
+    with mpmath.workdps(30):
+        for sigma, t in points:
+            result = eta(complex(sigma, t))
+            actual = abs(result.value - complex(mpmath.altzeta(mpmath.mpc(sigma, t))))
+            if not actual <= result.error_estimate:
+                eta_misses.append((sigma, t, actual / result.error_estimate))
+        for k in [*range(-44, 0), *range(1, 45)]:
+            result = zeta_at_exceptional(k)
+            # zeta(s, 2) + 1: mpmath.zeta(s) is off by about 1e-6 here
+            s0 = 1 + 2j * mpmath.pi * k / mpmath.log(2)
+            actual = abs(result.value - complex(mpmath.zeta(s0, 2) + 1))
+            if not actual <= result.error_estimate:
+                exceptional_misses.append((k, actual / result.error_estimate))
+    assert eta_misses == []
+    assert exceptional_misses == []
 
 
 def test_lambda_series_small_prefix():
