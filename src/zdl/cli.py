@@ -236,14 +236,6 @@ def cmd_identity(args) -> tuple:
     )]
 
 
-_MODES_DEFAULTS = {
-    "lee": (100000, 100000),
-    "cesaro": (4096, 64),
-    "zeros": (512, 64),
-    "interchange_ratio": (512, 64),
-}
-
-
 def _make_array(name, s):
     """The named array; the lee array sieves liouville itself as rows are read."""
     if name == "lee":
@@ -277,13 +269,13 @@ def _modes_rows(record):
 
 
 def cmd_modes(args) -> tuple:
-    outer_default, k_default = _MODES_DEFAULTS[args.array]
-    outer = args.outer if args.outer is not None else outer_default
-    k_max = args.k_max if args.k_max is not None else k_default
-    # The outer limit is refused here and an oversized rectangle as its
-    # trace opens, both before a row is read, so neither sieves.
-    _check_outer_limit(outer)
+    # A given outer limit is refused first, and an oversized rectangle as
+    # its trace opens, both before a row is read, so neither sieves.
+    if args.outer is not None:
+        _check_outer_limit(args.outer)
     array = _make_array(args.array, args.s)
+    outer = args.outer if args.outer is not None else array.outer
+    k_max = args.k_max if args.k_max is not None else array.k_max
     # Each report shrinks to its record at once, so no trace (16 B per
     # step) outlives its mode.
     rectangle = _mode_record(pringsheim_trace(array, k_max, args.aspect, args.tolerance))
@@ -294,7 +286,7 @@ def cmd_modes(args) -> tuple:
     ]
     record = {
         "array": array.label,
-        "s": getattr(array, "s", None),
+        "s": array.s,
         "outer_limit": outer,
         "k_max": k_max,
         "aspect": str(args.aspect),

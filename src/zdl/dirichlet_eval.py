@@ -127,6 +127,11 @@ def _rounding_bound(s: complex, order: int, power: int) -> float:
     return float(np.finfo(float).eps * np.sum(size * phase))
 
 
+def _log_growth(t: float) -> float:
+    """log(3 * (1 + 2t)) + pi * t / 2, the log of the bound's growth in t = |im(s)|."""
+    return math.log(3.0 * (1.0 + 2.0 * t)) + 0.5 * math.pi * t
+
+
 def truncation_bound(order: int, s: complex) -> float:
     """A-priori bound on the acceleration error at the given order.
 
@@ -134,12 +139,7 @@ def truncation_bound(order: int, s: complex) -> float:
     4**(1/2 - sigma) left of the critical line where the sharp constant
     is not available.
     """
-    t = abs(s.imag)
-    log_bound = (
-        math.log(3.0 * (1.0 + 2.0 * t))
-        + 0.5 * math.pi * t
-        - order * _LOG_RATE
-    )
+    log_bound = _log_growth(abs(s.imag)) - order * _LOG_RATE
     if s.real < 0.5:
         log_bound += (0.5 - s.real) * math.log(4.0)
     if log_bound > 700.0:
@@ -151,8 +151,7 @@ def default_order(s: complex) -> int:
     """Smallest order (at least 60) whose a-priori bound is below 1e-13."""
     t = abs(s.imag)
     need = (
-        0.5 * math.pi * t
-        + math.log(3.0 * (1.0 + 2.0 * t))
+        _log_growth(t)
         + 13.0 * math.log(10.0)
         + (0.5 - min(s.real, 0.5)) * math.log(4.0)
     ) / _LOG_RATE
@@ -318,7 +317,8 @@ def zeta(s: complex) -> EvalResult:
     base = eta(s)
     factor = bridge_factor(s)
     value = base.value / factor
-    estimate = base.error_estimate / abs(factor) + 4.0 * np.finfo(float).eps * abs(value)
+    rounding = 4.0 * float(np.finfo(float).eps) * abs(value)
+    estimate = base.error_estimate / abs(factor) + rounding
     return EvalResult(value, estimate, base.terms_used)
 
 

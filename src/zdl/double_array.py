@@ -1,14 +1,16 @@
 """Double arrays and the three summation orders applied to them.
 
 A double array here is a map (m, n) -> a(m, n) over positive integer
-pairs.  Every array meets one contract (DoubleArray): vectorized entries
-terms(m, n), the nonzero entries of a rectangle m_lo..m_hi x n_lo..n_max
-as COO arrays pairs(m_lo, m_hi, n_max, n_lo=1), the bound pair_bound on
-what such a call holds, and the row and column limits row_limits and
-column_limits.  Slabs, the rectangle trace and both uniformity scans
-reach an array only through that contract, so each keeps one code path
-for every array; the block-tail scan walks n, and the rectangle trace K,
-in windows of pairs sized by pair_bound.
+pairs.  Every array meets one contract (DoubleArray) and defines its
+entries once: a dense array as the complex block rectangle(m_lo, m_hi,
+n_max, n_lo=1), a sparse one as the nonzero entries of that rectangle,
+pairs(m_lo, m_hi, n_max, n_lo=1), with pair_bound, the bound on what
+such a call holds; the base class derives the other view.  Row and
+column limits, row_limits and column_limits, complete the contract.
+Slabs, the rectangle trace and both uniformity scans reach an array
+only through it, so each keeps one code path for every array; the
+block-tail scan walks n, and the rectangle trace K, in windows of pairs
+sized by pair_bound.
 
 Three ways of attaching a value to the whole array are compared:
 
@@ -23,8 +25,8 @@ The arrays provided:
   hits m | n, else 0.  Rows collapse to liouville(m) * m**(-s) * eta(s);
   column n is a finite sum equal to the signed divisor transform of n
   over n**s.  The three orders agree where everything converges
-  absolutely and pull apart as re(s) shrinks.  Its pairs enumerate the
-  divisor hits directly instead of scanning the rectangle, and it sieves
+  absolutely and pull apart as re(s) shrinks.  It defines its entries
+  by pairs, which enumerate the divisor hits directly, and it sieves
   liouville itself, each row once and only as far as the rows it reads:
   columns read beta's closed form.
 * CesaroArray: the classical counterexample whose rows sum to 2**(-m)
@@ -52,8 +54,8 @@ MAX_GRID_CELLS = 1 << 26
 # column settle profiles, whose block extents the slabs supply.
 SLAB_ROWS = 64
 
-# Cells whose terms a slab takes in one call.
-_TERMS_CELLS = 1 << 16
+# Cells of one rectangle call of a slab.
+_RECTANGLE_CELLS = 1 << 16
 
 # Slots of row or column limits an iterated sum takes at a time; the
 # limits and their temporaries hold about 64 B per slot, 1 MiB at once.
@@ -143,40 +145,47 @@ def classify_trace(trace: np.ndarray, tolerance: float = 1e-6) -> Verdict:
 class DoubleArray:
     """The one contract every array meets and every consumer goes through.
 
-    * terms(m, n): entries at broadcast integer index arrays (all >= 1),
-      complex128, 0 where the array has no support.
-    * pairs(m_lo, m_hi, n_max, n_lo=1): the nonzero entries of the
-      rectangle m_lo <= m <= m_hi, n_lo <= n <= n_max as COO arrays
-      (m, n, value), sorted by m and then n.  A window n_lo > 1 returns
-      bit for bit the entries of the full rectangle that fall in it.
+    An array defines its entries once, by one of the first two methods,
+    and the base class derives the other from it:
+
+    * rectangle(m_lo, m_hi, n_max, n_lo=1): the entries of rows m_lo..m_hi
+      x columns n_lo..n_max (m_lo, n_lo >= 1) as one dense complex128
+      block, 0 where the array has no support.  A dense array overrides
+      it; the base scatters the entries of pairs into zeros.
+    * pairs(m_lo, m_hi, n_max, n_lo=1): the nonzero entries of that
+      rectangle as COO arrays (m, n, value), sorted by m and then n.  A
+      window n_lo > 1 returns bit for bit the entries of the full
+      rectangle that fall in it.  A sparse array overrides it, and
+      pair_bound, with a direct enumeration; the base keeps the nonzeros
+      of rectangle.
     * pair_bound(m_lo, m_hi, n_max, n_lo=1): an upper bound on the
       entries that pairs call holds and on the cells it evaluates to
       find them; pairs refuses a bound above MAX_GRID_CELLS before it
-      allocates anything.
-    * row_limits(m_max, m_lo=0) / column_limits(n_max, n_lo=0): rows
-      (columns) m_lo..m_max summed to their limits, in slots 0..m_max -
-      m_lo; index 0 reads 0.  A window has the bits of the same slots of
+      allocates anything.  The base counts the cells; a sparse array
+      counts its entries exactly.
+    * row_limits(m_max, m_lo=1) / column_limits(n_max, n_lo=1): rows
+      (columns) m_lo..m_max summed to their limits, m_lo >= 1, as one
+      complex128 array.  A window has the bits of the same entries of
       the whole table.
 
-    pairs evaluates terms over the whole rectangle and keeps the
-    nonzeros, so its bound is the cell count and not exact; an array
-    with sparse support overrides both with a direct enumeration that
-    must return the same entries bit for bit, and its exact count.
+    Class attributes carry the rest of what sets arrays apart: s, the
+    array parameter (None for an array without one); reach, the default
+    scan reach in n; outer and k_max, the default outer limit and
+    rectangle trace length of the summation modes.
     """
 
     label = "generic"
+    s = None
+    reach = 4096
+    outer = 512
+    k_max = 64
 
-    def terms(self, m, n) -> np.ndarray:
-        raise NotImplementedError
-
-    def row_limits(self, m_max: int, m_lo: int = 0) -> np.ndarray:
-        raise NotImplementedError
-
-    def column_limits(self, n_max: int, n_lo: int = 0) -> np.ndarray:
-        raise NotImplementedError
-
-    def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
-        return max(m_hi - m_lo + 1, 0) * max(n_max - n_lo + 1, 0)
+    def rectangle(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> np.ndarray:
+        m, n, values = self.pairs(m_lo, m_hi, n_max, n_lo)
+        shape = (max(m_hi - m_lo + 1, 0), max(n_max - n_lo + 1, 0))
+        block = np.zeros(shape, dtype=np.complex128)
+        block[m - m_lo, n - n_lo] = values
+        return block
 
     def pairs(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1):
         if self.pair_bound(m_lo, m_hi, n_max, n_lo) > MAX_GRID_CELLS:
@@ -184,21 +193,34 @@ class DoubleArray:
                 f"rectangle of rows {m_lo}..{m_hi} x columns {n_lo}..{n_max} "
                 "exceeds the dense limit"
             )
-        m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
-        n = np.arange(n_lo, n_max + 1, dtype=np.int64)
-        values = self.terms(m[:, None], n)
-        hit_m, hit_n = np.nonzero(values)
-        return m[hit_m], n[hit_n], values[hit_m, hit_n]
+        block = self.rectangle(m_lo, m_hi, n_max, n_lo)
+        hit_m, hit_n = np.nonzero(block)
+        return hit_m + m_lo, hit_n + n_lo, block[hit_m, hit_n]
+
+    def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
+        return max(m_hi - m_lo + 1, 0) * max(n_max - n_lo + 1, 0)
+
+    def row_limits(self, m_max: int, m_lo: int = 1) -> np.ndarray:
+        raise NotImplementedError
+
+    def column_limits(self, n_max: int, n_lo: int = 1) -> np.ndarray:
+        raise NotImplementedError
 
 
-def _indices(m, n):
-    """Integer index arrays for terms; raises on an index below 1."""
-    m = np.asarray(m, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    for idx in (m, n):
-        if idx.size and idx.min() < 1:
-            raise InvalidBoundError(f"array indices start at 1, got {int(idx.min())}")
-    return m, n
+def _check_start(lo: int) -> None:
+    if lo < 1:
+        raise InvalidBoundError(f"array indices start at 1, got {lo}")
+
+
+def _span(lo: int, hi: int, dtype=np.int64) -> np.ndarray:
+    """Indices lo..hi (lo >= 1)."""
+    _check_start(lo)
+    return np.arange(lo, hi + 1, dtype=dtype)
+
+
+def _axes(m_lo: int, m_hi: int, n_max: int, n_lo: int):
+    """Rows m_lo..m_hi as a column and columns n_lo..n_max as a row."""
+    return _span(m_lo, m_hi)[:, None], _span(n_lo, n_max)
 
 
 def _quotient_sum(m_lo: int, m_hi: int, n: int) -> int:
@@ -221,18 +243,25 @@ class LeeArray(DoubleArray):
     """Divisor-supported array tying the Liouville series to eta.
 
     a(m, n) = liouville(m) * (-1)**(n/m + 1) * n**(-s) when m divides n,
-    else 0.  Requires re(s) > 0.  liouville is read only at the row, and
-    the array sieves it itself, 1 byte per row: terms, pairs and
-    row_limits first make every refusal of the call, then grow the sieve
-    to the highest row they read, at least doubling it and sieving only
-    the rows it lacks, so each row is sieved once.  Rows go up to
-    MAX_GRID_CELLS, more than any window, scan or rectangle reads;
-    columns read beta's closed form, no sieve, and go up to
-    MAX_LEE_COLUMN.  A window of pairs holds about 32 B per divisor hit
-    and O(width + isqrt(n_max)) besides, however many rows it spans.
+    else 0.  Requires re(s) > 0.  The array defines its entries by pairs,
+    an enumeration of the divisor hits, so a rectangle, a slab or a
+    row-tail block tests no cell for divisibility.  liouville is read
+    only at the row, and the array sieves it itself, 1 byte per row:
+    pairs and row_limits first make every refusal of the call, then
+    grow the sieve to the highest row they read, at least doubling it
+    and sieving only the rows it lacks, so each row is sieved once.
+    Rows go up to MAX_GRID_CELLS, more than any window, scan or
+    rectangle reads; columns read beta's closed form, no sieve, and go
+    up to MAX_LEE_COLUMN.  A window of pairs holds about 32 B per
+    divisor hit and O(width + isqrt(n_max)) besides, however many rows
+    it spans.
     """
 
     label = "lee"
+    # A block-tail start M keeps reach // M terms per row.
+    reach = 10**6
+    outer = 100000
+    k_max = 100000
 
     def __init__(self, s: complex):
         s = complex(s)
@@ -277,26 +306,12 @@ class LeeArray(DoubleArray):
         lam = self._lam[m]
         return lam * signs * np.exp(-self.s * np.log(n.astype(np.float64)))
 
-    def terms(self, m, n) -> np.ndarray:
-        m, n = np.broadcast_arrays(*_indices(m, n))
-        if n.size:
-            self._check_columns(int(n.max()))
-        out = np.zeros(m.shape, dtype=np.complex128)
-        hit = n % m == 0
-        m, n = m[hit], n[hit]
-        self._liouville(int(m.max(initial=0)))
-        out[hit] = self._entries(m, n // m, n)
-        return out
+    def row_limits(self, m_max: int, m_lo: int = 1) -> np.ndarray:
+        m = _span(m_lo, m_max, np.float64)
+        lam = self._liouville(m_max)[m_lo : m_max + 1]
+        return lam * np.exp(-self.s * np.log(m)) * self._eta_value
 
-    def row_limits(self, m_max: int, m_lo: int = 0) -> np.ndarray:
-        lo = max(m_lo, 1)
-        lam = self._liouville(m_max)[lo : m_max + 1]
-        out = np.zeros(m_max - m_lo + 1, dtype=np.complex128)
-        log_m = np.log(np.arange(lo, m_max + 1, dtype=np.float64))
-        out[lo - m_lo :] = lam * np.exp(-self.s * log_m) * self._eta_value
-        return out
-
-    def column_limits(self, n_max: int, n_lo: int = 0) -> np.ndarray:
+    def column_limits(self, n_max: int, n_lo: int = 1) -> np.ndarray:
         """Column sums through the closed form of the divisor transform.
 
         Column n is the finite sum over the divisors of n; its exact
@@ -305,11 +320,8 @@ class LeeArray(DoubleArray):
         n**(-s).  No sieve is read.
         """
         self._check_columns(n_max)
-        out = np.zeros(n_max - n_lo + 1, dtype=np.complex128)
-        lo = max(n_lo, 1)
-        log_n = np.log(np.arange(lo, n_max + 1, dtype=np.float64))
-        out[lo - n_lo :] = beta_closed_table(n_max, lo) * np.exp(-self.s * log_n)
-        return out
+        log_n = np.log(_span(n_lo, n_max, np.float64))
+        return beta_closed_table(n_max, n_lo) * np.exp(-self.s * log_n)
 
     def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
         """The exact count of divisor hits m | n in the window (m_lo >= 1).
@@ -333,10 +345,7 @@ class LeeArray(DoubleArray):
         entry count, pair_bound, is checked against MAX_GRID_CELLS, and
         the rows are sieved, before any array is allocated.
         """
-        if m_lo < 1 or n_lo < 1:
-            raise InvalidBoundError(
-                f"array indices start at 1, got m = {m_lo}, n = {n_lo}"
-            )
+        _check_start(min(m_lo, n_lo))
         self._check_columns(n_max)
         # Rows past n_max hold no hit, so their liouville is never read.
         m_hi = min(m_hi, n_max)
@@ -383,25 +392,20 @@ class CesaroArray(DoubleArray):
     """
 
     label = "cesaro"
+    outer = 4096
 
-    def terms(self, m, n) -> np.ndarray:
-        m, n = _indices(m, n)
+    def rectangle(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> np.ndarray:
+        m, n = _axes(m_lo, m_hi, n_max, n_lo)
         b = 2.0 ** (-(n // 2) - 1)
         signs = np.where(n % 2 == 1, 1.0, -1.0)
         return ((signs * b) * (1.0 - b) ** (m - 1)).astype(np.complex128)
 
-    def row_limits(self, m_max: int, m_lo: int = 0) -> np.ndarray:
-        out = np.zeros(m_max - m_lo + 1, dtype=np.complex128)
-        lo = max(m_lo, 1)
-        out[lo - m_lo :] = 2.0 ** (-np.arange(lo, m_max + 1, dtype=np.float64))
-        return out
+    def row_limits(self, m_max: int, m_lo: int = 1) -> np.ndarray:
+        return (2.0 ** -_span(m_lo, m_max, np.float64)).astype(np.complex128)
 
-    def column_limits(self, n_max: int, n_lo: int = 0) -> np.ndarray:
-        out = np.zeros(n_max - n_lo + 1, dtype=np.complex128)
-        lo = max(n_lo, 1)
-        n = np.arange(lo, n_max + 1)
-        out[lo - n_lo :] = np.where(n % 2 == 1, 1.0, -1.0)
-        return out
+    def column_limits(self, n_max: int, n_lo: int = 1) -> np.ndarray:
+        n = _span(n_lo, n_max)
+        return np.where(n % 2 == 1, 1.0, -1.0).astype(np.complex128)
 
 
 class SyntheticArray(DoubleArray):
@@ -433,22 +437,24 @@ class SyntheticArray(DoubleArray):
             out = np.where((m >= 1) & (n >= 1), m / np.maximum(m + n, 1.0), 0.0)
         return out
 
-    def terms(self, m, n) -> np.ndarray:
-        m, n = _indices(m, n)
+    def rectangle(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> np.ndarray:
+        m, n = _axes(m_lo, m_hi, n_max, n_lo)
         if self.rule == "zeros":
-            return np.zeros(np.broadcast_shapes(m.shape, n.shape), dtype=np.complex128)
+            return np.zeros((m.size, n.size), dtype=np.complex128)
         f = self._ratio
         return (f(m, n) - f(m - 1, n) - f(m, n - 1) + f(m - 1, n - 1)).astype(np.complex128)
 
-    def row_limits(self, m_max: int, m_lo: int = 0) -> np.ndarray:
+    def row_limits(self, m_max: int, m_lo: int = 1) -> np.ndarray:
         # Both rules have vanishing row tails; the ratio rows telescope to
         # lim_N [f(m, N) - f(m-1, N)] = 0.
+        _check_start(m_lo)
         return np.zeros(m_max - m_lo + 1, dtype=np.complex128)
 
-    def column_limits(self, n_max: int, n_lo: int = 0) -> np.ndarray:
+    def column_limits(self, n_max: int, n_lo: int = 1) -> np.ndarray:
+        _check_start(n_lo)
         out = np.zeros(n_max - n_lo + 1, dtype=np.complex128)
-        if self.rule == "interchange_ratio" and n_lo <= 1 <= n_max:
-            out[1 - n_lo] = 1.0
+        if self.rule == "interchange_ratio" and n_lo == 1 <= n_max:
+            out[0] = 1.0
         return out
 
 
@@ -460,11 +466,11 @@ def slab(
     above is S(lo - 1, 0..n); its length sets n.  The slab is written
     into out when given, an array of that shape.
 
-    The slab takes its rows' terms, sums them along n from an explicit
-    +0 in column 0, adds the row above to its first row and sums down m.
-    Those are the additions, in the order, of one cumulative sum along
-    rows and then down columns over the whole window with a zero row 0
-    and column 0, which realizes
+    The slab takes its rows' entries from array.rectangle, sums them
+    along n from an explicit +0 in column 0, adds the row above to its
+    first row and sums down m.  Those are the additions, in the order,
+    of one cumulative sum along rows and then down columns over the
+    whole window with a zero row 0 and column 0, which realizes
 
         S(M, N) = S(M-1, N) + S(M, N-1) - S(M-1, N-1) + a(M, N)
 
@@ -477,13 +483,11 @@ def slab(
     rows = min(SLAB_ROWS, m_max + 1 - lo)
     sums = np.empty((rows, n + 1), dtype=np.complex128) if out is None else out
     sums[:, 0] = 0
-    # Terms a few rows at a time keep their temporaries small next to
-    # the slab.
-    step = max(1, _TERMS_CELLS // n)
-    cols = np.arange(1, n + 1)
+    # A few rows at a time keep the rectangles small next to the slab.
+    step = max(1, _RECTANGLE_CELLS // n)
     for i in range(0, rows, step):
-        m = np.arange(lo + i, lo + min(i + step, rows))
-        sums[i : i + len(m), 1:] = array.terms(m[:, None], cols)
+        top = min(i + step, rows)
+        sums[i:top, 1:] = array.rectangle(lo + i, lo + top - 1, n)
     np.cumsum(sums, axis=1, out=sums)
     np.add(above, sums[0], out=sums[0])
     np.cumsum(sums, axis=0, out=sums)
@@ -510,7 +514,7 @@ def row_sum(array: DoubleArray, m: int, n_upto: int | None = None) -> complex:
     if m < 1:
         raise InvalidBoundError(f"row index starts at 1, got {m}")
     if n_upto is None:
-        return complex(array.row_limits(m)[m])
+        return complex(array.row_limits(m, m)[0])
     if n_upto < 1:
         raise InvalidBoundError(f"truncation point must be >= 1, got {n_upto}")
     return complex(np.sum(array.pairs(m, m, n_upto)[2]))

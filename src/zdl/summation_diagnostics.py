@@ -65,9 +65,6 @@ _BLOCK = SLAB_ROWS
 # copy and modulus taken at the ends of the tied-n groups.
 _SCAN_CELLS = (5 << 20) // (16 + 1 + 24)
 
-# Default scan reach in n for the divisor-supported array.
-LEE_DEFAULT_REACH = 10**6
-
 # Fewest terms per row the report keeps for a block-tail start M of the
 # divisor-supported array: row m holds only reach // m of them.
 _LEE_ROW_TERMS = 128
@@ -443,11 +440,6 @@ def _check_outer_list(values, name):
     return arr
 
 
-def _default_reach(array: DoubleArray) -> int:
-    """Scan reach in n: LEE_DEFAULT_REACH for Lee, else 4096."""
-    return LEE_DEFAULT_REACH if isinstance(array, LeeArray) else 4096
-
-
 def _needed_sup(array: DoubleArray, m_start: int, block: int, n_reach: int) -> float:
     # Rows past the reach hold no tail entries, so higher blocks repeat
     # the sums of the block that ends at the reach.
@@ -512,8 +504,9 @@ def needed_uniformity_scan(
     over N <= n_reach of |sum_{m=M}^{M+q} sum_{n=m}^{N} a(m, n)|.  Rows
     enter the inner sum at n = m, matching the triangular tail whose
     uniform smallness in M is the missing step this scan makes visible.
-    An n_reach below the largest M raises InvalidBoundError: rows past
-    the reach hold no terms, so their sup of 0 would certify nothing.
+    n_reach defaults to array.reach.  An n_reach below the largest M
+    raises InvalidBoundError: rows past the reach hold no terms, so
+    their sup of 0 would certify nothing.
 
     Each M is one pass over n = M..n_reach in windows of array.pairs,
     sized by array.pair_bound so that a window's (block height x pair)
@@ -529,7 +522,7 @@ def needed_uniformity_scan(
     if block < 0:
         raise InvalidBoundError(f"block length must be >= 0, got {block}")
     if n_reach is None:
-        n_reach = _default_reach(array)
+        n_reach = array.reach
     if n_reach < m_list[-1]:
         raise InvalidBoundError(
             f"n_reach {n_reach} is below the largest M {m_list[-1]}; "
@@ -541,10 +534,8 @@ def needed_uniformity_scan(
 
 
 def _verified_sup(array: DoubleArray, n_start: int, block: int, m_reach: int) -> float:
-    block_terms = array.terms(
-        np.arange(1, m_reach + 1)[:, None], np.arange(n_start, n_start + block + 1)
-    )
-    return float(np.max(np.abs(np.cumsum(block_terms, axis=1))))
+    entries = array.rectangle(1, m_reach, n_start + block, n_start)
+    return float(np.max(np.abs(np.cumsum(entries, axis=1))))
 
 
 def lee_verified_scan(
@@ -721,12 +712,13 @@ def diagnostics_report(
 ) -> dict:
     """Probes, both scans, and the classification as one dict of Python values.
 
-    The window is checked first and the scans run before the probes, so
-    a refused window, or a refused first block tail, reads no row.
+    scan_reach defaults to array.reach.  The window is checked first
+    and the scans run before the probes, so a refused window, or a
+    refused first block tail, reads no row.
     """
     _check_window(m_max, n_max)
     if scan_reach is None:
-        scan_reach = _default_reach(array)
+        scan_reach = array.reach
     outer = _default_outer(scan_reach, block)
     needed_outer = outer
     if isinstance(array, LeeArray):
@@ -739,7 +731,7 @@ def diagnostics_report(
 
     return {
         "array": array.label,
-        "s": getattr(array, "s", None),
+        "s": array.s,
         "window": {"m_max": m_max, "n_max": n_max, "tolerance": float(tolerance)},
         "probes": [
             {

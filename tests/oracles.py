@@ -238,16 +238,15 @@ def verified_sup_brute(term, n_start: int, block: int, m_reach: int) -> float:
 def dense_grid_reference(array, m_max: int, n_max: int) -> np.ndarray:
     """Every S(m, n), 0 <= m <= m_max and 0 <= n <= n_max, in one array.
 
-    The former build_grid: terms in slabs of about 2**16 cells into a
+    The former build_grid: rectangles of about 2**16 cells into a
     grid with a zero row 0 and column 0, then one cumulative sum along
     rows and one down columns over the whole grid.
     """
     a = np.zeros((m_max + 1, n_max + 1), dtype=np.complex128)
-    n = np.arange(1, n_max + 1)
     step = max(1, (1 << 16) // n_max)
     for lo in range(1, m_max + 1, step):
-        m = np.arange(lo, min(lo + step, m_max + 1))
-        a[lo : lo + len(m), 1:] = array.terms(m[:, None], n)
+        hi = min(lo + step, m_max + 1)
+        a[lo:hi, 1:] = array.rectangle(lo, hi - 1, n_max)
     np.cumsum(a, axis=1, out=a)
     np.cumsum(a, axis=0, out=a)
     return a
@@ -300,8 +299,8 @@ def analyze_reference(sums: np.ndarray, tolerance: float):
 
 def iterated_trace_reference(limits, outer: int) -> np.ndarray:
     """The former iterated-sum trace: one cumulative sum over the whole
-    limits table, slots 1..outer of limits(outer)."""
-    return np.cumsum(limits(outer)[1:])
+    limits table, rows 1..outer of limits(outer)."""
+    return np.cumsum(limits(outer))
 
 
 def lee_pairs_per_row(s: complex, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1):

@@ -47,6 +47,7 @@ def test_error_estimate_covers_actual_error():
         result = eta(s)
         actual = abs(result.value - eta_reference(s))
         assert actual <= result.error_estimate
+        assert type(result.error_estimate) is float
 
 
 def test_truncation_bound_decreases_with_order():
@@ -282,7 +283,10 @@ def test_eta_line_refuses_before_building_a_buffer(monkeypatch, sigma, ts, order
 
 def test_zeta_through_the_bridge():
     for s in POINTS:
-        assert abs(zeta(s).value - zeta_em(s)) <= 1e-12
+        result = zeta(s)
+        assert abs(result.value - zeta_em(s)) <= 1e-12
+        # A plain float, as eta's: 4 * eps * |value| once made it np.float64.
+        assert type(result.error_estimate) is float
 
 
 def test_zeta_guards_pole_and_exceptional_points():
@@ -315,6 +319,7 @@ def test_exceptional_reaches_k_44(k):
     result = zeta_at_exceptional(k)
     assert result.terms_used == default_order(complex(0.5, 44 * EXCEPTIONAL_SPACING + 0.5)) == 378
     assert math.isfinite(result.error_estimate)
+    assert type(result.error_estimate) is float
 
 
 @pytest.mark.parametrize("k", [45, -45])

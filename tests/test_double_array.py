@@ -1,5 +1,6 @@
 """Double arrays, partial-sum grids, and the three summation modes."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from zdl import (
     SyntheticArray,
     beta_closed_form,
     classify_trace,
+    diagnostics_report,
     double_array,
     eta,
     iterated_sum,
@@ -20,7 +22,8 @@ from zdl import (
     row_sum,
     slabs,
 )
-from zdl.double_array import MAX_GRID_CELLS
+from zdl.cli import _jsonable
+from zdl.double_array import MAX_GRID_CELLS, DoubleArray
 from zdl.errors import DomainError, InvalidBoundError
 
 from oracles import (
@@ -50,7 +53,7 @@ def lee_window(lee):
 
 
 def test_term_supported_on_divisors(lee):
-    block = lee.terms(np.arange(1, 31)[:, None], np.arange(1, 121))
+    block = lee.rectangle(1, 30, 120)
     for m in range(1, 31):
         for n in range(1, 121):
             assert abs(block[m - 1, n - 1] - lee_term_brute(S_TEST, m, n)) <= 1e-15
@@ -62,8 +65,8 @@ def test_column_limit_is_exact_coefficient(lee):
         # same scaling route as the implementation, so the integer
         # combination in front must match exactly for equality to hold
         expected = beta_brute(n) * np.exp(-S_TEST * np.log(float(n)))
-        assert limits[n] == expected
-        assert lee.column_limits(n)[n] == limits[n]
+        assert limits[n - 1] == expected
+        assert lee.column_limits(n)[n - 1] == limits[n - 1]
 
 
 def test_row_limit_factorizes_through_eta(lee):
@@ -71,12 +74,12 @@ def test_row_limit_factorizes_through_eta(lee):
     limits = lee.row_limits(16)
     for m in (1, 3, 7, 16):
         expected = liouville_brute(m) * m ** -S_TEST * base
-        assert abs(limits[m] - expected) <= 1e-14
-        assert row_sum(lee, m) == limits[m]
+        assert abs(limits[m - 1] - expected) <= 1e-14
+        assert row_sum(lee, m) == limits[m - 1]
 
 
 def test_row_values_supported_on_multiples(lee):
-    values = lee.terms(6, np.arange(1, 101))
+    values = lee.rectangle(6, 6, 100)[0]
     for n in range(1, 101):
         if n % 6:
             assert values[n - 1] == 0
@@ -110,7 +113,7 @@ def any_array(request, lee):
 )
 def test_pairs_are_the_nonzero_terms(any_array, m_lo, m_hi, n_max):
     m_col, n_col, values = any_array.pairs(m_lo, m_hi, n_max)
-    rect = any_array.terms(np.arange(m_lo, m_hi + 1)[:, None], np.arange(1, n_max + 1))
+    rect = any_array.rectangle(m_lo, m_hi, n_max)
     hit_m, hit_n = np.nonzero(rect)
     assert np.array_equal(m_col, hit_m + m_lo)
     assert np.array_equal(n_col, hit_n + 1)
@@ -130,6 +133,13 @@ def test_pairs_rejects_row_zero(any_array):
         any_array.pairs(0, 3, 10)
     with pytest.raises(InvalidBoundError):
         any_array.pairs(1, 3, 10, 0)
+    with pytest.raises(InvalidBoundError):
+        any_array.rectangle(1, 3, 10, 0)
+    # The limits start at row and column 1, with no slot 0.
+    with pytest.raises(InvalidBoundError):
+        any_array.row_limits(5, 0)
+    with pytest.raises(InvalidBoundError):
+        any_array.column_limits(5, 0)
 
 
 @pytest.mark.parametrize("m_lo, m_hi, n_max", [(1, 1, 1), (1, 97, 97), (3, 40, 97), (50, 60, 1000)])
@@ -203,9 +213,9 @@ def test_term_is_bitwise_the_pairs_and_grid_value():
     assert np.array_equal(m_col[at_n], [1, 2, 5, 7, 10, 14, 35, 70, 131, 262, 655,
                                         917, 1310, 1834, 4585, 9170])
     for m, v in zip(m_col[at_n], values[at_n]):
-        assert lee.terms(int(m), n) == v
-    # A grid cell replays row-then-column running sums of the same terms.
-    replay = grid_cell_replay(lambda m: [complex(lee.terms(m, k)) for k in range(1, 41)], 6)
+        assert lee.rectangle(int(m), int(m), n, n)[0, 0] == v
+    # A grid cell replays row-then-column running sums of the same entries.
+    replay = grid_cell_replay(lambda m: lee.rectangle(m, m, 40)[0].tolist(), 6)
     assert slab_cell((lee, 6, 40), 6, 40) == replay
 
 
@@ -223,7 +233,7 @@ def test_column_sum_matches_grid(lee, lee_window):
     limits = lee.column_limits(20)
     running = 0j
     for n in range(1, 21):
-        running += limits[n]
+        running += limits[n - 1]
         assert abs(slab_cell(lee_window, 40, n) - running) <= 1e-13
 
 
@@ -232,8 +242,7 @@ def test_recompute_cell_is_bit_exact(lee, lee_window):
     for _ in range(25):
         m = int(rng.integers(1, 41))
         n = int(rng.integers(1, 301))
-        row = np.arange(1, n + 1)
-        replay = grid_cell_replay(lambda r: lee.terms(r, row).tolist(), m)
+        replay = grid_cell_replay(lambda r: lee.rectangle(r, r, n)[0].tolist(), m)
         assert slab_cell(lee_window, m, n) == replay
 
 
@@ -249,23 +258,21 @@ def test_cesaro_row_and_column_limits():
     rows = ces.row_limits(10)
     cols = ces.column_limits(8)
     for m in (1, 2, 10):
-        assert rows[m] == 2.0 ** -m
+        assert rows[m - 1] == 2.0 ** -m
         assert row_sum(ces, m) == 2.0 ** -m
     for n in (1, 2, 3, 8):
-        assert cols[n] == (1.0 if n % 2 else -1.0)
-        assert ces.column_limits(n)[n] == cols[n]
+        assert cols[n - 1] == (1.0 if n % 2 else -1.0)
+        assert ces.column_limits(n)[n - 1] == cols[n - 1]
 
 
 def test_cesaro_terms_match_closed_form():
     ces = CesaroArray()
-    ms = np.array([1, 4, 9])
-    ns = np.array([2, 3, 10, 11])
-    block = ces.terms(ms[:, None], ns)
-    assert block.shape == (3, 4) and block.dtype == np.complex128
-    for i, m in enumerate(ms):
-        for j, n in enumerate(ns):
-            assert abs(block[i, j] - cesaro_term(int(m), int(n))) <= 1e-18
-            assert ces.terms(int(m), int(n)) == block[i, j]
+    block = ces.rectangle(1, 9, 11)
+    assert block.shape == (9, 11) and block.dtype == np.complex128
+    for m in (1, 4, 9):
+        for n in (2, 3, 10, 11):
+            assert abs(block[m - 1, n - 1] - cesaro_term(m, n)) <= 1e-18
+            assert ces.rectangle(m, m, n, n)[0, 0] == block[m - 1, n - 1]
 
 
 def test_zeros_array_is_identically_zero():
@@ -291,24 +298,90 @@ def test_lee_rejects_bad_parameters(no_sieve):
     # above that is refused before any sieve.
     row = MAX_GRID_CELLS + 1
     with pytest.raises(InvalidBoundError, match="row m = "):
-        lee.terms(row, row)
+        lee.rectangle(row, row, row)
     with pytest.raises(InvalidBoundError, match="row m = "):
-        lee.terms(np.arange(row - 3, row + 1)[:, None], row)
+        lee.rectangle(row - 3, row, row, row)
     with pytest.raises(InvalidBoundError, match="row m = "):
         lee.pairs(row, row + 5, 2 * row)
     with pytest.raises(InvalidBoundError, match="row m = "):
         lee.row_limits(row)
     # Rows past n_max hold no hit, so they need no sieve.
     assert len(lee.pairs(2001, 5000, 2000)[0]) == 0
-    assert not lee.terms(np.arange(2001, 2101)[:, None], np.arange(1901, 2001)).any()
+    assert not lee.rectangle(2001, 2100, 2000, 1901).any()
     # float64 holds n exactly only up to 2**53.
     with pytest.raises(InvalidBoundError, match="2\\*\\*53"):
-        lee.terms(1, 2**53 + 2)
+        lee.rectangle(1, 1, 2**53 + 2, 2**53 + 2)
     with pytest.raises(InvalidBoundError, match="2\\*\\*53"):
         lee.pairs(2**52, 2**52, 2**53 + 2, 2**53 + 1)
     with pytest.raises(InvalidBoundError):
-        lee.terms(np.arange(0, 4), 12)
+        lee.rectangle(0, 3, 12)
     assert no_sieve == []
+
+
+class _Band(DoubleArray):
+    """Two diagonals: a(m, m) = v(m) and a(m, m + 1) = v(m) / 2, with
+    v(m) = (1 + 0.5i) (-1)**m / m; each twin below defines them once."""
+
+    label = "band"
+
+    @staticmethod
+    def _entries(m, n):
+        return np.where(n == m, 1.0, 0.5) * (1 + 0.5j) * (-1.0) ** m / m
+
+    def row_limits(self, m_max, m_lo=1):
+        m = np.arange(m_lo, m_max + 1)
+        return 1.5 * self._entries(m, m)
+
+    def column_limits(self, n_max, n_lo=1):
+        n = np.arange(n_lo, n_max + 1)
+        below = np.where(n > 1, self._entries(np.maximum(n - 1, 1), n), 0)
+        return self._entries(n, n) + below
+
+
+class _SparseBand(_Band):
+    """The band by its entries alone: pairs and pair_bound."""
+
+    def pairs(self, m_lo, m_hi, n_max, n_lo=1):
+        m = np.repeat(np.arange(m_lo, m_hi + 1), 2)
+        n = m + np.tile([0, 1], len(m) // 2)
+        keep = (n_lo <= n) & (n <= n_max)
+        m, n = m[keep], n[keep]
+        return m, n, self._entries(m, n)
+
+    def pair_bound(self, m_lo, m_hi, n_max, n_lo=1):
+        return 2 * max(m_hi - m_lo + 1, 0)
+
+
+class _DenseBand(_Band):
+    """The band as dense blocks: rectangle alone."""
+
+    def rectangle(self, m_lo, m_hi, n_max, n_lo=1):
+        m = np.arange(m_lo, m_hi + 1)[:, None]
+        n = np.arange(n_lo, n_max + 1)
+        return np.where((n == m) | (n == m + 1), self._entries(m, n), 0)
+
+
+def test_one_definition_serves_every_consumer():
+    # The base class derives a sparse array's rectangle and a dense
+    # array's pairs, so both twins read the same through every consumer.
+    sparse, dense = _SparseBand(), _DenseBand()
+    for window in ((1, 40, 50), (3, 40, 50, 7), (45, 60, 50)):
+        assert sparse.rectangle(*window).tobytes() == dense.rectangle(*window).tobytes()
+        for got, want in zip(sparse.pairs(*window), dense.pairs(*window)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    report = [
+        json.dumps(diagnostics_report(a, 64, 128, scan_reach=512), default=_jsonable)
+        for a in (sparse, dense)
+    ]
+    assert report[0] == report[1]
+    for order in ("rows_then_m", "columns_then_n"):
+        got, want = (iterated_sum(a, order, 300) for a in (sparse, dense))
+        assert got.trace.tobytes() == want.trace.tobytes()
+        assert repr(got.verdict) == repr(want.verdict)
+    for aspect in (Fraction(1), Fraction(3, 2)):
+        got, want = (pringsheim_trace(a, 200, aspect) for a in (sparse, dense))
+        assert got.trace.tobytes() == want.trace.tobytes()
+        assert repr((got.verdict, got.notes)) == repr((want.verdict, want.notes))
 
 
 def _same_pairs(a, b, *window):
@@ -322,25 +395,20 @@ def test_lee_entries_past_the_sieve_match_a_sieve_to_n(sieved):
     s = 0.5 + 14.134725j
     grown, direct = LeeArray(s), LeeArray(s)
     whole = direct.row_limits(n_far)
-    assert grown.row_limits(2000).tobytes() == whole[:2001].tobytes()
+    assert grown.row_limits(2000).tobytes() == whole[:2000].tobytes()
     # Columns 1500 times further out than the rows, and rows past n_max,
     # need no more sieve.
-    m = np.arange(1, 2001)[:, None]
-    n = np.arange(n_far - 5000, n_far + 1, 7)
-    assert grown.terms(m, n).tobytes() == direct.terms(m, n).tobytes()
     assert _same_pairs(grown, direct, 1, 2000, n_far, n_far - 5000)
     assert len(grown.pairs(1999, 5000, 2000)[0]) == 2
     assert sieved == [(1, n_far), (1, 2000)]
     assert grown.row_limits(n_far).tobytes() == whole.tobytes()
     assert sieved == [(1, n_far), (1, 2000), (2001, n_far)]
-    m = np.arange(n_far - 1000, n_far + 1)[:, None]
-    assert grown.terms(m, n).tobytes() == direct.terms(m, n).tobytes()
     assert _same_pairs(grown, direct, 1, n_far, n_far, n_far - 5000)
     # Columns read beta's closed form, bit for bit its scalar route's.
     cols = np.arange(1, 100_001)
     beta = np.array([beta_closed_form(n) for n in cols], dtype=np.int8)
     by_scalar = beta * np.exp(-s * np.log(cols.astype(np.float64)))
-    assert grown.column_limits(100_000)[1:].tobytes() == by_scalar.tobytes()
+    assert grown.column_limits(100_000).tobytes() == by_scalar.tobytes()
 
 
 def test_lee_sieves_each_row_once_as_rows_climb(sieved):
@@ -420,7 +488,7 @@ def test_iterated_sum_guards():
 class _NegatedLimits(CesaroArray):
     """Cesaro row limits negated, so each imaginary part is -0.0."""
 
-    def row_limits(self, m_max, m_lo=0):
+    def row_limits(self, m_max, m_lo=1):
         return -super().row_limits(m_max, m_lo)
 
 
@@ -440,8 +508,8 @@ def test_iterated_sum_is_bitwise_one_cumulative_sum(name, order, monkeypatch):
     for outer in (2, 7, 8, 1000):
         expected = iterated_trace_reference(limits, outer)
         assert iterated_sum(array, order, outer).trace.tobytes() == expected.tobytes()
-        window = limits(outer, outer // 3)
-        assert window.tobytes() == limits(outer)[outer // 3 :].tobytes()
+        lo = outer // 3 + 1
+        assert limits(outer, lo).tobytes() == limits(outer)[lo - 1 :].tobytes()
 
 
 def test_iterated_sum_keeps_a_leading_signed_zero(monkeypatch):
@@ -602,8 +670,8 @@ def test_rectangle_trace_is_bitwise_the_whole_rectangle(
 class _NegatedCesaro(CesaroArray):
     """Cesaro entries negated, so each imaginary part is -0.0."""
 
-    def terms(self, m, n):
-        return -super().terms(m, n)
+    def rectangle(self, m_lo, m_hi, n_max, n_lo=1):
+        return -super().rectangle(m_lo, m_hi, n_max, n_lo)
 
 
 def test_rectangle_trace_keeps_signed_zeros(monkeypatch):
@@ -623,8 +691,8 @@ def test_rectangle_trace_keeps_signed_zeros(monkeypatch):
                                            (1000, Fraction(3, 2))])
 def test_dense_rectangle_trace_evaluates_each_cell_once(k_max, aspect, monkeypatch):
     array = CesaroArray()
-    terms, cells = array.terms, []
-    monkeypatch.setattr(array, "terms", lambda m, n: cells.append((r := terms(m, n)).size) or r)
+    rectangle, cells = array.rectangle, []
+    monkeypatch.setattr(array, "rectangle", lambda *a: cells.append((r := rectangle(*a)).size) or r)
     double_array._rectangle_trace(array, k_max, aspect)
     assert sum(cells) == -((-k_max * aspect.numerator) // aspect.denominator) * k_max
 

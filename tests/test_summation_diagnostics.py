@@ -491,15 +491,15 @@ def test_slab_probes_are_the_dense_reference_on_ragged_windows(
 class _NegatedCesaro(CesaroArray):
     """Cesaro entries negated, so each imaginary part is -0.0."""
 
-    def terms(self, m, n):
-        return -super().terms(m, n)
+    def rectangle(self, m_lo, m_hi, n_max, n_lo=1):
+        return -super().rectangle(m_lo, m_hi, n_max, n_lo)
 
 
 class _NegativeZeros(CesaroArray):
     """Every entry -0.0 - 0.0j."""
 
-    def terms(self, m, n):
-        return np.full(np.broadcast_shapes(np.shape(m), np.shape(n)), complex(-0.0, -0.0))
+    def rectangle(self, m_lo, m_hi, n_max, n_lo=1):
+        return np.full((m_hi - m_lo + 1, n_max - n_lo + 1), complex(-0.0, -0.0))
 
 
 @pytest.mark.parametrize("array", [_NegativeZeros(), _NegatedCesaro()], ids=["zeros", "cesaro"])
@@ -508,7 +508,7 @@ def test_slab_probes_keep_the_signed_zeros_of_the_dense_grid(array, monkeypatch)
     # +0.0 on the grid edges; a slab summed without them keeps -0.0.
     sums = dense_grid_reference(array, 70, 130)
     assert not np.signbit(sums.imag).any()
-    assert np.signbit(array.terms(np.arange(1, 71)[:, None], np.arange(1, 131)).imag).all()
+    assert np.signbit(array.rectangle(1, 70, 130).imag).all()
     _assert_report_is_the_dense_reference(monkeypatch, array, 70, 130, sums, 1e-6)
     for m, n in ((1, 1), (1, 130), (70, 1), (64, 65), (65, 130), (70, 130)):
         assert np.complex128(slab_cell((array, 70, 130), m, n)).tobytes() == sums[m, n].tobytes()
