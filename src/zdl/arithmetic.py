@@ -24,6 +24,10 @@ import numpy as np
 from .errors import InvalidBoundError
 
 
+# Rows of one sieve segment: its int32 cofactor takes 1 MiB.
+_SIEVE_SEGMENT = 1 << 18
+
+
 def _primes_up_to(limit: int) -> np.ndarray:
     """Primes p <= limit in increasing order (int64), by Eratosthenes."""
     if limit < 2:
@@ -39,16 +43,18 @@ def _primes_up_to(limit: int) -> np.ndarray:
 def sieve(n_max: int, n_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Omega and liouville for n_lo <= n <= n_max, in slots 0..n_max - n_lo.
 
-    Walks the primes p <= isqrt(n_max).  Along every multiple of p**k in
-    the range, from the first at or above max(n_lo, 1), each adds 1 to
+    Walks the range in segments of _SIEVE_SEGMENT rows, and in each the
+    primes p <= isqrt(n_max).  Along every multiple of p**k in the
+    segment, from the first at or above max(n_lo, 1), each adds 1 to
     Omega and divides an int32 cofactor array (initially n) by p.  A
     cofactor left > 1 is the one prime factor above isqrt(n_max) and adds
     1 more to Omega.  The Python loop runs over the prime powers up to
-    n_max (303 primes at 4e6), not over the rows; the cost is the strided
-    passes, about (n_max - n_lo) * (sum of 1/p**k) element operations.
-    Every row has the same value whatever range sieves it, and n = 0
-    reads 0 in both arrays.  The sieve holds 4 B per row of cofactor and
-    returns 1 B per row in each array.
+    n_max (303 primes at 4e6) once per segment, not over the rows; the
+    cost is the strided passes, about (n_max - n_lo) * (sum of 1/p**k)
+    element operations.  Every row has the same value whatever range
+    sieves it, and n = 0 reads 0 in both arrays.  The sieve returns 1 B
+    per row in each array and holds one segment's cofactor, 4 B per row
+    of the segment (1 MiB), besides.
 
     Args:
         n_max: inclusive upper bound, n_max <= 2**31 - 1 (int32 storage).
@@ -68,17 +74,21 @@ def sieve(n_max: int, n_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidBoundError(f"sieve bound must be <= 2**31 - 1 (int32 storage), got {n_max}")
 
     omega = np.zeros(n_max - n_lo + 1, dtype=np.int8)
-    cofactor = np.arange(n_lo, n_max + 1, dtype=np.int32)
-    first = max(n_lo, 1)
-    for p in _primes_up_to(isqrt(n_max)).tolist():
-        pk = p
-        while pk <= n_max:
-            start = -(-first // pk) * pk - n_lo
-            omega[start::pk] += 1
-            cofactor[start::pk] //= p
-            pk *= p
-    omega += cofactor > 1
-    del cofactor
+    primes = _primes_up_to(isqrt(n_max)).tolist()
+    for lo in range(n_lo, n_max + 1, _SIEVE_SEGMENT):
+        hi = min(lo + _SIEVE_SEGMENT - 1, n_max)
+        part = omega[lo - n_lo : hi - n_lo + 1]
+        cofactor = np.arange(lo, hi + 1, dtype=np.int32)
+        first = max(lo, 1)
+        for p in primes:
+            pk = p
+            while pk <= hi:
+                start = -(-first // pk) * pk - lo
+                part[start::pk] += 1
+                cofactor[start::pk] //= p
+                pk *= p
+        part += cofactor > 1
+        del cofactor
 
     liouville = 1 - 2 * (omega & 1)
     if n_lo == 0:

@@ -300,11 +300,19 @@ class LeeArray(DoubleArray):
                 "holds n exactly; use a smaller reach"
             )
 
-    def _entries(self, m, j, n) -> np.ndarray:
-        """a(m, n) at divisor hits n = m * j."""
+    def _entries(self, m, j, n, n_lo: int, n_max: int) -> np.ndarray:
+        """a(m, n) at divisor hits n = m * j, all in columns n_lo..n_max.
+
+        n**(-s) is taken once per column and gathered when the hits
+        outnumber the columns, else once per hit: the same bits either way.
+        """
         signs = np.where(j % 2 == 1, 1.0, -1.0)
         lam = self._lam[m]
-        return lam * signs * np.exp(-self.s * np.log(n.astype(np.float64)))
+        if len(n) > n_max - n_lo + 1:
+            power = np.exp(-self.s * np.log(_span(n_lo, n_max, np.float64)))[n - n_lo]
+        else:
+            power = np.exp(-self.s * np.log(n.astype(np.float64)))
+        return lam * signs * power
 
     def row_limits(self, m_max: int, m_lo: int = 1) -> np.ndarray:
         m = _span(m_lo, m_max, np.float64)
@@ -374,7 +382,7 @@ class LeeArray(DoubleArray):
         m_col = np.concatenate((np.repeat(rows, per_row), _runs(m_first, per_j)))
         j_col = np.concatenate((_runs(j_lo, per_row), np.repeat(quotients, per_j)))
         n_col = m_col * j_col
-        return m_col, n_col, self._entries(m_col, j_col, n_col)
+        return m_col, n_col, self._entries(m_col, j_col, n_col, n_lo, n_max)
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -624,10 +632,11 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     columns 1..K at the first K with n <= K and ceil(aspect*K) >= m; the
     trace is the running sum over the entries ordered by that K (ties in
     (m, n) order), never a dense grid.  K is walked in windows (k0, k1]
-    of about _TRACE_ENTRIES entries: R(k1) minus R(k0) is the new columns
-    of the old rows plus the new rows whole, two pairs calls whose
-    concatenation is sorted by (m, n), so a stable sort by entry K inside
-    each window gives the order of one sort over the whole rectangle.
+    of about _TRACE_ENTRIES entries and at most 2**16 steps: R(k1) minus
+    R(k0) is the new columns of the old rows plus the new rows whole, two
+    pairs calls whose concatenation is sorted by (m, n), so a stable sort
+    by entry K inside each window, on K - k0 - 1 as a 16-bit key, gives
+    the order of one sort over the whole rectangle.
 
     The four corners (half/full window in each direction) are running
     sums in that order too.  The entries at K <= k_half are exactly the
@@ -656,8 +665,9 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     k_half = max(1, k_max // 2)
     m_half = _ceil_fraction(k_half, aspect)
     p, q = aspect.numerator, aspect.denominator
-    # Equal-width windows in K, each holding about _TRACE_ENTRIES entries.
-    count = max(1, -(-bound // _TRACE_ENTRIES))
+    # Equal-width windows in K, each holding about _TRACE_ENTRIES entries
+    # and at most 2**16 steps, so an entry's K less k0 + 1 fits in 16 bits.
+    count = max(1, -(-bound // _TRACE_ENTRIES), -(-k_max // (1 << 16)))
     width = -(-k_max // count)
     trace = np.empty(k_max, dtype=np.complex128)
     # csum[0] is the running sum before the window, csum[1:] its entries
@@ -675,7 +685,9 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
             for part in zip(array.pairs(1, m0, k1, k0 + 1), array.pairs(m0 + 1, m1, k1))
         )
         enter = np.maximum(n_col, (m_col - 1) * q // p + 1)
-        order = np.argsort(enter, kind="stable")
+        # Every entry of the window joins at some K in k0 + 1..k1; a
+        # stable sort of 16-bit keys is a radix sort.
+        order = np.argsort((enter - (k0 + 1)).astype(np.uint16), kind="stable")
         if len(buffer) <= len(order):
             buffer = np.empty(len(order) + 1, dtype=np.complex128)
         csum = buffer[: len(order) + 1]

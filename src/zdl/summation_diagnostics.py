@@ -32,6 +32,7 @@ import numpy as np
 from .double_array import (
     MAX_GRID_CELLS,
     SLAB_ROWS,
+    _RECTANGLE_CELLS,
     DoubleArray,
     LeeArray,
     _box_diameter,
@@ -58,6 +59,12 @@ _UNIFORM_EDGE_FRACTION = 0.75
 # Width of the blocks whose extents the settle profiles are built from: a
 # slab of the grid, so each slab holds one block of every column.
 _BLOCK = SLAB_ROWS
+
+# Traces the settle profiles take at a time where their working arrays
+# grow with the trace count: the exact diameters' gather, spans and
+# diameters hold about 40 B for each of a trace's _BLOCK entries, so a
+# chunk holds about as much as one rectangle call of a slab.
+_SETTLE_CHUNK = _RECTANGLE_CELLS // (4 * _BLOCK)
 
 # Working cells (block heights x pairs) of one n-window of the block-tail
 # scan, sized to hold about 5 MiB at once: each cell takes 16 B of
@@ -179,83 +186,103 @@ def _suffix_spans(part, tail_top, tail_bottom):
     return spans
 
 
-def _settle_profile(traces: np.ndarray, tolerance: float) -> _SettleProfile:
-    """Settling analysis of many traces at once (rows of `traces`).
-
-    diam(i), the box diameter of trace[i:], is non-increasing in i, so
-    the admissible starts (diam <= tolerance) form a suffix and the
-    settle index is the first of them.  Block extents find it without a
-    running max/min over every cell: the max and min of re and im per
-    block of _BLOCK entries, accumulated into suffix extents at each
-    block start, give diam at the block starts.  The settle index lies
-    in the block just before a trace's first admissible block start, so
-    exact diam is taken only there, from that block's entries and the
-    next block's suffix extents; the half-trace diameter likewise reads
-    only the rest of its own block.  Max and min are exact, so every
-    span, and every hypot of two spans, is the float64 value a running
-    max/min over all cells gives, and verdicts keep their bits at the
-    tolerance boundary.
-    """
-    k, length = traces.shape
-    extents = (*_block_suffix_extents(traces.real), *_block_suffix_extents(traces.imag))
-
-    def segment(rows, block):
-        # Entries past the trace end repeat its last entry.
-        cols = np.minimum(block * _BLOCK + np.arange(_BLOCK)[:, None], length - 1)
-        return traces[rows, cols]
-
-    half = length // 2
-    end = min((half // _BLOCK + 1) * _BLOCK, length)
-    return _profile_from_extents(
-        extents, length, tolerance, segment, _extents(traces[:, half:end], 1), traces[:, -1]
-    )
-
-
-def _profile_from_extents(extents, length, tolerance, segment, half_extents, estimate):
-    """The settle profile of k traces of `length` from their block extents.
+def _settle_blocks(extents, length, half_extents, tolerance):
+    """What the settle profile of k traces of `length` reads of their extents.
 
     extents holds the suffix max and min of re and of im at every block
     start, each (k, blocks + 1) with the empty suffix last (see
-    _block_suffix_extents).  segment(rows, block) returns the _BLOCK
-    entries of trace rows[i] from block[i] * _BLOCK on, one trace per
-    column, entries past the trace end repeating its last one.
-    half_extents holds the extents (as _extents gives them) of each
-    trace's entries from length // 2 to the end of their block, and
-    estimate each trace's last entry.
+    _block_suffix_extents); half_extents holds the extents (as _extents
+    gives them) of each trace's entries from length // 2 to the end of
+    their block.  Returns, per trace, first_ok, the first block start
+    whose suffix diameter is within the tolerance (blocks if none is);
+    the suffix extents at that start, re top, re bottom, im top and im
+    bottom as one (4, k) array; and the half-trace diameter, the rest of
+    the block of entry length // 2 joined with the suffix extents after
+    it.  The diameters at the block starts are taken _SETTLE_CHUNK traces
+    at a time, so the extents can be freed once this returns.
     """
     re_top, re_bottom, im_top, im_bottom = extents
-    blocks = re_top.shape[1] - 1
-
-    at_starts = np.hypot(re_top - re_bottom, im_top - im_bottom)[:, :blocks]
-    first_ok = blocks - np.count_nonzero(at_starts <= tolerance, axis=1)
-    settle_index = np.zeros(len(first_ok), dtype=np.int64)
-    # Exact diam inside the block before the first admissible start; an
-    # entry past the trace end is not counted.
-    rows = np.flatnonzero(first_ok)
-    block = first_ok[rows] - 1
-    # re and im side by side: the float view of the complex entries.
-    seg = segment(rows, block).view(np.float64)
-    after = (rows, block + 1)
-    spans = _suffix_spans(
-        seg,
-        np.stack([re_top[after], im_top[after]], axis=1).ravel(),
-        np.stack([re_bottom[after], im_bottom[after]], axis=1).ravel(),
-    )
-    diam = np.hypot(spans[:, 0::2], spans[:, 1::2])
-    failing = np.count_nonzero(~(diam <= tolerance), axis=0)
-    settle_index[rows] = np.minimum(block * _BLOCK + failing, length)
-
-    # The half-trace diameter joins the rest of the block of entry
-    # length // 2 with the suffix extents after it.
+    k, blocks = re_top.shape[0], re_top.shape[1] - 1
+    first_ok = np.empty(k, dtype=np.int64)
+    for lo in range(0, k, _SETTLE_CHUNK):
+        part = slice(lo, lo + _SETTLE_CHUNK)
+        at_starts = np.hypot(
+            re_top[part, :blocks] - re_bottom[part, :blocks],
+            im_top[part, :blocks] - im_bottom[part, :blocks],
+        )
+        first_ok[part] = blocks - np.count_nonzero(at_starts <= tolerance, axis=1)
+    traces = np.arange(k)
+    settle_tails = np.stack([ext[traces, first_ok] for ext in extents])
     after = length // 2 // _BLOCK + 1
     re_max, re_min, im_max, im_min = half_extents
     half_diam = np.hypot(
         np.maximum(re_top[:, after], re_max) - np.minimum(re_bottom[:, after], re_min),
         np.maximum(im_top[:, after], im_max) - np.minimum(im_bottom[:, after], im_min),
     )
+    return first_ok, settle_tails, half_diam
+
+
+def _profile_from_blocks(first_ok, settle_tails, half_diam, estimate, length, tolerance, segments):
+    """The settle profile of k traces of `length` from what _settle_blocks takes out.
+
+    diam(i), the box diameter of trace[i:], is non-increasing in i, so
+    the admissible starts (diam <= tolerance) form a suffix and the
+    settle index is the first of them: it lies in the block just before
+    the trace's first admissible block start, so exact diam is taken
+    only there, from that block's entries and the suffix extents after
+    it.  segments yields (traces, seg) for every trace with first_ok > 0,
+    each once: column i of seg holds the _BLOCK entries of trace
+    traces[i] from (first_ok - 1) * _BLOCK on, entries past the trace
+    end repeating its last one.  estimate holds each trace's last entry.
+    """
+    settle_index = np.zeros(len(first_ok), dtype=np.int64)
+    for traces, seg in segments:
+        tails = settle_tails[:, traces]
+        # re and im side by side: the float view of the complex entries.
+        spans = _suffix_spans(seg.view(np.float64), tails[0::2].T.ravel(), tails[1::2].T.ravel())
+        diam = np.hypot(spans[:, 0::2], spans[:, 1::2])
+        # An entry past the trace end is not counted.
+        failing = np.count_nonzero(~(diam <= tolerance), axis=0)
+        settle_index[traces] = np.minimum((first_ok[traces] - 1) * _BLOCK + failing, length)
     settled = half_diam <= tolerance
     estimate = np.array(estimate, dtype=np.complex128)
     return _SettleProfile(settled, settle_index, half_diam, estimate, length)
+
+
+def _settle_profile(traces: np.ndarray, tolerance: float) -> _SettleProfile:
+    """Settling analysis of many traces at once (rows of `traces`).
+
+    Block extents find each settle index without a running max/min over
+    every cell: the max and min of re and im per block of _BLOCK
+    entries, accumulated into suffix extents at each block start, give
+    diam at the block starts (_settle_blocks), and exact diam is taken
+    only in the block where a trace settles (_profile_from_blocks); the
+    half-trace diameter likewise reads only the rest of its own block.
+    Max and min are exact, so every span, and every hypot of two spans,
+    is the float64 value a running max/min over all cells gives, and
+    verdicts keep their bits at the tolerance boundary.
+    """
+    length = traces.shape[1]
+    half = length // 2
+    end = min((half // _BLOCK + 1) * _BLOCK, length)
+    first_ok, settle_tails, half_diam = _settle_blocks(
+        (*_block_suffix_extents(traces.real), *_block_suffix_extents(traces.imag)),
+        length,
+        _extents(traces[:, half:end], 1),
+        tolerance,
+    )
+
+    def segments():
+        rows = np.flatnonzero(first_ok)
+        for lo in range(0, len(rows), _SETTLE_CHUNK):
+            part = rows[lo : lo + _SETTLE_CHUNK]
+            # Entries past the trace end repeat its last entry.
+            cols = (first_ok[part] - 1) * _BLOCK + np.arange(_BLOCK)[:, None]
+            yield part, traces[part, np.minimum(cols, length - 1)]
+
+    return _profile_from_blocks(
+        first_ok, settle_tails, half_diam, traces[:, -1], length, tolerance, segments()
+    )
 
 
 def _profile_detail(profile: _SettleProfile) -> dict:
@@ -331,12 +358,17 @@ def _analyze(array: DoubleArray, m_max: int, n_max: int, tolerance: float):
     min of re and im as one block of the column extents, and gives up its
     cells on the diagonal trace and the corners, and the slab holding
     row m_max // 2 the extents of each column's half-trace block.  The
-    column suffix extents then fix the block each column settles in, and
-    a second pass recomputes only the slabs that hold those blocks, and
-    of those only the columns up to the last one read, from the stored
-    row above each slab.  Memory is a slab
-    plus about 48 B per column per slab; every value has the bits a whole
-    grid in memory gives.
+    column suffix extents then fix the block each column settles in.
+    What the second pass reads of them, each column's first admissible
+    block, the extents after its settle block and its half-trace
+    diameter, is taken out and the extents freed, with the stored rows
+    above every slab that holds no settle block.  The second pass
+    recomputes each slab that holds one once, only up to the last
+    column its block group reads, and gathers its columns' blocks
+    _SETTLE_CHUNK at a time.  So the first pass holds a slab plus about
+    48 B per column per slab, and the second one slab, a chunk and the
+    rows above it still needs; every value has the bits a whole grid in
+    memory gives.
     """
     # The double limit's samples: the diagonal through the window, then
     # the four corners (half/full window in each direction).
@@ -375,20 +407,34 @@ def _analyze(array: DoubleArray, m_max: int, n_max: int, tolerance: float):
     # Suffix extents at every block start, accumulated in place.
     for ext, extreme in zip(extents, (np.maximum, np.minimum) * 2):
         extreme.accumulate(ext[::-1], axis=0, out=ext[::-1])
+    first_ok, settle_tails, half_diam = _settle_blocks(
+        tuple(ext.T for ext in extents), m_max, half_extents, tolerance
+    )
+    del extents
+    # The unsettled columns grouped by settle block, and the row above
+    # each slab holding one; no other row above is read.
+    cols = np.flatnonzero(first_ok)
+    block = first_ok[cols] - 1
+    order = np.argsort(block, kind="stable")
+    settle_blocks, starts = np.unique(block[order], return_index=True)
+    groups = np.split(cols[order], starts[1:])
+    above = above[settle_blocks]
 
-    def segment(cols, block):
-        seg = np.empty((_BLOCK, len(cols)), dtype=np.complex128)
-        for b in np.unique(block).tolist():
-            at = np.flatnonzero(block == b)
+    def segments():
+        rows = np.arange(_BLOCK)[:, None]
+        for b, group, row_above in zip(settle_blocks.tolist(), groups, above):
             # Columns up to the last one read: a cell needs none after it.
-            sums = slab(array, b * _BLOCK + 1, m_max, above[b, : cols[at[-1]] + 2])
+            sums = slab(array, b * _BLOCK + 1, m_max, row_above[: group[-1] + 2])
             # Entries past the trace end repeat its last entry.
-            rows = np.minimum(np.arange(_BLOCK), len(sums) - 1)
-            seg[:, at] = sums[rows[:, None], cols[at] + 1]
-        return seg
+            at = np.minimum(rows, len(sums) - 1)
+            for lo in range(0, len(group), _SETTLE_CHUNK):
+                part = group[lo : lo + _SETTLE_CHUNK]
+                yield part, sums[at, part + 1]
+            # This slab goes before the next one is computed.
+            del sums
 
-    col_profile = _profile_from_extents(
-        tuple(ext.T for ext in extents), m_max, tolerance, segment, half_extents, last_row
+    col_profile = _profile_from_blocks(
+        first_ok, settle_tails, half_diam, last_row, m_max, tolerance, segments()
     )
     row_profile = _SettleProfile(
         *(np.concatenate([getattr(p, name) for p in row_profiles])

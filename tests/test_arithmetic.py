@@ -65,6 +65,23 @@ def test_sieve_large_prime_leftovers(sieve1m):
         assert lam[n] == 1 == liouville_brute(n)
 
 
+@pytest.mark.parametrize("n_lo", [0, 1, 999_900])
+def test_sieve_segments_match_trial_division(n_lo, monkeypatch):
+    # Rows on both sides of the first segment boundary, which lies
+    # _SIEVE_SEGMENT rows above n_lo.
+    boundary = n_lo + arithmetic._SIEVE_SEGMENT
+    omega, lam = sieve(boundary + 300, n_lo)
+    rows = range(max(boundary - 300, 1), boundary + 301)
+    assert omega[rows[0] - n_lo :].tolist() == [omega_brute(n) for n in rows]
+    assert lam[rows[0] - n_lo :].tolist() == [liouville_brute(n) for n in rows]
+    # Segments of 97 rows: a boundary at every residue of the primes.
+    monkeypatch.setattr(arithmetic, "_SIEVE_SEGMENT", 97)
+    omega, lam = sieve(n_lo + 3000, n_lo)
+    rows = range(n_lo, n_lo + 3001)
+    assert omega.tolist() == [omega_brute(n) if n else 0 for n in rows]
+    assert lam.tolist() == [liouville_brute(n) if n else 0 for n in rows]
+
+
 def test_sieve_keeps_two_bytes_per_n():
     # int8 omega and liouville; the int32 cofactor is the peak.
     n_max = 10**6

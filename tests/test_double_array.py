@@ -667,6 +667,19 @@ def test_rectangle_trace_is_bitwise_the_whole_rectangle(
         assert abs(value.imag - math.fsum(entries.imag)) <= bound
 
 
+def test_rectangle_trace_keys_fit_in_sixteen_bits():
+    # 35,002 entries over 70,001 steps: one window would hold them all,
+    # but its entries' K less k0 + 1 would not fit in a 16-bit sort key.
+    array, k_max, aspect = _SparseBand(), 70_001, Fraction(1, 4)
+    assert array.pair_bound(1, -(-k_max // 4), k_max) <= double_array._TRACE_ENTRIES < k_max
+    expected_trace, expected_corners = _reference_rectangle_trace(array, k_max, aspect)
+    trace, corners = double_array._rectangle_trace(array, k_max, aspect)
+    assert trace.tobytes() == expected_trace.tobytes()
+    assert [c[:2] for c in corners] == [c[:2] for c in expected_corners]
+    values = [np.array([c[2] for c in cs]).tobytes() for cs in (corners, expected_corners)]
+    assert values[0] == values[1]
+
+
 class _NegatedCesaro(CesaroArray):
     """Cesaro entries negated, so each imaginary part is -0.0."""
 

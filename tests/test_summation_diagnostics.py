@@ -523,15 +523,42 @@ def _analyze_peak(array, m_max, n_max):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("array", [LeeArray(0.6 + 3.0j), CesaroArray()], ids=["lee", "cesaro"])
+def test_slab_probes_chunk_the_settle_blocks_bitwise(array, monkeypatch):
+    # On 300 x 700 the unsettled columns settle in several blocks, and
+    # one block holds more of them than a chunk, so the second pass
+    # computes several slabs and gathers from one of them chunk by chunk.
+    m_max, n_max, tolerance = 300, 700, 1e-6
+    sums = dense_grid_reference(array, m_max, n_max)
+    want = _settle_profile_reference(sums[1:, 1:].T, tolerance)
+    unsettled = want.settle_index[want.settle_index > 0]
+    blocks, counts = np.unique(
+        (unsettled - 1) // summation_diagnostics._BLOCK, return_counts=True
+    )
+    assert len(blocks) >= 2 and counts.max() > summation_diagnostics._SETTLE_CHUNK, counts
+    slab, computed = summation_diagnostics.slab, []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            summation_diagnostics, "slab",
+            lambda a, lo, m, above: computed.append(lo) or slab(a, lo, m, above),
+        )
+        col_profile = summation_diagnostics._analyze(array, m_max, n_max, tolerance)[2]
+    # One slab for each settle block, in block order.
+    assert computed == (blocks * summation_diagnostics._BLOCK + 1).tolist()
+    _assert_same_profile(col_profile, want)
+    _assert_report_is_the_dense_reference(monkeypatch, array, m_max, n_max, sums, tolerance)
+
+
 def test_analyze_memory_is_block_extents():
     peak = _analyze_peak(CesaroArray(), 512, 4096)
-    # A 4 MiB slab and its terms, then a recomputed slab and the settle
-    # blocks of the columns: 15.3 MiB measured; the grid would be 32 MiB.
-    assert peak <= 20 * 2**20, f"probes peaked at {peak / 2**20:.1f} MiB"
+    # A 4 MiB slab and its terms in either pass, and one chunk of settle
+    # blocks in the second: 7.7 MiB measured; the grid would be 32 MiB.
+    assert peak <= 10 * 2**20, f"probes peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_analyze_memory_at_the_window_cap():
     peak = _analyze_peak(CesaroArray(), 8191, 8191)
-    # The column block extents (34 MiB), the row above each slab (17 MiB)
-    # and the second pass: 81.7 MiB measured; the grid would be 1 GiB.
-    assert peak <= 96 * 2**20, f"probes peaked at {peak / 2**20:.1f} MiB"
+    # The first pass: the column block extents (34 MiB), the row above
+    # each slab (17 MiB) and an 8 MiB slab, 59.0 MiB measured; the grid
+    # would be 1 GiB.
+    assert peak <= 66 * 2**20, f"probes peaked at {peak / 2**20:.1f} MiB"
