@@ -133,13 +133,13 @@ class TheoremCheck:
 
 @dataclass
 class _SettleProfile:
-    """Per-trace settling data for one sweep direction of the grid."""
+    """Settling data for one sweep direction of the grid, and its largest settle index."""
 
     settled: np.ndarray
-    settle_index: np.ndarray
     half_diameter: np.ndarray
     estimate: np.ndarray
     length: int
+    max_settle_index: int
 
 
 def _block_suffix_extents(part: np.ndarray):
@@ -193,95 +193,91 @@ def _settle_blocks(extents, length, half_extents, tolerance):
     start, each (k, blocks + 1) with the empty suffix last (see
     _block_suffix_extents); half_extents holds the extents (as _extents
     gives them) of each trace's entries from length // 2 to the end of
-    their block.  Returns, per trace, first_ok, the first block start
-    whose suffix diameter is within the tolerance (blocks if none is);
-    the suffix extents at that start, re top, re bottom, im top and im
-    bottom as one (4, k) array; and the half-trace diameter, the rest of
-    the block of entry length // 2 joined with the suffix extents after
-    it.  The diameters at the block starts are taken _SETTLE_CHUNK traces
-    at a time, so the extents can be freed once this returns.
+    their block.  diam(i), the box diameter of trace[i:], never grows
+    with i (a NaN entry makes it NaN, too wide, up to there), so the
+    block starts where some trace is too wide form a prefix.  Returns
+    first, its length; the traces too wide at start first - 1 (none if
+    first is 0) and their suffix extents at start first, re top, re
+    bottom, im top and im bottom as one (4, wide) array; and the
+    half-trace diameter, the rest of the block of entry length // 2
+    joined with the suffix extents after it.  The block starts are taken
+    _SETTLE_CHUNK traces at a time, so the extents can be freed once
+    this returns.
     """
     re_top, re_bottom, im_top, im_bottom = extents
     k, blocks = re_top.shape[0], re_top.shape[1] - 1
-    first_ok = np.empty(k, dtype=np.int64)
+
+    def diam(at, j):
+        return np.hypot(re_top[at, j] - re_bottom[at, j], im_top[at, j] - im_bottom[at, j])
+
+    wide = np.zeros(blocks, dtype=bool)
     for lo in range(0, k, _SETTLE_CHUNK):
-        part = slice(lo, lo + _SETTLE_CHUNK)
-        at_starts = np.hypot(
-            re_top[part, :blocks] - re_bottom[part, :blocks],
-            im_top[part, :blocks] - im_bottom[part, :blocks],
-        )
-        first_ok[part] = blocks - np.count_nonzero(at_starts <= tolerance, axis=1)
-    traces = np.arange(k)
-    settle_tails = np.stack([ext[traces, first_ok] for ext in extents])
+        wide |= ~np.all(diam(slice(lo, lo + _SETTLE_CHUNK), slice(blocks)) <= tolerance, axis=0)
+    first = int(np.count_nonzero(wide))
+    # At start 0 no trace is too wide when first is 0.
+    traces = np.flatnonzero(~(diam(slice(None), max(first, 1) - 1) <= tolerance))
+    tails = np.stack([ext[traces, first] for ext in extents])
     after = length // 2 // _BLOCK + 1
     re_max, re_min, im_max, im_min = half_extents
     half_diam = np.hypot(
         np.maximum(re_top[:, after], re_max) - np.minimum(re_bottom[:, after], re_min),
         np.maximum(im_top[:, after], im_max) - np.minimum(im_bottom[:, after], im_min),
     )
-    return first_ok, settle_tails, half_diam
+    return first, traces, tails, half_diam
 
 
-def _profile_from_blocks(first_ok, settle_tails, half_diam, estimate, length, tolerance, segments):
+def _profile_from_blocks(first, wide, tails, half_diam, estimate, length, tolerance, gather):
     """The settle profile of k traces of `length` from what _settle_blocks takes out.
 
-    diam(i), the box diameter of trace[i:], is non-increasing in i, so
-    the admissible starts (diam <= tolerance) form a suffix and the
-    settle index is the first of them: it lies in the block just before
-    the trace's first admissible block start, so exact diam is taken
-    only there, from that block's entries and the suffix extents after
-    it.  segments yields (traces, seg) for every trace with first_ok > 0,
-    each once: column i of seg holds the _BLOCK entries of trace
-    traces[i] from (first_ok - 1) * _BLOCK on, entries past the trace
-    end repeating its last one.  estimate holds each trace's last entry.
+    Every trace fits the tolerance from block start `first` on, so the
+    largest settle index lies in block first - 1, at a trace too wide at
+    its start, one of `wide`; exact diam is taken only there, from the
+    block's entries and the suffix extents after it.  gather(part) gives
+    the block's entries of traces `part`, one trace per column, and is
+    called _SETTLE_CHUNK traces at a time.  A trace fails at a prefix of
+    the block, so the index is the block start plus the entries where
+    some trace fails.  estimate holds each trace's last entry.
     """
-    settle_index = np.zeros(len(first_ok), dtype=np.int64)
-    for traces, seg in segments:
-        tails = settle_tails[:, traces]
+    failing = 0
+    for lo in range(0, len(wide), _SETTLE_CHUNK):
+        part = slice(lo, lo + _SETTLE_CHUNK)
         # re and im side by side: the float view of the complex entries.
-        spans = _suffix_spans(seg.view(np.float64), tails[0::2].T.ravel(), tails[1::2].T.ravel())
+        seg = gather(wide[part]).view(np.float64)
+        spans = _suffix_spans(seg, tails[0::2, part].T.ravel(), tails[1::2, part].T.ravel())
         diam = np.hypot(spans[:, 0::2], spans[:, 1::2])
-        # An entry past the trace end is not counted.
-        failing = np.count_nonzero(~(diam <= tolerance), axis=0)
-        settle_index[traces] = np.minimum((first_ok[traces] - 1) * _BLOCK + failing, length)
-    settled = half_diam <= tolerance
+        failing = max(failing, int(np.count_nonzero(~np.all(diam <= tolerance, axis=1))))
     estimate = np.array(estimate, dtype=np.complex128)
-    return _SettleProfile(settled, settle_index, half_diam, estimate, length)
+    settle = max(first - 1, 0) * _BLOCK + failing
+    return _SettleProfile(half_diam <= tolerance, half_diam, estimate, length, settle)
 
 
 def _settle_profile(traces: np.ndarray, tolerance: float) -> _SettleProfile:
     """Settling analysis of many traces at once (rows of `traces`).
 
-    Block extents find each settle index without a running max/min over
-    every cell: the max and min of re and im per block of _BLOCK
-    entries, accumulated into suffix extents at each block start, give
-    diam at the block starts (_settle_blocks), and exact diam is taken
-    only in the block where a trace settles (_profile_from_blocks); the
-    half-trace diameter likewise reads only the rest of its own block.
-    Max and min are exact, so every span, and every hypot of two spans,
-    is the float64 value a running max/min over all cells gives, and
-    verdicts keep their bits at the tolerance boundary.
+    Block extents find the largest settle index without a running
+    max/min over every cell: the max and min of re and im per block of
+    _BLOCK entries, accumulated into suffix extents at each block start,
+    give diam at the block starts and so the block where the last trace
+    settles (_settle_blocks); exact diam is taken only in that block
+    (_profile_from_blocks), and the half-trace diameter likewise reads
+    only the rest of its own block.  Max and min are exact, so every
+    span, and every hypot of two spans, is the float64 value a running
+    max/min over all cells gives, and verdicts keep their bits at the
+    tolerance boundary.
     """
     length = traces.shape[1]
     half = length // 2
     end = min((half // _BLOCK + 1) * _BLOCK, length)
-    first_ok, settle_tails, half_diam = _settle_blocks(
+    first, wide, tails, half_diam = _settle_blocks(
         (*_block_suffix_extents(traces.real), *_block_suffix_extents(traces.imag)),
         length,
         _extents(traces[:, half:end], 1),
         tolerance,
     )
-
-    def segments():
-        rows = np.flatnonzero(first_ok)
-        for lo in range(0, len(rows), _SETTLE_CHUNK):
-            part = rows[lo : lo + _SETTLE_CHUNK]
-            # Entries past the trace end repeat its last entry.
-            cols = (first_ok[part] - 1) * _BLOCK + np.arange(_BLOCK)[:, None]
-            yield part, traces[part, np.minimum(cols, length - 1)]
-
+    block = np.arange(max(first - 1, 0) * _BLOCK, min(first * _BLOCK, length))[:, None]
     return _profile_from_blocks(
-        first_ok, settle_tails, half_diam, traces[:, -1], length, tolerance, segments()
+        first, wide, tails, half_diam, traces[:, -1], length, tolerance,
+        lambda part: traces[part, block],
     )
 
 
@@ -289,7 +285,7 @@ def _profile_detail(profile: _SettleProfile) -> dict:
     return {
         "settled": int(np.count_nonzero(profile.settled)),
         "total": int(len(profile.settled)),
-        "max_settle_index": int(profile.settle_index.max()),
+        "max_settle_index": int(profile.max_settle_index),
         "trace_length": int(profile.length),
     }
 
@@ -358,17 +354,15 @@ def _analyze(array: DoubleArray, m_max: int, n_max: int, tolerance: float):
     min of re and im as one block of the column extents, and gives up its
     cells on the diagonal trace and the corners, and the slab holding
     row m_max // 2 the extents of each column's half-trace block.  The
-    column suffix extents then fix the block each column settles in.
-    What the second pass reads of them, each column's first admissible
-    block, the extents after its settle block and its half-trace
-    diameter, is taken out and the extents freed, with the stored rows
-    above every slab that holds no settle block.  The second pass
-    recomputes each slab that holds one once, only up to the last
-    column its block group reads, and gathers its columns' blocks
-    _SETTLE_CHUNK at a time.  So the first pass holds a slab plus about
-    48 B per column per slab, and the second one slab, a chunk and the
-    rows above it still needs; every value has the bits a whole grid in
-    memory gives.
+    column suffix extents then fix the block where the last column
+    settles.  What the second pass reads of them, the columns still too
+    wide at that block's start, their extents after it and every
+    column's half-trace diameter, is taken out and the extents freed.
+    The second pass recomputes that block's slab alone, from the stored
+    row above it and only up to the last of those columns, and gathers
+    their blocks _SETTLE_CHUNK at a time.  So the first pass holds a
+    slab plus about 48 B per column per slab, and the second one slab
+    and a chunk; every value has the bits a whole grid in memory gives.
     """
     # The double limit's samples: the diagonal through the window, then
     # the four corners (half/full window in each direction).
@@ -401,45 +395,31 @@ def _analyze(array: DoubleArray, m_max: int, n_max: int, tolerance: float):
         here = (sample_m >= lo) & (sample_m < lo + len(sums))
         samples[here] = sums[sample_m[here] - lo, sample_n[here]]
     last_row = body[-1].copy()
-    # The slab buffer goes before the second pass computes its slabs.
+    # The slab buffer goes before the second pass computes its slab.
     del sums, body
 
     # Suffix extents at every block start, accumulated in place.
     for ext, extreme in zip(extents, (np.maximum, np.minimum) * 2):
         extreme.accumulate(ext[::-1], axis=0, out=ext[::-1])
-    first_ok, settle_tails, half_diam = _settle_blocks(
+    first, cols, tails, half_diam = _settle_blocks(
         tuple(ext.T for ext in extents), m_max, half_extents, tolerance
     )
     del extents
-    # The unsettled columns grouped by settle block, and the row above
-    # each slab holding one; no other row above is read.
-    cols = np.flatnonzero(first_ok)
-    block = first_ok[cols] - 1
-    order = np.argsort(block, kind="stable")
-    settle_blocks, starts = np.unique(block[order], return_index=True)
-    groups = np.split(cols[order], starts[1:])
-    above = above[settle_blocks]
-
-    def segments():
-        rows = np.arange(_BLOCK)[:, None]
-        for b, group, row_above in zip(settle_blocks.tolist(), groups, above):
-            # Columns up to the last one read: a cell needs none after it.
-            sums = slab(array, b * _BLOCK + 1, m_max, row_above[: group[-1] + 2])
-            # Entries past the trace end repeat its last entry.
-            at = np.minimum(rows, len(sums) - 1)
-            for lo in range(0, len(group), _SETTLE_CHUNK):
-                part = group[lo : lo + _SETTLE_CHUNK]
-                yield part, sums[at, part + 1]
-            # This slab goes before the next one is computed.
-            del sums
-
+    if first:
+        # Columns up to the last one read: a cell needs none after it.
+        sums = slab(array, (first - 1) * _BLOCK + 1, m_max, above[first - 1, : cols[-1] + 2])
+        rows = np.arange(len(sums))[:, None]
+    # No column is gathered when first is 0; both indices are arrays, so
+    # a gather is C-ordered, as its float view needs.
     col_profile = _profile_from_blocks(
-        first_ok, settle_tails, half_diam, last_row, m_max, tolerance, segments()
+        first, cols, tails, half_diam, last_row, m_max, tolerance,
+        lambda part: sums[rows, part + 1],
     )
     row_profile = _SettleProfile(
         *(np.concatenate([getattr(p, name) for p in row_profiles])
-          for name in ("settled", "settle_index", "half_diameter", "estimate")),
+          for name in ("settled", "half_diameter", "estimate")),
         n_max,
+        max(p.max_settle_index for p in row_profiles),
     )
     # A profile's estimates are its traces' last entries: the last row
     # for the columns, the last column for the rows.

@@ -6,12 +6,14 @@ series, arithmetic functions from trial division, and rectangle sums
 from closed forms derived by hand.  Agreement between these slow routes
 and the package is what the tests actually assert.
 
-The dense partial-sum grid, the whole-table iterated sum and the
-row-by-row divisor listing at the end are the exception: they are the
-package's former code, frozen as the bitwise references of the slab
-walk, the windowed limits and the quotient listing that replaced them.
-Two helpers import the package: analyze_reference builds its probes
-from summation_diagnostics' own settle profile and verdict helpers, and
+The dense partial-sum grid, the running-extent settle profile, the
+whole-table iterated sum and the row-by-row divisor listing at the end
+are the exception: they are the package's former code, frozen as the
+bitwise references of the slab walk, the block-extent settle profiles,
+the windowed limits and the quotient listing that replaced them.
+Three helpers import the package: settle_profile_reference fills in
+its settle-profile record, analyze_reference builds its probes from
+those profiles with summation_diagnostics' own verdict helpers, and
 slab_cell reads a cell off the package's own slabs.
 """
 
@@ -252,6 +254,39 @@ def dense_grid_reference(array, m_max: int, n_max: int) -> np.ndarray:
     return a
 
 
+def settle_profile_reference(traces: np.ndarray, tolerance: float):
+    """The settle profile as a running max/min over every cell.
+
+    The former summation_diagnostics._settle_profile: slabs of 256
+    rows, four reversed running extents and a hypot at every cell.
+    Returns the package's profile record, filled in here, and every
+    trace's settle index, the first i with diam(trace[i:]) <= tolerance
+    (the trace length if there is none), whose max the record keeps.
+    """
+    from zdl.summation_diagnostics import _SettleProfile
+
+    k, length = traces.shape
+    settled = np.zeros(k, dtype=bool)
+    settle_index = np.zeros(k, dtype=np.int64)
+    half_diam = np.zeros(k, dtype=np.float64)
+    estimate = np.array(traces[:, -1], dtype=np.complex128)
+    half = length // 2
+    for lo in range(0, k, 256):
+        hi = min(lo + 256, k)
+        slab = np.ascontiguousarray(traces[lo:hi])
+        re = slab.real[:, ::-1]
+        im = slab.imag[:, ::-1]
+        re_span = np.maximum.accumulate(re, axis=1) - np.minimum.accumulate(re, axis=1)
+        im_span = np.maximum.accumulate(im, axis=1) - np.minimum.accumulate(im, axis=1)
+        diam = np.hypot(re_span, im_span)[:, ::-1]
+        ok = diam <= tolerance
+        settled[lo:hi] = ok[:, half]
+        settle_index[lo:hi] = length - np.count_nonzero(ok, axis=1)
+        half_diam[lo:hi] = diam[:, half]
+    profile = _SettleProfile(settled, half_diam, estimate, length, int(settle_index.max()))
+    return profile, settle_index
+
+
 def analyze_reference(sums: np.ndarray, tolerance: float):
     """The former summation_diagnostics._analyze on a dense grid.
 
@@ -264,8 +299,8 @@ def analyze_reference(sums: np.ndarray, tolerance: float):
 
     body = sums[1:, 1:]
     m_max, n_max = body.shape
-    col_profile = sd._settle_profile(body.T, tolerance)
-    row_profile = sd._settle_profile(body, tolerance)
+    col_profile = settle_profile_reference(body.T, tolerance)[0]
+    row_profile = settle_profile_reference(body, tolerance)[0]
 
     steps = min(m_max, n_max)
     ks = np.arange(1, steps + 1)

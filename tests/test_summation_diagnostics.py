@@ -32,6 +32,7 @@ from oracles import (
     lee_term_brute,
     needed_sup_brute,
     ratio_term,
+    settle_profile_reference,
     slab_cell,
     verified_sup_brute,
 )
@@ -318,39 +319,10 @@ def test_probe_detail_reports_settling(ratio_window):
     assert detail["max_settle_index"] >= 0
 
 
-def _settle_profile_reference(traces, tolerance):
-    """The settle profile as a running max/min over every cell.
-
-    This is the former implementation, frozen as the bitwise oracle of
-    the block-extent one: slabs of 256 rows, four reversed running
-    extents and a hypot at every cell.
-    """
-    k, length = traces.shape
-    settled = np.zeros(k, dtype=bool)
-    settle_index = np.zeros(k, dtype=np.int64)
-    half_diam = np.zeros(k, dtype=np.float64)
-    estimate = np.array(traces[:, -1], dtype=np.complex128)
-    half = length // 2
-    for lo in range(0, k, 256):
-        hi = min(lo + 256, k)
-        slab = np.ascontiguousarray(traces[lo:hi])
-        re = slab.real[:, ::-1]
-        im = slab.imag[:, ::-1]
-        re_span = np.maximum.accumulate(re, axis=1) - np.minimum.accumulate(re, axis=1)
-        im_span = np.maximum.accumulate(im, axis=1) - np.minimum.accumulate(im, axis=1)
-        diam = np.hypot(re_span, im_span)[:, ::-1]
-        ok = diam <= tolerance
-        settled[lo:hi] = ok[:, half]
-        settle_index[lo:hi] = length - np.count_nonzero(ok, axis=1)
-        half_diam[lo:hi] = diam[:, half]
-    return summation_diagnostics._SettleProfile(
-        settled, settle_index, half_diam, estimate, length
-    )
-
-
 def _assert_same_profile(got, want, *context):
-    assert got.length == want.length
-    for name in ("settled", "settle_index", "half_diameter", "estimate"):
+    assert (got.length, got.max_settle_index) == (want.length, want.max_settle_index), context
+    assert type(got.max_settle_index) is int
+    for name in ("settled", "half_diameter", "estimate"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g.dtype, g.shape) == (w.dtype, w.shape), name
         assert g.tobytes() == w.tobytes(), (name, *context)
@@ -358,8 +330,20 @@ def _assert_same_profile(got, want, *context):
 
 def _assert_profiles_bitwise_equal(traces, tolerance):
     got = summation_diagnostics._settle_profile(traces, tolerance)
-    want = _settle_profile_reference(traces, tolerance)
+    want = settle_profile_reference(traces, tolerance)[0]
     _assert_same_profile(got, want, tolerance, traces.shape)
+    return got
+
+
+def _boundary_tolerances(traces, r, i):
+    """0, and the diameter of traces[r, i:] with its float neighbours,
+    which put the tolerance exactly on, just above and just below a
+    boundary."""
+    re, im = traces.real[r, i:], traces.imag[r, i:]
+    diam = float(np.hypot(re.max() - re.min(), im.max() - im.min()))
+    if not np.isfinite(diam):
+        return [0.0]
+    return [0.0, diam, np.nextafter(diam, np.inf), np.nextafter(diam, -np.inf)]
 
 
 def _random_traces(rng, k, length):
@@ -390,15 +374,32 @@ def test_settle_profile_matches_running_extents_bitwise(seed):
         k, length = int(rng.integers(1, 41)), int(rng.integers(1, 701))
         traces = _random_traces(rng, k, length)
         assert traces.shape == (k, length)
-        # A measured suffix diameter and its float neighbours put the
-        # tolerance exactly on, just above and just below a boundary.
         r, i = int(rng.integers(k)), int(rng.integers(length))
-        re, im = traces.real[r, i:], traces.imag[r, i:]
-        diam = float(np.hypot(re.max() - re.min(), im.max() - im.min()))
-        tolerances = [0.0]
-        if np.isfinite(diam):
-            tolerances += [diam, np.nextafter(diam, np.inf), np.nextafter(diam, -np.inf)]
-        for tolerance in tolerances:
+        for tolerance in _boundary_tolerances(traces, r, i):
+            _assert_profiles_bitwise_equal(traces, tolerance)
+
+
+def test_settle_profile_when_every_trace_settles_at_block_zero():
+    # More traces than a chunk, so the block starts are taken in two.
+    rng = np.random.default_rng(5)
+    traces = _random_traces(rng, summation_diagnostics._SETTLE_CHUNK + 44, 300)
+    traces = traces[np.isfinite(traces).all(axis=1)]
+    assert len(traces) > summation_diagnostics._SETTLE_CHUNK
+    widest = max(
+        float(np.hypot(np.ptp(trace.real), np.ptp(trace.imag))) for trace in traces
+    )
+    assert _assert_profiles_bitwise_equal(traces, widest).max_settle_index == 0
+    # Just below it, the widest trace settles past 0.
+    assert _assert_profiles_bitwise_equal(traces, np.nextafter(widest, 0)).max_settle_index > 0
+
+
+@pytest.mark.parametrize("length", [1, 2, 37, 63])
+def test_settle_profile_of_traces_shorter_than_one_block(length):
+    rng = np.random.default_rng(length)
+    for _ in range(40):
+        traces = _random_traces(rng, int(rng.integers(1, 41)), length)
+        r, i = int(rng.integers(len(traces))), int(rng.integers(length))
+        for tolerance in _boundary_tolerances(traces, r, i):
             _assert_profiles_bitwise_equal(traces, tolerance)
 
 
@@ -523,36 +524,40 @@ def _analyze_peak(array, m_max, n_max):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("array", [LeeArray(0.6 + 3.0j), CesaroArray()], ids=["lee", "cesaro"])
-def test_slab_probes_chunk_the_settle_blocks_bitwise(array, monkeypatch):
-    # On 300 x 700 the unsettled columns settle in several blocks, and
-    # one block holds more of them than a chunk, so the second pass
-    # computes several slabs and gathers from one of them chunk by chunk.
+@pytest.mark.parametrize(
+    "array, chunks", [(LeeArray(0.6 + 3.0j), 2), (CesaroArray(), 1)], ids=["lee", "cesaro"]
+)
+def test_slab_probes_chunk_the_settle_blocks_bitwise(array, chunks, monkeypatch):
+    # On 300 x 700 the last column settles in block B - 1.  For Lee, 443
+    # columns are still too wide at its start, more than a chunk, so the
+    # second pass gathers from its one slab chunk by chunk; for Cesaro 21
+    # columns up to column 47 are, so the slab stops far short of n_max.
     m_max, n_max, tolerance = 300, 700, 1e-6
+    block = summation_diagnostics._BLOCK
     sums = dense_grid_reference(array, m_max, n_max)
-    want = _settle_profile_reference(sums[1:, 1:].T, tolerance)
-    unsettled = want.settle_index[want.settle_index > 0]
-    blocks, counts = np.unique(
-        (unsettled - 1) // summation_diagnostics._BLOCK, return_counts=True
-    )
-    assert len(blocks) >= 2 and counts.max() > summation_diagnostics._SETTLE_CHUNK, counts
+    want, settle_index = settle_profile_reference(sums[1:, 1:].T, tolerance)
+    start = (want.max_settle_index - 1) // block * block
+    wide = np.flatnonzero(settle_index > start)
+    assert -(-len(wide) // summation_diagnostics._SETTLE_CHUNK) == chunks, len(wide)
     slab, computed = summation_diagnostics.slab, []
     with monkeypatch.context() as patch:
         patch.setattr(
             summation_diagnostics, "slab",
-            lambda a, lo, m, above: computed.append(lo) or slab(a, lo, m, above),
+            lambda a, lo, m, above: computed.append((lo, len(above))) or slab(a, lo, m, above),
         )
         col_profile = summation_diagnostics._analyze(array, m_max, n_max, tolerance)[2]
-    # One slab for each settle block, in block order.
-    assert computed == (blocks * summation_diagnostics._BLOCK + 1).tolist()
+    # One slab, at block B - 1, cut after the last column too wide there.
+    assert computed == [(start + 1, wide[-1] + 2)]
     _assert_same_profile(col_profile, want)
+    assert col_profile.max_settle_index == settle_index.max()
     _assert_report_is_the_dense_reference(monkeypatch, array, m_max, n_max, sums, tolerance)
 
 
 def test_analyze_memory_is_block_extents():
     peak = _analyze_peak(CesaroArray(), 512, 4096)
-    # A 4 MiB slab and its terms in either pass, and one chunk of settle
-    # blocks in the second: 7.7 MiB measured; the grid would be 32 MiB.
+    # A 4 MiB slab and its terms in either pass, and one chunk of the
+    # last settle block's columns in the second: 7.5 MiB measured; the
+    # grid would be 32 MiB.
     assert peak <= 10 * 2**20, f"probes peaked at {peak / 2**20:.1f} MiB"
 
 
