@@ -16,7 +16,7 @@ The package splits into five layers:
   series, the experimental regime for the array diagnostics.
 """
 
-from .arithmetic import beta_closed_form, beta_definition_table, sieve
+from .arithmetic import beta_definition_table, sieve
 from .dirichlet_eval import (
     EXCEPTIONAL_SPACING,
     EvalResult,
@@ -39,7 +39,6 @@ from .double_array import (
     classify_trace,
     iterated_sum,
     pringsheim_trace,
-    row_sum,
     slab,
     slabs,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "Verdict",
     "ZdlError",
     "ZeroCandidate",
-    "beta_closed_form",
     "beta_definition_table",
     "beta_series_partial",
     "bridge_factor",
@@ -113,13 +111,12 @@ __all__ = [
     "pringsheim_trace",
     "probe_window",
     "refine",
-    "row_sum",
     "scan_critical_line",
     "sieve",
     "slab",
     "slabs",
+    "truncation_bound",
     "zeros_between",
     "zeta",
     "zeta_at_exceptional",
-    "truncation_bound",
 ]

@@ -111,25 +111,6 @@ def beta_closed_table(n_max: int, n_lo: int = 0) -> np.ndarray:
     return beta
 
 
-def beta_closed_form(n: int) -> int:
-    """1 if n is a square, -2 if n is twice a square, else 0.
-
-    Square detection is integer-exact (isqrt and multiply back), so the
-    result is reliable for any n >= 1 regardless of table bounds.
-    """
-    if n < 1:
-        raise InvalidBoundError(f"beta is defined for n >= 1, got {n}")
-    r = isqrt(n)
-    if r * r == n:
-        return 1
-    if n % 2 == 0:
-        h = n // 2
-        r = isqrt(h)
-        if r * r == h:
-            return -2
-    return 0
-
-
 def beta_definition_table(liouville: np.ndarray) -> np.ndarray:
     """Divisor-sum route for every n at once.
 

@@ -108,9 +108,11 @@ def _weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     return signs * c, np.log(np.arange(1, order + 1, dtype=np.float64))
 
 
-def _eta_value(s: complex, order: int) -> complex:
-    """The accelerated sum at s, unchecked and without an error budget."""
+def _eta_value(s: complex, order: int, power: int = 0) -> complex:
+    """Derivative `power` of the accelerated sum at s, unchecked and without an error budget."""
     w, logk = _weights(order)
+    if power:
+        w = w * (-logk) ** power
     return complex(np.sum(w * np.exp(-s * logk)))
 
 
@@ -175,7 +177,8 @@ def eta(s: complex, order: int | None = None) -> EvalResult:
         EvalResult; error_estimate covers truncation plus rounding.
 
     Raises:
-        DomainError: if re(s) <= 0 or s is not finite.
+        DomainError: if re(s) <= 0, if s is not finite, or if the
+            truncation bound at this order and |im(s)| overflows.
     """
     s = _require_point(s)
     if s.real <= 0.0:
@@ -185,6 +188,11 @@ def eta(s: complex, order: int | None = None) -> EvalResult:
     elif not 1 <= order <= _MAX_ORDER:
         raise InvalidBoundError(f"order must be in 1..{_MAX_ORDER}, got {order}")
     estimate = truncation_bound(order, s) + _rounding_bound(s, order, 0)
+    if estimate == math.inf:
+        raise DomainError(
+            f"|im(s)| = {abs(s.imag):.1f} at acceleration order {order} has no "
+            "finite error bound; use a smaller |im(s)| or the default order"
+        )
     return EvalResult(_eta_value(s, order), estimate, order)
 
 
@@ -299,7 +307,8 @@ def zeta(s: complex) -> EvalResult:
     """Riemann zeta via the alternating-series bridge, for re(s) > 0.
 
     Raises:
-        PoleError: exactly at s = 1.
+        PoleError: at s = 1, and next to it where the bridge factor
+            rounds to 0 or the value or its estimate overflows.
         ExceptionalPointError: within EXCEPTIONAL_RADIUS of a zero of the
             bridge factor with k != 0; use zeta_at_exceptional there.
         DomainError: if re(s) <= 0.
@@ -316,17 +325,23 @@ def zeta(s: complex) -> EvalResult:
         )
     base = eta(s)
     factor = bridge_factor(s)
-    value = base.value / factor
-    rounding = 4.0 * float(np.finfo(float).eps) * abs(value)
-    estimate = base.error_estimate / abs(factor) + rounding
-    return EvalResult(value, estimate, base.terms_used)
+    if factor:
+        value = base.value / factor
+        rounding = 4.0 * float(np.finfo(float).eps) * abs(value)
+        estimate = base.error_estimate / abs(factor) + rounding
+        if cmath.isfinite(value) and math.isfinite(estimate):
+            return EvalResult(value, estimate, base.terms_used)
+    raise PoleError(
+        f"zeta overflows at s = {s}, {abs(s - 1):.3g} from its pole at s = 1; "
+        "move s further from 1"
+    )
 
 
 def zeta_at_exceptional(k: int) -> EvalResult:
     """zeta at the exceptional point s0 = 1 + 2*pi*i*k/log(2), k != 0.
 
     Both eta and the bridge factor vanish there, so zeta continues to
-    eta'(s0) / log(2): the accelerated sum with weights -w_k log k, at
+    eta'(s0) / log(2): eta's own sum with weights -w_k log k, at
     the default order at 1/2 + i(|t0| + 1/2).  Its truncation part is
     Cauchy's estimate, twice truncation_bound there (the circle of
     radius 1/2 about s0 stays in re(s) >= 1/2); its rounding part counts
@@ -341,11 +356,9 @@ def zeta_at_exceptional(k: int) -> EvalResult:
     s0 = complex(1.0, k * EXCEPTIONAL_SPACING)
     rim = complex(0.5, abs(s0.imag) + 0.5)
     order = default_order(rim)
-    w, logk = _weights(order)
-    derivative = -complex(np.sum(w * logk * np.exp(-s0 * logk)))
     ln2 = math.log(2.0)
     estimate = (2.0 * truncation_bound(order, rim) + _rounding_bound(s0, order, 1)) / ln2
-    return EvalResult(derivative / ln2, estimate, order)
+    return EvalResult(_eta_value(s0, order, 1) / ln2, estimate, order)
 
 
 def _add_in_order(chunk_sums) -> complex:

@@ -517,17 +517,6 @@ def slabs(array: DoubleArray, m_max: int, n_max: int):
         above[:] = sums[-1]
 
 
-def row_sum(array: DoubleArray, m: int, n_upto: int | None = None) -> complex:
-    """Row m summed to its limit (default) or truncated at n <= n_upto."""
-    if m < 1:
-        raise InvalidBoundError(f"row index starts at 1, got {m}")
-    if n_upto is None:
-        return complex(array.row_limits(m, m)[0])
-    if n_upto < 1:
-        raise InvalidBoundError(f"truncation point must be >= 1, got {n_upto}")
-    return complex(np.sum(array.pairs(m, m, n_upto)[2]))
-
-
 def _check_outer_limit(outer_limit: int) -> None:
     if not 2 <= outer_limit <= MAX_GRID_CELLS:
         raise InvalidBoundError(
@@ -570,7 +559,7 @@ def iterated_sum(
         part[:] = limits(lo + len(part) - 1, lo)
         carry = _running_sum(carry, part)
     verdict = classify_trace(trace, tolerance)
-    return SummationReport(mode, trace, verdict, notes={"outer_limit": outer_limit})
+    return SummationReport(mode, trace, verdict)
 
 
 def _ceil_fraction(k: int, aspect: Fraction) -> int:

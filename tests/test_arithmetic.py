@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zdl import (
-    arithmetic,
-    beta_closed_form,
-    beta_definition_table,
-    sieve,
-)
+from zdl import arithmetic, beta_definition_table, sieve
 from zdl.arithmetic import beta_closed_table
 from zdl.errors import InvalidBoundError
 
@@ -112,14 +107,16 @@ def test_beta_definition_table_is_the_per_row_sum(n_max):
 
 def test_beta_closed_form_trichotomy():
     # +1 on squares, -2 on twice-squares, 0 everywhere else
+    table = beta_closed_table(2000)
+    assert table[0] == 0
     for n in range(1, 2001):
         root = math.isqrt(n)
         if root * root == n:
-            assert beta_closed_form(n) == 1
+            assert table[n] == 1
         elif n % 2 == 0 and math.isqrt(n // 2) ** 2 == n // 2:
-            assert beta_closed_form(n) == -2
+            assert table[n] == -2
         else:
-            assert beta_closed_form(n) == 0
+            assert table[n] == 0
 
 
 def test_beta_closed_table_windows_are_slices_of_the_whole():
@@ -133,11 +130,6 @@ def test_beta_closed_table_windows_are_slices_of_the_whole():
 def test_beta_routes_agree_in_bulk(sieve2k):
     by_def = beta_definition_table(sieve2k[1])
     assert np.array_equal(by_def[1:], beta_closed_table(2000)[1:])
-
-
-def test_rejects_nonpositive_bound():
-    with pytest.raises(InvalidBoundError):
-        beta_closed_form(0)
 
 
 @pytest.mark.parametrize(

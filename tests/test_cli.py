@@ -134,6 +134,19 @@ def test_zeta_command_regular_and_exceptional(capsys):
     assert payload["exceptional_k"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [(("eta", "--s", "0.5+1000000i", "--order", "380"), "DomainError"),
+     (("zeta", "--s", "1+1e-310i", "--format", "csv"), "PoleError")],
+)
+def test_evaluations_without_a_finite_result_exit_two(capsys, argv, error):
+    # Each printed an inf once: an error_estimate of Infinity, and a
+    # zeta value of -inf with an estimate of inf.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
+
+
 def test_zeta_needs_exactly_one_selector(capsys):
     code, out, err = run(capsys, "zeta", "--s", "2", "--k", "1")
     assert code == 2

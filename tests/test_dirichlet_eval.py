@@ -297,6 +297,28 @@ def test_zeta_guards_pole_and_exceptional_points():
     assert info.value.k == 2
 
 
+@pytest.mark.parametrize("s", [complex(1.0, 1e-310), 0.9999999999999999])
+def test_zeta_refuses_an_overflow_next_to_the_pole(s):
+    # 1 + 1e-310i: the bridge factor is about 7e-311 and eta / factor
+    # overflows; 1 - 2**-53: the factor rounds to 0.
+    with pytest.raises(PoleError, match="from its pole at s = 1"):
+        zeta(s)
+    near = zeta(complex(1.0, 1e-300))
+    assert cmath.isfinite(near.value) and math.isfinite(near.error_estimate)
+
+
+@pytest.mark.parametrize(
+    "order, t_finite, t_refused",
+    [(1, 441.7, 441.8), (60, 507.8, 507.9), (380, 866.6, 866.7), (380, 866.6, 1e6)],
+)
+def test_eta_refuses_an_order_whose_bound_overflows(order, t_finite, t_refused):
+    # truncation_bound is inf past these heights; an explicit order gets
+    # there, the default order refuses first, near |t| = 402.
+    assert math.isfinite(eta(complex(0.5, t_finite), order).error_estimate)
+    with pytest.raises(DomainError, match=rf"\|im\(s\)\| = .* at acceleration order {order} "):
+        eta(complex(0.5, t_refused), order)
+
+
 def test_bridge_factor_vanishes_at_exceptional_points():
     for k in (1, -1, 3):
         assert abs(bridge_factor(complex(1.0, k * EXCEPTIONAL_SPACING))) <= 1e-13
@@ -306,6 +328,19 @@ def test_exceptional_value_by_independent_route():
     # direct Euler-Maclaurin never touches the vanishing bridge factor
     s0 = complex(1.0, EXCEPTIONAL_SPACING)
     assert abs(zeta_at_exceptional(1).value - zeta_em(s0)) <= 1e-9
+
+
+def test_exceptional_values_are_the_inline_eta_prime_sum_bitwise():
+    # The value at every accepted k, repr for repr, is the inline sum
+    # -sum w_k log k k**(-s0) / log 2 frozen here; eta's own sum at power
+    # 1 negates each term and the pairwise sum exactly.
+    for k in [*range(-44, 0), *range(1, 45)]:
+        s0 = complex(1.0, k * EXCEPTIONAL_SPACING)
+        order = default_order(complex(0.5, abs(s0.imag) + 0.5))
+        w, logk = dirichlet_eval._weights(order)
+        frozen = -complex(np.sum(w * logk * np.exp(-s0 * logk))) / math.log(2.0)
+        result = zeta_at_exceptional(k)
+        assert (repr(result.value), result.terms_used) == (repr(frozen), order), k
 
 
 def test_exceptional_rejects_pole_index():

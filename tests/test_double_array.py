@@ -12,14 +12,12 @@ from zdl import (
     CesaroArray,
     LeeArray,
     SyntheticArray,
-    beta_closed_form,
     classify_trace,
     diagnostics_report,
     double_array,
     eta,
     iterated_sum,
     pringsheim_trace,
-    row_sum,
     slabs,
 )
 from zdl.cli import _jsonable
@@ -75,7 +73,7 @@ def test_row_limit_factorizes_through_eta(lee):
     for m in (1, 3, 7, 16):
         expected = liouville_brute(m) * m ** -S_TEST * base
         assert abs(limits[m - 1] - expected) <= 1e-14
-        assert row_sum(lee, m) == limits[m - 1]
+        assert lee.row_limits(m, m)[0] == limits[m - 1]
 
 
 def test_row_values_supported_on_multiples(lee):
@@ -86,7 +84,7 @@ def test_row_values_supported_on_multiples(lee):
         else:
             assert abs(values[n - 1] - lee_term_brute(S_TEST, 6, n)) <= 1e-15
     partial = np.cumsum(values)
-    assert abs(row_sum(lee, 6, 100) - partial[-1]) <= 1e-15
+    assert abs(np.sum(lee.pairs(6, 6, 100)[2]) - partial[-1]) <= 1e-15
 
 
 def test_pairs_enumerates_divisor_hits(lee):
@@ -259,7 +257,7 @@ def test_cesaro_row_and_column_limits():
     cols = ces.column_limits(8)
     for m in (1, 2, 10):
         assert rows[m - 1] == 2.0 ** -m
-        assert row_sum(ces, m) == 2.0 ** -m
+        assert ces.row_limits(m, m)[0] == 2.0 ** -m
     for n in (1, 2, 3, 8):
         assert cols[n - 1] == (1.0 if n % 2 else -1.0)
         assert ces.column_limits(n)[n - 1] == cols[n - 1]
@@ -404,11 +402,15 @@ def test_lee_entries_past_the_sieve_match_a_sieve_to_n(sieved):
     assert grown.row_limits(n_far).tobytes() == whole.tobytes()
     assert sieved == [(1, n_far), (1, 2000), (2001, n_far)]
     assert _same_pairs(grown, direct, 1, n_far, n_far, n_far - 5000)
-    # Columns read beta's closed form, bit for bit its scalar route's.
+    # Columns read beta's closed form, bit for bit a square / twice-square
+    # array built here.
     cols = np.arange(1, 100_001)
-    beta = np.array([beta_closed_form(n) for n in cols], dtype=np.int8)
-    by_scalar = beta * np.exp(-s * np.log(cols.astype(np.float64)))
-    assert grown.column_limits(100_000).tobytes() == by_scalar.tobytes()
+    roots = np.arange(1, math.isqrt(100_000) + 1)
+    beta = np.zeros(100_001, dtype=np.int8)
+    beta[roots**2] = 1
+    beta[2 * roots[2 * roots**2 <= 100_000] ** 2] = -2
+    by_rule = beta[1:] * np.exp(-s * np.log(cols.astype(np.float64)))
+    assert grown.column_limits(100_000).tobytes() == by_rule.tobytes()
 
 
 def test_lee_sieves_each_row_once_as_rows_climb(sieved):
