@@ -28,30 +28,19 @@ from .errors import InvalidBoundError
 _SIEVE_SEGMENT = 1 << 18
 
 
-def _primes_up_to(limit: int) -> np.ndarray:
-    """Primes p <= limit in increasing order (int64), by Eratosthenes."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
-
-
 def sieve(n_max: int, n_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Omega and liouville for n_lo <= n <= n_max, in slots 0..n_max - n_lo.
 
     Walks the range in segments of _SIEVE_SEGMENT rows, and in each the
-    primes p <= isqrt(n_max).  Along every multiple of p**k in the
-    segment, from the first at or above max(n_lo, 1), each adds 1 to
-    Omega and divides an int32 cofactor array (initially n) by p.  A
-    cofactor left > 1 is the one prime factor above isqrt(n_max) and adds
-    1 more to Omega.  The Python loop runs over the prime powers up to
-    n_max (303 primes at 4e6) once per segment, not over the rows; the
-    cost is the strided passes, about (n_max - n_lo) * (sum of 1/p**k)
-    element operations.  Every row has the same value whatever range
+    primes p <= isqrt(n_max), the n with Omega(n) == 1 in this sieve of
+    0..isqrt(n_max) (none below n_max = 4).  Along every multiple of
+    p**k in the segment, from the first at or above max(n_lo, 1), each
+    adds 1 to Omega and divides an int32 cofactor array (initially n) by
+    p.  A cofactor left > 1 is the one prime factor above isqrt(n_max)
+    and adds 1 more to Omega.  The Python loop runs over the prime
+    powers up to n_max (303 primes at 4e6) once per segment, not over
+    the rows; the cost is the strided passes, about (n_max - n_lo) *
+    (sum of 1/p**k) element operations.  Every row has the same value whatever range
     sieves it, and n = 0 reads 0 in both arrays.  The sieve returns 1 B
     per row in each array and holds one segment's cofactor, 4 B per row
     of the segment (1 MiB), besides.
@@ -74,7 +63,7 @@ def sieve(n_max: int, n_lo: int = 0) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidBoundError(f"sieve bound must be <= 2**31 - 1 (int32 storage), got {n_max}")
 
     omega = np.zeros(n_max - n_lo + 1, dtype=np.int8)
-    primes = _primes_up_to(isqrt(n_max)).tolist()
+    primes = np.flatnonzero(sieve(isqrt(n_max))[0] == 1).tolist() if n_max >= 4 else []
     for lo in range(n_lo, n_max + 1, _SIEVE_SEGMENT):
         hi = min(lo + _SIEVE_SEGMENT - 1, n_max)
         part = omega[lo - n_lo : hi - n_lo + 1]

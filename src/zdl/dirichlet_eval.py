@@ -27,7 +27,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arithmetic import _primes_up_to, sieve
+from .arithmetic import sieve
 from .errors import DomainError, ExceptionalPointError, InvalidBoundError, PoleError
 
 # Geometric rate of the acceleration scheme; one accelerated term gains
@@ -210,7 +210,7 @@ def _line_plan(order: int) -> tuple:
     slot order, pi(order), the number of buffer rows, and one (row of k,
     row of p, row of k/p) step per composite in increasing k.
     """
-    primes = _primes_up_to(order).tolist()
+    primes = np.flatnonzero(sieve(order)[0] == 1).tolist()
     smallest = {}
     for p in reversed(primes):
         for k in range(p * p, order + 1, p):

@@ -26,6 +26,7 @@ package in one pair of curves.
 
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .double_array import (
     SLAB_ROWS,
     _RECTANGLE_CELLS,
     DoubleArray,
-    LeeArray,
     _box_diameter,
     slab,
     slabs,
@@ -72,9 +72,11 @@ _SETTLE_CHUNK = _RECTANGLE_CELLS // (4 * _BLOCK)
 # copy and modulus taken at the ends of the tied-n groups.
 _SCAN_CELLS = (5 << 20) // (16 + 1 + 24)
 
-# Fewest terms per row the report keeps for a block-tail start M of the
-# divisor-supported array: row m holds only reach // m of them.
-_LEE_ROW_TERMS = 128
+# Fewest terms a block-tail start M's row must hold, by the array's
+# pair_bound, for the report to keep M: a row of the divisor-supported
+# array holds only reach // M of them, and past that the sup measures
+# truncation, not the tail.
+_ROW_TERMS = 128
 
 
 @dataclass
@@ -142,29 +144,6 @@ class _SettleProfile:
     max_settle_index: int
 
 
-def _block_suffix_extents(part: np.ndarray):
-    """Max and min of part[:, j * _BLOCK:] at every block start j.
-
-    Column j = ceil(length / _BLOCK) is the empty suffix: -inf for the
-    max, +inf for the min.  The blocks are reduced through a strided
-    view, so a transposed `part` is read in place.
-    """
-    k, length = part.shape
-    full = length // _BLOCK
-    blocks = -(-length // _BLOCK)
-    top = np.full((k, blocks + 1), -np.inf)
-    bottom = np.full((k, blocks + 1), np.inf)
-    body = part[:, : full * _BLOCK].reshape(k, full, _BLOCK)
-    top[:, :full] = body.max(axis=2)
-    bottom[:, :full] = body.min(axis=2)
-    if full < blocks:
-        top[:, full] = part[:, full * _BLOCK :].max(axis=1)
-        bottom[:, full] = part[:, full * _BLOCK :].min(axis=1)
-    top = np.maximum.accumulate(top[:, ::-1], axis=1)[:, ::-1]
-    bottom = np.minimum.accumulate(bottom[:, ::-1], axis=1)[:, ::-1]
-    return top, bottom
-
-
 def _extents(part: np.ndarray, axis: int):
     """Max and min of re, then max and min of im, of part along axis."""
     re, im = part.real, part.imag
@@ -186,98 +165,120 @@ def _suffix_spans(part, tail_top, tail_bottom):
     return spans
 
 
-def _settle_blocks(extents, length, half_extents, tolerance):
-    """What the settle profile of k traces of `length` reads of their extents.
+class _SettleBlocks:
+    """Block extents of k traces of `length`, and the settle profile they give.
 
-    extents holds the suffix max and min of re and of im at every block
-    start, each (k, blocks + 1) with the empty suffix last (see
-    _block_suffix_extents); half_extents holds the extents (as _extents
-    gives them) of each trace's entries from length // 2 to the end of
-    their block.  diam(i), the box diameter of trace[i:], never grows
-    with i (a NaN entry makes it NaN, too wide, up to there), so the
-    block starts where some trace is too wide form a prefix.  Returns
-    first, its length; the traces too wide at start first - 1 (none if
-    first is 0) and their suffix extents at start first, re top, re
-    bottom, im top and im bottom as one (4, wide) array; and the
-    half-trace diameter, the rest of the block of entry length // 2
-    joined with the suffix extents after it.  The block starts are taken
-    _SETTLE_CHUNK traces at a time, so the extents can be freed once
-    this returns.
+    The traces arrive a block of _BLOCK entries at a time, in any
+    grouping (add); profile then finds the largest settle index without
+    a running max/min over every entry.  Holds 32 B per trace per block.
     """
-    re_top, re_bottom, im_top, im_bottom = extents
-    k, blocks = re_top.shape[0], re_top.shape[1] - 1
 
-    def diam(at, j):
-        return np.hypot(re_top[at, j] - re_bottom[at, j], im_top[at, j] - im_bottom[at, j])
+    def __init__(self, k: int, length: int):
+        self.length = length
+        blocks = -(-length // _BLOCK)
+        # re top, re bottom, im top and im bottom at every block, one row
+        # per block and the empty suffix last.
+        self.extents = np.empty((4, blocks + 1, k))
+        self.extents[0::2, blocks] = -np.inf
+        self.extents[1::2, blocks] = np.inf
 
-    wide = np.zeros(blocks, dtype=bool)
-    for lo in range(0, k, _SETTLE_CHUNK):
-        wide |= ~np.all(diam(slice(lo, lo + _SETTLE_CHUNK), slice(blocks)) <= tolerance, axis=0)
-    first = int(np.count_nonzero(wide))
-    # At start 0 no trace is too wide when first is 0.
-    traces = np.flatnonzero(~(diam(slice(None), max(first, 1) - 1) <= tolerance))
-    tails = np.stack([ext[traces, first] for ext in extents])
-    after = length // 2 // _BLOCK + 1
-    re_max, re_min, im_max, im_min = half_extents
-    half_diam = np.hypot(
-        np.maximum(re_top[:, after], re_max) - np.minimum(re_bottom[:, after], re_min),
-        np.maximum(im_top[:, after], im_max) - np.minimum(im_bottom[:, after], im_min),
-    )
-    return first, traces, tails, half_diam
+    def add(self, j: int, entries: np.ndarray) -> None:
+        """Blocks j, j + 1, ... of every trace, entries[b, i, r] the i-th entry
+        of block j + b of trace r: a stack of full blocks, or the ragged
+        last one alone.  The stack holding entry length // 2 also gives
+        the extents of the rest of that entry's block.
+        """
+        self.extents[:, j : j + len(entries)] = _extents(entries, 1)
+        half = self.length // 2
+        if j <= half // _BLOCK < j + len(entries):
+            self.half = _extents(entries[half // _BLOCK - j, half % _BLOCK :], 0)
 
+    def profile(self, last, tolerance: float, gather) -> _SettleProfile:
+        """The settle profile; last holds each trace's last entry.
 
-def _profile_from_blocks(first, wide, tails, half_diam, estimate, length, tolerance, gather):
-    """The settle profile of k traces of `length` from what _settle_blocks takes out.
+        diam(i), the box diameter of trace[i:], never grows with i (a NaN
+        entry makes it NaN, too wide, up to there), so the block starts
+        where some trace is too wide form a prefix, found from the suffix
+        extents at each block start.  Every trace fits the tolerance from
+        the first start past it on, so the largest settle index lies in
+        the block `first` - 1, at a trace too wide at its start, one of
+        `wide`.  The extents are freed before gather(first, wide) gives
+        that block, one entry per row and one trace per column, at least
+        through trace wide[-1]; exact diam is taken there only, from the
+        block's entries and the suffix extents after it, _SETTLE_CHUNK
+        traces at a time.  A trace fails at a prefix of the block, so the
+        index is the block start plus the entries where some trace fails.
+        The half-trace diameter likewise joins the rest of its block with
+        the suffix extents after it.  Max and min are exact, so every
+        span, and every hypot of two spans, is the float64 value a
+        running max/min over all entries gives, and verdicts keep their
+        bits at the tolerance boundary.
+        """
+        extents = self.extents
+        del self.extents
+        # Suffix extents at every block start, accumulated in place.
+        for ext, extreme in zip(extents, (np.maximum, np.minimum) * 2):
+            extreme.accumulate(ext[::-1], axis=0, out=ext[::-1])
+        del ext
+        re_top, re_bottom, im_top, im_bottom = extents
+        blocks, k = re_top.shape[0] - 1, re_top.shape[1]
 
-    Every trace fits the tolerance from block start `first` on, so the
-    largest settle index lies in block first - 1, at a trace too wide at
-    its start, one of `wide`; exact diam is taken only there, from the
-    block's entries and the suffix extents after it.  gather(part) gives
-    the block's entries of traces `part`, one trace per column, and is
-    called _SETTLE_CHUNK traces at a time.  A trace fails at a prefix of
-    the block, so the index is the block start plus the entries where
-    some trace fails.  estimate holds each trace's last entry.
-    """
-    failing = 0
-    for lo in range(0, len(wide), _SETTLE_CHUNK):
-        part = slice(lo, lo + _SETTLE_CHUNK)
-        # re and im side by side: the float view of the complex entries.
-        seg = gather(wide[part]).view(np.float64)
-        spans = _suffix_spans(seg, tails[0::2, part].T.ravel(), tails[1::2, part].T.ravel())
-        diam = np.hypot(spans[:, 0::2], spans[:, 1::2])
-        failing = max(failing, int(np.count_nonzero(~np.all(diam <= tolerance, axis=1))))
-    estimate = np.array(estimate, dtype=np.complex128)
-    settle = max(first - 1, 0) * _BLOCK + failing
-    return _SettleProfile(half_diam <= tolerance, half_diam, estimate, length, settle)
+        def diam(j, at):
+            return np.hypot(re_top[j, at] - re_bottom[j, at], im_top[j, at] - im_bottom[j, at])
+
+        too_wide = np.zeros(blocks, dtype=bool)
+        for lo in range(0, k, _SETTLE_CHUNK):
+            part = slice(lo, lo + _SETTLE_CHUNK)
+            too_wide |= ~np.all(diam(slice(blocks), part) <= tolerance, axis=1)
+        first = int(np.count_nonzero(too_wide))
+        # At start 0 no trace is too wide when first is 0.
+        wide = np.flatnonzero(~(diam(max(first, 1) - 1, slice(None)) <= tolerance))
+        tails = np.stack([ext[first, wide] for ext in extents])
+        after = self.length // 2 // _BLOCK + 1
+        re_max, re_min, im_max, im_min = self.half
+        half_diam = np.hypot(
+            np.maximum(re_top[after], re_max) - np.minimum(re_bottom[after], re_min),
+            np.maximum(im_top[after], im_max) - np.minimum(im_bottom[after], im_min),
+        )
+        del extents, re_top, re_bottom, im_top, im_bottom, self.half
+
+        failing = 0
+        if first:
+            block = gather(first, wide)
+            # Both indices are arrays, so a gather is C-ordered, as its
+            # float view needs.
+            rows = np.arange(len(block))[:, None]
+            for lo in range(0, len(wide), _SETTLE_CHUNK):
+                part = slice(lo, lo + _SETTLE_CHUNK)
+                # re and im side by side: the float view of the complex entries.
+                seg = block[rows, wide[part]].view(np.float64)
+                top, bottom = tails[0::2, part].T.ravel(), tails[1::2, part].T.ravel()
+                spans = _suffix_spans(seg, top, bottom)
+                fits = np.hypot(spans[:, 0::2], spans[:, 1::2]) <= tolerance
+                failing = max(failing, int(np.count_nonzero(~np.all(fits, axis=1))))
+        estimate = np.array(last, dtype=np.complex128)
+        settle = max(first - 1, 0) * _BLOCK + failing
+        return _SettleProfile(half_diam <= tolerance, half_diam, estimate, self.length, settle)
 
 
 def _settle_profile(traces: np.ndarray, tolerance: float) -> _SettleProfile:
     """Settling analysis of many traces at once (rows of `traces`).
 
-    Block extents find the largest settle index without a running
-    max/min over every cell: the max and min of re and im per block of
-    _BLOCK entries, accumulated into suffix extents at each block start,
-    give diam at the block starts and so the block where the last trace
-    settles (_settle_blocks); exact diam is taken only in that block
-    (_profile_from_blocks), and the half-trace diameter likewise reads
-    only the rest of its own block.  Max and min are exact, so every
-    span, and every hypot of two spans, is the float64 value a running
-    max/min over all cells gives, and verdicts keep their bits at the
-    tolerance boundary.
+    The traces go through _SettleBlocks, the routine the columns of the
+    probe walk take too: one add of the full blocks of every trace, a
+    strided view, so a transposed `traces` is read in place, and one of
+    the ragged last block.  The gather reads the block where the last
+    trace settles off `traces` itself.
     """
-    length = traces.shape[1]
-    half = length // 2
-    end = min((half // _BLOCK + 1) * _BLOCK, length)
-    first, wide, tails, half_diam = _settle_blocks(
-        (*_block_suffix_extents(traces.real), *_block_suffix_extents(traces.imag)),
-        length,
-        _extents(traces[:, half:end], 1),
-        tolerance,
-    )
-    block = np.arange(max(first - 1, 0) * _BLOCK, min(first * _BLOCK, length))[:, None]
-    return _profile_from_blocks(
-        first, wide, tails, half_diam, traces[:, -1], length, tolerance,
-        lambda part: traces[part, block],
+    k, length = traces.shape
+    full = length // _BLOCK
+    blocks = _SettleBlocks(k, length)
+    blocks.add(0, traces[:, : full * _BLOCK].reshape(k, full, _BLOCK).transpose(1, 2, 0))
+    if full * _BLOCK < length:
+        blocks.add(full, traces[:, full * _BLOCK :].T[None])
+    return blocks.profile(
+        traces[:, -1], tolerance,
+        lambda first, wide: traces[:, (first - 1) * _BLOCK : first * _BLOCK].T,
     )
 
 
@@ -349,19 +350,14 @@ def _check_window(m_max: int, n_max: int) -> None:
 def _analyze(array: DoubleArray, m_max: int, n_max: int, tolerance: float):
     """The five probes and both settle profiles from one walk over the window's slabs.
 
-    Each slab of _BLOCK rows finishes its rows' settle profiles, since a
-    row's suffix extents lie in the row.  It adds its per-column max and
-    min of re and im as one block of the column extents, and gives up its
-    cells on the diagonal trace and the corners, and the slab holding
-    row m_max // 2 the extents of each column's half-trace block.  The
-    column suffix extents then fix the block where the last column
-    settles.  What the second pass reads of them, the columns still too
-    wide at that block's start, their extents after it and every
-    column's half-trace diameter, is taken out and the extents freed.
-    The second pass recomputes that block's slab alone, from the stored
-    row above it and only up to the last of those columns, and gathers
-    their blocks _SETTLE_CHUNK at a time.  So the first pass holds a
-    slab plus about 48 B per column per slab, and the second one slab
+    Each slab of _BLOCK rows is one block of every column, and holds its
+    rows whole: it finishes its rows' settle profiles (_settle_profile),
+    adds itself to the columns' _SettleBlocks, and gives up its cells on
+    the diagonal trace and the corners.  The column profile then needs
+    the entries of one block only, where the last column settles; its
+    gather recomputes that block's slab alone, from the stored row above
+    it and only up to the last column read.  So the walk holds a slab
+    plus about 48 B per column per slab, and the second pass one slab
     and a chunk; every value has the bits a whole grid in memory gives.
     """
     # The double limit's samples: the diagonal through the window, then
@@ -374,47 +370,27 @@ def _analyze(array: DoubleArray, m_max: int, n_max: int, tolerance: float):
     sample_n = np.append(-((-ks * n_max) // steps), [n for _, n in corners])
     samples = np.empty(len(sample_m), dtype=np.complex128)
 
-    blocks = -(-m_max // _BLOCK)
-    # Column block extents, re top, re bottom, im top and im bottom, one
-    # block per slab and the empty suffix last.
-    extents = np.empty((4, blocks + 1, n_max))
-    extents[0::2, blocks] = -np.inf
-    extents[1::2, blocks] = np.inf
-    above = np.zeros((blocks, n_max + 1), dtype=np.complex128)
-    half = m_max // 2
-    half_end = min((half // _BLOCK + 1) * _BLOCK, m_max)
+    columns = _SettleBlocks(n_max, m_max)
+    above = np.zeros((-(-m_max // _BLOCK), n_max + 1), dtype=np.complex128)
     row_profiles = []
     for j, (lo, sums) in enumerate(slabs(array, m_max, n_max)):
         body = sums[:, 1:]
         row_profiles.append(_settle_profile(body, tolerance))
-        extents[:, j] = _extents(body, 0)
-        if j == half // _BLOCK:
-            half_extents = _extents(body[half - lo + 1 : half_end - lo + 1], 0)
-        if j + 1 < blocks:
+        columns.add(j, body[None])
+        if j + 1 < len(above):
             above[j + 1] = sums[-1]
         here = (sample_m >= lo) & (sample_m < lo + len(sums))
         samples[here] = sums[sample_m[here] - lo, sample_n[here]]
     last_row = body[-1].copy()
-    # The slab buffer goes before the second pass computes its slab.
+    # The slab buffer goes before the gather computes its slab.
     del sums, body
 
-    # Suffix extents at every block start, accumulated in place.
-    for ext, extreme in zip(extents, (np.maximum, np.minimum) * 2):
-        extreme.accumulate(ext[::-1], axis=0, out=ext[::-1])
-    first, cols, tails, half_diam = _settle_blocks(
-        tuple(ext.T for ext in extents), m_max, half_extents, tolerance
-    )
-    del extents
-    if first:
+    def gather(first, wide):
         # Columns up to the last one read: a cell needs none after it.
-        sums = slab(array, (first - 1) * _BLOCK + 1, m_max, above[first - 1, : cols[-1] + 2])
-        rows = np.arange(len(sums))[:, None]
-    # No column is gathered when first is 0; both indices are arrays, so
-    # a gather is C-ordered, as its float view needs.
-    col_profile = _profile_from_blocks(
-        first, cols, tails, half_diam, last_row, m_max, tolerance,
-        lambda part: sums[rows, part + 1],
-    )
+        lo = (first - 1) * _BLOCK + 1
+        return slab(array, lo, m_max, above[first - 1, : wide[-1] + 2])[:, 1:]
+
+    col_profile = columns.profile(last_row, tolerance, gather)
     row_profile = _SettleProfile(
         *(np.concatenate([getattr(p, name) for p in row_profiles])
           for name in ("settled", "half_diameter", "estimate")),
@@ -492,14 +468,6 @@ def _needed_sup(array: DoubleArray, m_start: int, block: int, n_reach: int) -> f
         )
         if not len(n_col):
             continue
-        # A window is at least one column, which may hold a pair for
-        # every row of the block; refuse its cells before allocating them.
-        if len(n_col) * (q_max + 1) > MAX_GRID_CELLS:
-            raise InvalidBoundError(
-                f"{q_max + 1} block heights x {len(n_col)} terms at n = "
-                f"{n_lo}.. exceed the limit of {MAX_GRID_CELLS} cells; "
-                "use a smaller block"
-            )
         order = np.argsort(n_col, kind="stable")
         m_s = m_col[order]
         n_s = n_col[order]
@@ -540,8 +508,11 @@ def needed_uniformity_scan(
     at once.  All block heights advance together and carry their sums
     across windows, so memory stays flat in n_reach and every sup is bit
     for bit that of one sorted cumulative sum per height over the whole
-    reach.  A block tail whose pair_bound
-    exceeds MAX_GRID_CELLS, or a window whose heights x pairs do, raises
+    reach.  A window is at least one column, which may hold a pair for
+    every height, so a block whose heights squared exceed a window's
+    cells (block >= 357 at the smallest M) raises InvalidBoundError
+    before any M is scanned; a window then stays within about twice its
+    cells.  A block tail whose pair_bound exceeds MAX_GRID_CELLS raises
     InvalidBoundError before its arrays are allocated.
     """
     m_list = _check_outer_list(m_list, "m_list")
@@ -553,6 +524,14 @@ def needed_uniformity_scan(
         raise InvalidBoundError(
             f"n_reach {n_reach} is below the largest M {m_list[-1]}; "
             "the block tails there would be empty"
+        )
+    # The smallest M has the most block heights.
+    heights = min(block, n_reach - m_list[0]) + 1
+    if heights**2 > _SCAN_CELLS:
+        raise InvalidBoundError(
+            f"{heights} block heights x one column of up to {heights} terms exceed "
+            f"the {_SCAN_CELLS} cells of one scan window; "
+            f"use a block of at most {isqrt(_SCAN_CELLS) - 1}"
         )
     sups = [_needed_sup(array, m, block, n_reach) for m in m_list]
     window = {"block": block, "n_reach": int(n_reach)}
@@ -717,16 +696,6 @@ def _default_outer(limit: int, block: int):
     return values or [max(1, limit - block)]
 
 
-def _lee_needed_outer(outer, scan_reach: int):
-    """Block-tail starts M that keep at least _LEE_ROW_TERMS terms per row.
-
-    Rows of the divisor-supported array only carry reach // m terms, so
-    the block-tail sup at large m measures truncation, not the tail.
-    """
-    trimmed = [m for m in outer if scan_reach // m >= _LEE_ROW_TERMS]
-    return trimmed or outer
-
-
 def diagnostics_report(
     array: DoubleArray,
     m_max: int,
@@ -746,9 +715,9 @@ def diagnostics_report(
     if scan_reach is None:
         scan_reach = array.reach
     outer = _default_outer(scan_reach, block)
-    needed_outer = outer
-    if isinstance(array, LeeArray):
-        needed_outer = _lee_needed_outer(outer, scan_reach)
+    needed_outer = [
+        m for m in outer if array.pair_bound(m, m, scan_reach) >= _ROW_TERMS
+    ] or outer
     needed = needed_uniformity_scan(array, needed_outer, block, scan_reach, threshold)
     verified = lee_verified_scan(
         array, outer, block, min(m_max, 4096), threshold

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -234,8 +235,8 @@ def test_zeros_command_past_the_doubled_order_cap(capsys):
         ("identity", "--s", "2", "--K", "10000000000000"),
         # about 7.8e7 divisor hits, above MAX_GRID_CELLS
         ("modes", "--array", "lee", "--s", "2", "--k-max", "5000000"),
-        # dense block tails: 16001 rows x 19985 columns at M = 16, then
-        # 9 x 1e7 terms, both above MAX_GRID_CELLS
+        # 16001 block heights, a one-column scan window of 2.6e8 cells;
+        # then a dense block tail of 9 x 1e7 terms, above MAX_GRID_CELLS
         ("uniformity", "--array", "interchange_ratio", "--window", "64x256",
          "--block", "16000", "--reach", "20000"),
         ("uniformity", "--array", "cesaro", "--window", "64x256",
@@ -286,10 +287,12 @@ def test_beta_table_is_refused_before_the_sieve(capsys, no_numpy, n_max, message
         ("modes", "--array", "lee", "--s", "2", "--outer", "100000000"),
         # a window of 1.7e9 cells, above 2**26; 1e8 rows were sieved
         ("uniformity", "--array", "lee", "--s", "2", "--window", "100000000x16"),
-        # a block tail of about 4.3e10 divisor hits; a sieve to the reach
-        # would take about 10 GB
+        # 2e9 block heights; a sieve to the reach would take about 10 GB
         ("uniformity", "--array", "lee", "--s", "2", "--block", "2000000000",
          "--reach", "2000000000"),
+        # a block tail of about 3e8 divisor hits, at a block the scan takes
+        ("uniformity", "--array", "lee", "--s", "2", "--block", "300",
+         "--reach", "100000000"),
     ],
 )
 def test_oversized_rectangle_is_refused_before_the_sieve(capsys, no_sieve, argv):
@@ -298,6 +301,17 @@ def test_oversized_rectangle_is_refused_before_the_sieve(capsys, no_sieve, argv)
     code, out, err = run(capsys, *argv)
     assert (code, out, json.loads(err)["error"]) == (2, "", "InvalidBoundError")
     assert no_sieve == []
+
+
+def test_block_past_one_scan_window_is_refused_at_once(capsys):
+    # A dense column holds a pair for every one of the 4001 block
+    # heights, so one scan window would hold 1.6e7 cells: a scan that
+    # takes them runs for minutes at over 500 MB.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "uniformity", "--array", "cesaro", "--block", "4000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, json.loads(err)["error"]) == (2, "", "InvalidBoundError")
+    assert json.loads(err)["message"].endswith("use a block of at most 356")
 
 
 @pytest.mark.parametrize("m_max, n_max", [(8, 16), (16, 8)])
@@ -584,7 +598,8 @@ def test_window_budgets_leave_output_bytes_unchanged(capsys, monkeypatch, name):
     argv, _ = GOLDEN_CASES[name]
     code, default, _ = run(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(summation_diagnostics, "_SCAN_CELLS", 27)
+    # 81 cells: one column of the 9 block heights per scan window.
+    monkeypatch.setattr(summation_diagnostics, "_SCAN_CELLS", 81)
     monkeypatch.setattr(double_array, "_TRACE_ENTRIES", 5)
     monkeypatch.setattr(double_array, "_LIMIT_SLOTS", 7)
     code, tiny, _ = run(capsys, *argv)

@@ -226,8 +226,9 @@ def test_needed_scan_is_bitwise_window_invariant(name, first_zero, monkeypatch):
     windows = []
     pairs = array.pairs
     monkeypatch.setattr(array, "pairs", lambda *a: windows.append(a) or pairs(*a))
-    # A few pairs per window, so every sup is reached through a carry.
-    monkeypatch.setattr(summation_diagnostics, "_SCAN_CELLS", 27)
+    # One column of the 9 block heights per window, the fewest cells the
+    # scan takes, so every sup is reached through a carry.
+    monkeypatch.setattr(summation_diagnostics, "_SCAN_CELLS", 81)
     small = needed_uniformity_scan(array, m_list, block=8, n_reach=reach)
     assert len(windows) > 100 * len(m_list)
     assert small.sup_trace.tobytes() == default.sup_trace.tobytes()
@@ -238,10 +239,22 @@ def test_needed_scan_refuses_oversized_tails_and_windows(monkeypatch):
     # 9 rows x 2500 columns of a dense block tail.
     with pytest.raises(InvalidBoundError, match="block tail"):
         needed_uniformity_scan(CesaroArray(), (1,), block=8, n_reach=2500)
-    # About 1.6e4 divisor hits pass, but one window of them times 2000
-    # block heights does not.
-    with pytest.raises(InvalidBoundError, match="block heights"):
+    # One column may hold a pair for each of 2000 block heights, more
+    # cells than one scan window, though the tail's 1.6e4 hits pass.
+    with pytest.raises(InvalidBoundError, match="one scan window"):
         needed_uniformity_scan(LeeArray(2.0), (1,), block=2000, n_reach=2000)
+
+
+def test_needed_scan_refuses_blocks_past_one_scan_window(no_sieve):
+    # 357 heights squared fit the 127875 cells of a window, 358 do not;
+    # the heights are set by the smallest M and the reach, not the block.
+    cesaro, lee = CesaroArray(), LeeArray(2.0)
+    assert needed_uniformity_scan(cesaro, (1,), block=356, n_reach=400).sup_trace[0] > 0
+    assert needed_uniformity_scan(cesaro, (1, 300), block=357, n_reach=357).sup_trace[0] > 0
+    for array in (cesaro, lee):
+        with pytest.raises(InvalidBoundError, match="use a block of at most 356"):
+            needed_uniformity_scan(array, (1, 300), block=357, n_reach=400)
+    assert no_sieve == []
 
 
 def test_needed_scan_memory_is_flat_in_reach():
@@ -309,6 +322,25 @@ def test_report_at_zero_keeps_needed_scan_honest(first_zero):
     assert max(needed["outer_values"]) * 128 <= 10**6
     assert verified["verdict"] == "decays_below"
     assert max(verified["outer_values"]) > max(needed["outer_values"])
+
+
+@pytest.mark.parametrize(
+    "array, reach, kept",
+    [
+        # reach // M terms per row: 128 at M = 256, 32 at M = 1024
+        (LeeArray(2.0), 32768, [16, 64, 256]),
+        (CesaroArray(), 32768, [16, 64, 256, 1024, 4096, 16384]),
+        # rows of 100 terms: no start keeps 128, so all are kept
+        (LeeArray(2.0), 100, [16, 64]),
+        (CesaroArray(), 100, [16, 64]),
+    ],
+    ids=["lee", "cesaro", "lee_short", "cesaro_short"],
+)
+def test_report_keeps_block_starts_whose_rows_hold_128_terms(array, reach, kept):
+    report = diagnostics_report(array, 16, 16, scan_reach=reach)
+    needed, verified = report["scans"]
+    assert needed["outer_values"].tolist() == kept
+    assert verified["outer_values"].tolist() == summation_diagnostics._default_outer(reach, 8)
 
 
 def test_probe_detail_reports_settling(ratio_window):
@@ -401,6 +433,48 @@ def test_settle_profile_of_traces_shorter_than_one_block(length):
         r, i = int(rng.integers(len(traces))), int(rng.integers(length))
         for tolerance in _boundary_tolerances(traces, r, i):
             _assert_profiles_bitwise_equal(traces, tolerance)
+
+
+def _profile_by_stacks(traces, tolerance, cuts):
+    """The settle profile of traces fed to _SettleBlocks as one stack of
+    full blocks from each cut to the next, then the ragged block alone."""
+    k, length = traces.shape
+    width = summation_diagnostics._BLOCK
+    blocks = summation_diagnostics._SettleBlocks(k, length)
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = traces[:, lo * width : hi * width].reshape(k, hi - lo, width)
+        blocks.add(lo, np.ascontiguousarray(part.transpose(1, 2, 0)))
+    full = length // width
+    if full * width < length:
+        blocks.add(full, traces[:, full * width :].T[None])
+    return blocks.profile(
+        traces[:, -1], tolerance,
+        lambda first, wide: traces[:, (first - 1) * width : first * width].T,
+    )
+
+
+@pytest.mark.parametrize("length", [37, 64, 100, 128, 130, 320, 333, 700])
+def test_settle_blocks_are_the_same_in_any_grouping(length):
+    # The half entry lies in the ragged block at 37, in the one full
+    # block at 64 and 100, and otherwise in a later block of the whole
+    # stack, and first in a stack when the stacks are cut at its block.
+    width = summation_diagnostics._BLOCK
+    full, half_block = length // width, length // 2 // width
+    groupings = {
+        "each": list(range(full + 1)),
+        "split": sorted({0, half_block, full}),
+    }
+    rng = np.random.default_rng(length)
+    for _ in range(20):
+        traces = _random_traces(rng, int(rng.integers(1, 41)), length)
+        r, i = int(rng.integers(len(traces))), int(rng.integers(length))
+        for tolerance in _boundary_tolerances(traces, r, i):
+            whole = _profile_by_stacks(traces, tolerance, [0, full])
+            _assert_same_profile(summation_diagnostics._settle_profile(traces, tolerance), whole)
+            for name, cuts in groupings.items():
+                _assert_same_profile(
+                    _profile_by_stacks(traces, tolerance, cuts), whole, name, tolerance
+                )
 
 
 REPORT_GRIDS = ["lee_zero", "lee_s2", "cesaro", "zeros", "interchange_ratio"]
