@@ -59,10 +59,10 @@ _SERIES_CHUNK = 1 << 18
 _SQUARE_CHUNK = 1 << 16
 
 # Rows of t per eta_line chunk.  Its buffers hold pi(order) * _LINE_CHUNK
-# angles plus one row of _LINE_CHUNK complex phases per kept k (see
-# _line_plan): 0.7 + 3.7 MB at order 186 (42 primes, 112 rows), 1.2 +
-# 7.3 MB at 380 (75 primes, 224 rows).
-_LINE_CHUNK = 2048
+# angles plus _LINE_CHUNK complex phases per buffer row (see _line_plan):
+# 0.3 + 1.1 MB at order 186 (42 primes, 68 rows), 0.6 + 2.2 MB at 380
+# (75 primes, 133 rows).
+_LINE_CHUNK = 1024
 
 # Largest square-root index K that beta_series_partial accepts.
 MAX_SQUARE_INDEX = 1 << 22
@@ -202,13 +202,17 @@ def _line_plan(order: int) -> tuple:
 
     Terms are summed in slot order: k = 1, the primes, then the
     composites, each group in increasing k.  A composite k is built as
-    p * (k/p), p its smallest prime factor, and both factors are at most
-    order // 2, so the buffer keeps only rows for k = 1 (row 0), the
-    primes (rows 1..pi(order)) and the composites up to order // 2; each
-    larger composite goes to one spare row, the last, and is summed
-    before the next overwrites it.  Returns the weights and log k in
-    slot order, pi(order), the number of buffer rows, and one (row of k,
-    row of p, row of k/p) step per composite in increasing k.
+    p * (k/p), p its smallest prime factor, and summed at once.  Row 0
+    keeps k = 1 and rows 1..pi(order) the primes, rewritten each chunk;
+    a row is free after the last step that reads its phase, as a factor
+    or to sum it, and each composite takes a free row, else a new one.
+    Primes above order // 2 are no factor, so their rows are free from
+    the first composite on.  A step's factor rows are freed only after
+    it takes its own: a complex multiply over one of its inputs takes
+    another loop on a one-row chunk, with other rounding.  Returns the
+    weights and log k in slot order, pi(order), the number of buffer
+    rows, and one (row of k, row of p, row of k/p) step per composite in
+    increasing k.
     """
     primes = np.flatnonzero(sieve(order)[0] == 1).tolist()
     smallest = {}
@@ -216,13 +220,25 @@ def _line_plan(order: int) -> tuple:
         for k in range(p * p, order + 1, p):
             smallest[k] = p
     composites = sorted(smallest)
-    kept = [1, *primes, *(k for k in composites if k <= order // 2)]
-    row = {k: j for j, k in enumerate(kept)}
-    spare = len(kept)
-    steps = [(row.get(k, spare), row[smallest[k]], row[k // smallest[k]]) for k in composites]
+    last = {k: k for k in composites}
+    for k in composites:
+        last[smallest[k]] = last[k // smallest[k]] = k
+    row = {p: j for j, p in enumerate(primes, 1)}
+    free = [row[p] for p in primes if p not in last]
+    n_rows = len(primes) + 1
+    steps = []
+    for k in composites:
+        p, q = smallest[k], k // smallest[k]
+        if not free:
+            free.append(n_rows)
+            n_rows += 1
+        row[k] = free.pop()
+        steps.append((row[k], row[p], row[q]))
+        # p == q at k = p * p, so dict.fromkeys frees that row once.
+        free += [row[f] for f in dict.fromkeys((p, q, k)) if last[f] == k]
     w, logk = _weights(order)
     index = np.array([1, *primes, *composites]) - 1
-    return w[index], logk[index], len(primes), spare + 1, steps
+    return w[index], logk[index], len(primes), n_rows, steps
 
 
 def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarray:
@@ -236,13 +252,12 @@ def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarr
     built in increasing k.  Each phase is added to the sum as soon as it
     is built, as elementwise multiply-adds in one fixed k order, so a
     row's bits never depend on the grid around it or on chunking;
-    agreement with eta() is tested to 1e-13.  The buffer keeps only the
-    phases a later product reads (k = 1, the primes and the composites
-    up to order // 2) plus one spare row.  The grid is walked in chunks
-    of _LINE_CHUNK rows through that one reused buffer, so peak memory
-    is one chunk whatever len(ts) is: about 4.4 MB at order 186 and 8.6
-    MB at the cap.  One order, picked from the largest |t|, serves every
-    row.
+    agreement with eta() is tested to 1e-13.  A phase holds a buffer
+    row only until the last product that reads it (see _line_plan).
+    The grid is walked in chunks of _LINE_CHUNK rows through that one
+    reused buffer, so peak memory is one chunk whatever len(ts) is:
+    about 1.5 MB at order 186 and 2.8 MB at the cap.  One order, picked
+    from the largest |t|, serves every row.
 
     Raises:
         DomainError: if sigma is not finite and positive, if any t is
@@ -265,8 +280,8 @@ def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarr
     primes = slice(1, n_primes + 1)
     rows = min(ts.size, _LINE_CHUNK)
     x = np.empty((n_primes, rows))
-    # Row j holds k**(+it) for a kept k (see _line_plan); the sum is
-    # conjugated once.
+    # Each row holds k**(+it) for the k that _line_plan puts there; the
+    # sum is conjugated once.
     phase = np.empty((n_rows, rows), dtype=np.complex128)
     phase[0] = 1.0
     acc = np.empty(rows, dtype=np.complex128)

@@ -67,10 +67,11 @@ _BLOCK = SLAB_ROWS
 _SETTLE_CHUNK = _RECTANGLE_CELLS // (4 * _BLOCK)
 
 # Working cells (block heights x pairs) of one n-window of the block-tail
-# scan, sized to hold about 5 MiB at once: each cell takes 16 B of
-# running sums, 1 B of the mask that fills them and up to 24 B for the
-# copy and modulus taken at the ends of the tied-n groups.
-_SCAN_CELLS = (5 << 20) // (16 + 1 + 24)
+# scan.  Each cell takes 16 B of running sums, 1 B of the mask that fills
+# them and 8 B of their modulus, so a window holds about 3 MiB.  The
+# value also sets the largest block the scan takes, 356, which the
+# refusal quotes.
+_SCAN_CELLS = 127_875
 
 # Fewest terms a block-tail start M's row must hold, by the array's
 # pair_bound, for the report to keep M: a row of the divisor-supported
@@ -477,11 +478,14 @@ def _needed_sup(array: DoubleArray, m_start: int, block: int, n_reach: int) -> f
         run = np.where(rank <= heights, vals[order], 0)
         run[:, 0] += carry
         np.cumsum(run, axis=1, out=run)
-        # Partial sums are only observable at a completed n, so evaluate
-        # the running sums at the last entry of each tied-n group.
-        ends = np.flatnonzero(np.diff(n_s, append=n_s[-1] + 1))
-        best = max(best, float(np.abs(run[:, ends]).max()))
+        # Partial sums are only observable at a completed n, so only the
+        # last entry of each tied-n group counts toward the sup.
+        size = np.abs(run)
+        size[:, :-1][:, n_s[1:] == n_s[:-1]] = 0.0
+        best = max(best, float(size.max()))
         carry = run[:, -1].copy()
+        # Freed here, or they would stay alive while the next window is built.
+        del run, size
     return best
 
 
@@ -504,7 +508,7 @@ def needed_uniformity_scan(
 
     Each M is one pass over n = M..n_reach in windows of array.pairs,
     sized by array.pair_bound so that a window's (block height x pair)
-    running sums and their temporaries, 41 B per cell, hold about 5 MiB
+    running sums and their temporaries, 25 B per cell, hold about 3 MiB
     at once.  All block heights advance together and carry their sums
     across windows, so memory stays flat in n_reach and every sup is bit
     for bit that of one sorted cumulative sum per height over the whole

@@ -137,14 +137,16 @@ def _eta_line_peak(ts):
 def test_eta_line_peak_memory_is_one_chunk():
     # A whole-grid phase matrix traces 58.6 MB on this grid, and one
     # 4096-row chunk of every phase 6.2 MB; one 2048-row chunk of the
-    # kept phases (order 74, 47 rows) traced 2.49 MB.
-    assert _eta_line_peak(np.arange(10.5, 60.0, 0.002)) <= 3e6
+    # phases later products read (order 74, 47 rows) traced 2.49 MB, one
+    # 1024-row chunk of the live rows (29) 1.21 MB.
+    assert _eta_line_peak(np.arange(10.5, 60.0, 0.002)) <= 1.5e6
 
 
 def test_eta_line_peak_memory_at_the_order_cap():
     # Order 380, the cap: one 4096-row chunk of every phase traced 27.8
-    # MB, one 2048-row chunk of the 224 kept rows 8.95 MB.
-    assert _eta_line_peak(np.arange(390.0, 402.0, 0.002)) <= 12e6
+    # MB, one 2048-row chunk of the 224 rows later products read 8.95
+    # MB, one 1024-row chunk of the 133 live rows 3.14 MB.
+    assert _eta_line_peak(np.arange(390.0, 402.0, 0.002)) <= 4e6
 
 
 def test_eta_line_against_mpmath_across_a_chunk_boundary():
@@ -231,32 +233,77 @@ def _primes_by_trial_division(n):
     return [p for p in range(2, n + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
 
 
-def test_eta_line_plan_keeps_only_the_factors_later_products_read():
+def test_eta_line_plan_holds_each_phase_in_a_live_row():
     for order in range(1, dirichlet_eval._MAX_ORDER + 1):
         w, logk, n_primes, n_rows, steps = dirichlet_eval._line_plan(order)
         primes = _primes_by_trial_division(order)
+        composites = sorted(set(range(4, order + 1)) - set(primes))
         assert n_primes == len(primes)
-        assert n_rows <= order // 2 + len(primes) + 2
-        spare = n_rows - 1
+        assert len(steps) == len(composites)
+        factors = [(k, min(d for d in primes if k % d == 0)) for k in composites]
+        # The last step that reads each phase, as a factor or to sum it.
+        last = {}
+        for i, (k, p) in enumerate(factors):
+            last[p] = last[k // p] = last[k] = i
         # Rows 0..pi(order) are written before any step; None is unwritten.
         held = [1, *primes] + [None] * (n_rows - 1 - n_primes)
         summed = held[: n_primes + 1]
-        for k, p, q in steps:
-            assert spare not in (p, q), (order, k)
-            assert held[p] is not None and held[q] is not None, (order, k)
-            value = held[p] * held[q]
-            assert held[p] == min(d for d in primes if value % d == 0)
-            # Only a composite above order // 2 goes to the spare row.
-            assert (k == spare) == (value > order // 2), (order, value)
-            held[k] = value
-            summed.append(value)
+        live_max = len(summed)
+        for i, ((k, p), (row, row_p, row_q)) in enumerate(zip(factors, steps)):
+            assert (held[row_p], held[row_q]) == (p, k // p), (order, k)
+            # Nothing this step or a later one reads is written over, so
+            # no step writes over its own factors (see _line_plan).
+            assert last.get(held[row], -1) < i, (order, k)
+            held[row] = held[row_p] * held[row_q]
+            summed.append(held[row])
+            assert held[0] == 1, (order, k)
+            # Live at this step: k = 1, and each phase read from here on.
+            live_max = max(live_max, 1 + sum(last[v] >= i for v in held if v in last))
         # Every k <= order is summed once, in slot order.
-        composites = sorted(set(range(4, order + 1)) - set(primes))
         assert summed == [1, *primes, *composites]
+        assert n_rows == live_max, order
         full_w, full_logk = dirichlet_eval._weights(order)
         index = np.array(summed) - 1
         assert w.tobytes() == full_w[index].tobytes()
         assert logk.tobytes() == full_logk[index].tobytes()
+
+
+def _eta_line_in_own_rows(sigma, ts, order):
+    """eta_line's sum with every phase in its own row, the whole grid at once.
+
+    The same products, multiply-adds and slot order as eta_line; only
+    the layout differs: row j holds the j-th k in slot order.
+    """
+    primes = _primes_by_trial_division(order)
+    composites = sorted(set(range(4, order + 1)) - set(primes))
+    slots = [1, *primes, *composites]
+    row = {k: j for j, k in enumerate(slots)}
+    w, logk = dirichlet_eval._weights(order)
+    amp = (w * np.exp(-sigma * logk))[np.array(slots) - 1].tolist()
+    rows = slice(1, len(primes) + 1)
+    x = np.multiply.outer(logk[np.array(primes, dtype=int) - 1], ts)
+    phase = np.empty((order, ts.size), dtype=np.complex128)
+    phase[0] = 1.0
+    np.cos(x, out=phase.real[rows])
+    np.sin(x, out=phase.imag[rows])
+    total = np.zeros(ts.size, dtype=np.complex128)
+    for j, k in enumerate(slots):
+        if j > len(primes):
+            p = min(d for d in primes if k % d == 0)
+            np.multiply(phase[row[p]], phase[row[k // p]], out=phase[j])
+        total += phase[j] * amp[j]
+    return np.conjugate(total)
+
+
+@pytest.mark.parametrize("order", [60, 186, 380])
+@pytest.mark.parametrize("length", [1, C - 1, C, C + 1, 3 * C + 7])
+def test_eta_line_is_bitwise_its_sum_with_every_phase_in_its_own_row(order, length):
+    # eta_line writes row 0 = 1 once per buffer, so a plan that put a
+    # composite there would lose the k = 1 term of every chunk after the
+    # first: only grids past one chunk show it.
+    ts = 10.0 + 0.037 * np.arange(length)
+    line = eta_line(0.5, ts, order)
+    assert line.tobytes() == _eta_line_in_own_rows(0.5, ts, order).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -265,8 +265,9 @@ def test_needed_scan_memory_is_flat_in_reach():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Windows of about 5 MiB peak at 5.6 MiB; windows of 2**19 cells
-    # peaked at 20.9 MiB.
+    # Windows of 127,875 cells peak at 3.8 MiB; they peaked at 5.6 MiB
+    # while a window's sums stayed alive as the next was built, and
+    # windows of 2**19 cells at 20.9 MiB.
     assert peak <= 10 * 2**20, f"block-tail scan peaked at {peak / 2**20:.1f} MiB"
 
 
