@@ -11,12 +11,13 @@ Subcommands map one-to-one onto the library layers:
 
 Each cmd_* computes once and returns (record, csv_header, csv_rows_of),
 csv_rows_of mapping the record to row tuples; _write, the only writer,
-streams a record field that is an iterator of rows in either format.
-JSON opens with "schema" and "command" and carries complex numbers as
-{"re", "im"}; CSV cells are repr for floats, empty for None and 0/1 for
-flags.  Output is deterministic for a fixed invocation.  Domain
-failures, an unwritable --out included, print one JSON object to stderr
-and exit with status 2; a beta table mismatch exits with status 1.
+streams only the fields cmd_* wrapped in _RowStream, in either format.
+Option parsers raise argparse.ArgumentTypeError.  JSON opens with
+"schema" and "command" and carries complex numbers as {"re", "im"}; CSV
+cells are repr for floats, empty for None and 0/1 for flags.  Output is
+deterministic for a fixed invocation.  Domain failures, an unwritable
+--out included, print one JSON object to stderr and exit with status 2;
+a beta table mismatch exits with status 1.
 """
 
 import argparse
@@ -24,7 +25,6 @@ import csv
 import json
 import math
 import sys
-from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain, islice
 
@@ -62,25 +62,25 @@ def parse_complex(text: str) -> complex:
     try:
         value = complex(raw)
     except ValueError:
-        raise DomainError(
+        raise argparse.ArgumentTypeError(
             f"cannot parse {text!r} as a complex number; "
             "expected forms like 2, 0.75, 0.5+14.13i, -3i"
         ) from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DomainError(f"complex parameter must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"complex parameter must be finite, got {text!r}")
     return value
 
 
 def parse_window(text: str):
     parts = text.lower().split("x")
     if len(parts) != 2:
-        raise DomainError(f"window must look like 512x4096, got {text!r}")
+        raise argparse.ArgumentTypeError(f"window must look like 512x4096, got {text!r}")
     try:
         m, n = int(parts[0]), int(parts[1])
     except ValueError:
-        raise DomainError(f"window must look like 512x4096, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"window must look like 512x4096, got {text!r}") from None
     if m < 1 or n < 1:
-        raise DomainError(f"window extents must be positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"window extents must be positive, got {text!r}")
     return m, n
 
 
@@ -88,9 +88,11 @@ def parse_aspect(text: str) -> Fraction:
     try:
         aspect = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"aspect must be a ratio like 1, 2/3, 1.5; got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"aspect must be a ratio like 1, 2/3, 1.5; got {text!r}"
+        ) from None
     if aspect <= 0:
-        raise DomainError(f"aspect must be positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"aspect must be positive, got {text!r}")
     return aspect
 
 
@@ -98,9 +100,9 @@ def parse_positive(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise DomainError(f"expected a positive number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}") from None
     if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"value must be positive and finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"value must be positive and finite, got {text!r}")
     return value
 
 
@@ -150,11 +152,9 @@ def _jsonable(value):
 def _write(args, record: dict, header, rows_of) -> None:
     """The one writer: the record as JSON, or its CSV view, streamed to stdout or --out."""
     if args.format == "json":
-        # Wrapped here, not in the default hook, which adds two generators per chunk.
-        fields = {k: _RowStream(v) if isinstance(v, Iterator) else v for k, v in record.items()}
         # With an indent, json.dumps runs this same pure-Python encoder.
         encoder = json.JSONEncoder(indent=2, default=_jsonable)
-        chunks = chain(encoder.iterencode({**_SCHEMA, "command": args.command, **fields}), ("\n",))
+        chunks = chain(encoder.iterencode({**_SCHEMA, "command": args.command, **record}), ("\n",))
 
         def render(handle):
             # One write per 2**14 chunks: a write per chunk costs more than the join.
@@ -205,7 +205,7 @@ def cmd_beta(args) -> tuple:
     record = {
         "n_max": args.n_max,
         "mismatches": int(np.count_nonzero(mismatch[1:])),
-        "rows": _beta_rows((omega, liouville, by_def, closed, mismatch)),
+        "rows": _RowStream(_beta_rows((omega, liouville, by_def, closed, mismatch))),
     }
     return record, _BETA_HEADER, lambda r: (row.values() for row in r["rows"])
 
@@ -216,8 +216,9 @@ def cmd_identity(args) -> tuple:
         raise DomainError(
             f"identity comparison needs re(s) > 1/2 for a convergent series, got {s}"
         )
-    series = beta_series_partial(s, args.K)
+    # zeta(2s) first: it refuses what the series would only overflow on.
     bridge = bridge_factor(s) * zeta(2 * s).value
+    series = beta_series_partial(s, args.K)
     record = {
         "s": s,
         "K": args.K,
@@ -370,26 +371,16 @@ def cmd_zeta(args) -> tuple:
     if (args.s is None) == (args.k is None):
         raise DomainError("zeta needs exactly one of --s or --k")
     if args.k is not None:
+        # Evaluated first: it refuses a k whose point k * spacing overflows.
+        result = zeta_at_exceptional(args.k)
         s = complex(1.0, args.k * EXCEPTIONAL_SPACING)
-        return _evaluation(s, zeta_at_exceptional(args.k), exceptional_k=args.k)
+        return _evaluation(s, result, exceptional_k=args.k)
     return _evaluation(args.s, zeta(args.s), exceptional_k=None)
 
 
 def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-
-
-def _arg(parse):
-    """argparse type from `parse`; the usage error keeps its DomainError text."""
-
-    def convert(text):
-        try:
-            return parse(text)
-        except DomainError as err:
-            raise argparse.ArgumentTypeError(str(err)) from None
-
-    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -405,30 +396,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_beta)
 
     p = sub.add_parser("identity", help="squared-argument identity check")
-    p.add_argument("--s", type=_arg(parse_complex), required=True)
+    p.add_argument("--s", type=parse_complex, required=True)
     p.add_argument("--K", type=int, default=1000, help="square-index cutoff")
     _add_common(p)
     p.set_defaults(func=cmd_identity)
 
     p = sub.add_parser("modes", help="three summation modes on one array")
     p.add_argument("--array", choices=ARRAY_CHOICES, default="lee")
-    p.add_argument("--s", type=_arg(parse_complex), default=None)
+    p.add_argument("--s", type=parse_complex, default=None)
     p.add_argument("--outer", type=int, default=None, help="iterated outer limit")
     p.add_argument("--k-max", type=int, default=None, help="rectangle trace length")
-    p.add_argument("--aspect", type=_arg(parse_aspect), default=Fraction(1))
-    p.add_argument("--tolerance", type=_arg(parse_positive), default=1e-6)
+    p.add_argument("--aspect", type=parse_aspect, default=Fraction(1))
+    p.add_argument("--tolerance", type=parse_positive, default=1e-6)
     _add_common(p)
     p.set_defaults(func=cmd_modes)
 
     p = sub.add_parser("uniformity", help="limit probes, scans, classification")
     p.add_argument("--array", choices=ARRAY_CHOICES, default="lee")
-    p.add_argument("--s", type=_arg(parse_complex), default=None)
-    p.add_argument("--window", type=_arg(parse_window), default=(512, 4096),
+    p.add_argument("--s", type=parse_complex, default=None)
+    p.add_argument("--window", type=parse_window, default=(512, 4096),
                    help="grid extents as MxN")
-    p.add_argument("--tolerance", type=_arg(parse_positive), default=1e-6)
+    p.add_argument("--tolerance", type=parse_positive, default=1e-6)
     p.add_argument("--block", type=int, default=8)
     p.add_argument("--reach", type=int, default=None, help="scan reach in N")
-    p.add_argument("--threshold", type=_arg(parse_positive), default=1e-2)
+    p.add_argument("--threshold", type=parse_positive, default=1e-2)
     _add_common(p)
     p.set_defaults(func=cmd_uniformity)
 
@@ -440,13 +431,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("eta", help="evaluate the alternating series")
-    p.add_argument("--s", type=_arg(parse_complex), required=True)
+    p.add_argument("--s", type=parse_complex, required=True)
     p.add_argument("--order", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("zeta", help="evaluate zeta, or its exceptional-point value")
-    p.add_argument("--s", type=_arg(parse_complex), default=None)
+    p.add_argument("--s", type=parse_complex, default=None)
     p.add_argument("--k", type=int, default=None,
                    help="exceptional point index instead of --s")
     _add_common(p)

@@ -45,6 +45,11 @@ EXCEPTIONAL_SPACING = 2.0 * math.pi / math.log(2.0)
 # error_estimate counts) replaces it.
 _MAX_ORDER = 380
 
+# Largest |k| of an exceptional point zeta_at_exceptional evaluates: the
+# default order at its rim, 1/2 + i(|k| * EXCEPTIONAL_SPACING + 1/2),
+# passes _MAX_ORDER from k = 45 on.
+_MAX_EXCEPTIONAL_K = 44
+
 # Guard radius around exceptional points for the bridge evaluator.
 EXCEPTIONAL_RADIUS = 1e-8
 
@@ -157,13 +162,13 @@ def default_order(s: complex) -> int:
         + 13.0 * math.log(10.0)
         + (0.5 - min(s.real, 0.5)) * math.log(4.0)
     ) / _LOG_RATE
-    order = max(60, math.ceil(need))
-    if order > _MAX_ORDER:
+    # Compared before the ceil, which an infinite need (|im(s)| >= 3e307)
+    # would overflow.
+    if need > _MAX_ORDER:
         raise DomainError(
-            f"|im(s)| = {t:.1f} needs acceleration order {order}, "
-            f"beyond the supported {_MAX_ORDER}"
+            f"|im(s)| = {t:.6g} needs an acceleration order beyond the supported {_MAX_ORDER}"
         )
-    return order
+    return max(60, math.ceil(need))
 
 
 def eta(s: complex, order: int | None = None) -> EvalResult:
@@ -187,13 +192,15 @@ def eta(s: complex, order: int | None = None) -> EvalResult:
         order = default_order(s)
     elif not 1 <= order <= _MAX_ORDER:
         raise InvalidBoundError(f"order must be in 1..{_MAX_ORDER}, got {order}")
-    estimate = truncation_bound(order, s) + _rounding_bound(s, order, 0)
-    if estimate == math.inf:
+    # The truncation bound first: the rounding bound of an |im(s)| that
+    # leaves it infinite takes inf * 0.
+    truncation = truncation_bound(order, s)
+    if truncation == math.inf:
         raise DomainError(
-            f"|im(s)| = {abs(s.imag):.1f} at acceleration order {order} has no "
+            f"|im(s)| = {abs(s.imag):.6g} at acceleration order {order} has no "
             "finite error bound; use a smaller |im(s)| or the default order"
         )
-    return EvalResult(_eta_value(s, order), estimate, order)
+    return EvalResult(_eta_value(s, order), truncation + _rounding_bound(s, order, 0), order)
 
 
 @functools.cache
@@ -364,10 +371,16 @@ def zeta_at_exceptional(k: int) -> EvalResult:
 
     Raises:
         PoleError: at k = 0.
-        DomainError: for |k| > 44, past _MAX_ORDER.
+        DomainError: for |k| > _MAX_EXCEPTIONAL_K = 44, past _MAX_ORDER,
+            before k * EXCEPTIONAL_SPACING is formed.
     """
     if k == 0:
         raise PoleError("k = 0 is the pole at s = 1, not an exceptional point")
+    if abs(k) > _MAX_EXCEPTIONAL_K:
+        raise DomainError(
+            f"exceptional point index k must be in -{_MAX_EXCEPTIONAL_K}..{_MAX_EXCEPTIONAL_K}; "
+            f"past it the evaluation needs an acceleration order beyond {_MAX_ORDER}"
+        )
     s0 = complex(1.0, k * EXCEPTIONAL_SPACING)
     rim = complex(0.5, abs(s0.imag) + 0.5)
     order = default_order(rim)

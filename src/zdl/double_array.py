@@ -36,7 +36,7 @@ The arrays provided:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -92,12 +92,11 @@ class Verdict:
 
 @dataclass
 class SummationReport:
-    """One summation mode applied to one array: the trace and its verdict."""
+    """One summation mode applied to one array: the trace and its verdict, nothing else."""
 
     mode: str
     trace: np.ndarray
     verdict: Verdict
-    notes: dict = field(default_factory=dict)
 
 
 def _tail(trace: np.ndarray) -> np.ndarray:
@@ -315,9 +314,11 @@ class LeeArray(DoubleArray):
         return lam * signs * power
 
     def row_limits(self, m_max: int, m_lo: int = 1) -> np.ndarray:
-        m = _span(m_lo, m_max, np.float64)
+        # Sieved first, so a row past the sieve's cap is refused before
+        # the span is allocated.
+        _check_start(m_lo)
         lam = self._liouville(m_max)[m_lo : m_max + 1]
-        return lam * np.exp(-self.s * np.log(m)) * self._eta_value
+        return lam * np.exp(-self.s * np.log(_span(m_lo, m_max, np.float64))) * self._eta_value
 
     def column_limits(self, n_max: int, n_lo: int = 1) -> np.ndarray:
         """Column sums through the closed form of the divisor transform.
@@ -576,10 +577,10 @@ def pringsheim_trace(
 
     A converged trace alone does not certify a rectangle limit: the trace
     walks one ray through the rectangle lattice.  The verdict therefore
-    additionally samples the four corners (half/full window in each
-    direction) and refuses "converged" when they disagree by more than
-    the tolerance, reporting inconclusive with the corner spread as
-    residual instead.
+    also reads the four corners (half/full window in each direction) and
+    turns "converged" into "inconclusive" when they disagree by more than
+    the tolerance, with the corner spread as residual.  The corners go
+    into the verdict only; _rectangle_trace returns them.
 
     aspect is interpreted exactly (as a Fraction), so row counts
     ceil(aspect*K) never suffer float boundary wobble.
@@ -589,11 +590,13 @@ def pringsheim_trace(
     included.  Its memory is the 16 B per step of the trace plus one
     window's working arrays, about 150 B for each of its _TRACE_ENTRIES
     entries (9 MiB), however many entries the rectangle holds.
-    A rectangle whose pair_bound exceeds MAX_GRID_CELLS is refused
-    before any window.
+    A k_max outside 4..MAX_GRID_CELLS is refused before the rectangle is
+    counted, as every package array's pair_bound is at least k_max; an
+    aspect past the trace's int64 range, and a rectangle whose
+    pair_bound exceeds MAX_GRID_CELLS, are refused before any window.
     """
-    if k_max < 4:
-        raise InvalidBoundError(f"k_max must be at least 4, got {k_max}")
+    if not 4 <= k_max <= MAX_GRID_CELLS:
+        raise InvalidBoundError(f"k_max must be in 4..{MAX_GRID_CELLS}, got {k_max}")
     aspect = Fraction(aspect)
     if aspect <= 0:
         raise InvalidBoundError(f"aspect must be positive, got {aspect}")
@@ -604,14 +607,7 @@ def pringsheim_trace(
     spread = _box_diameter(np.array([v for _, _, v in corners]))
     if verdict.kind == "converged" and spread > tolerance:
         verdict = Verdict("inconclusive", residual=spread)
-    notes = {
-        "aspect": str(aspect),
-        "corner_samples": [
-            {"m": mm, "n": nn, "value": v} for mm, nn, v in corners
-        ],
-        "corner_spread": spread,
-    }
-    return SummationReport(PRINGSHEIM_DIAGONAL, trace, verdict, notes)
+    return SummationReport(PRINGSHEIM_DIAGONAL, trace, verdict)
 
 
 def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
@@ -635,9 +631,16 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     windows as _running_sum says, so every corner has the bits of one
     cumulative sum over its entries whatever the window size.  A
     rectangle whose pair_bound exceeds MAX_GRID_CELLS is refused before
-    any window.
+    any window, and so is an aspect p/q with p, q or (m_max - 1) * q past
+    2**63 - 1: an entry's K takes (m - 1) * q // p in int64.
     """
     m_max = _ceil_fraction(k_max, aspect)
+    p, q = aspect.numerator, aspect.denominator
+    if max(p, q, (m_max - 1) * q) >= 1 << 63:
+        raise InvalidBoundError(
+            "the aspect's numerator, or its denominator times ceil(aspect * k_max) - 1, "
+            "is past 2**63 - 1, the trace's int64 range; use an aspect with smaller terms"
+        )
     bound = array.pair_bound(1, m_max, k_max)
     if bound > MAX_GRID_CELLS:
         raise InvalidBoundError(
@@ -653,7 +656,6 @@ def _rectangle_trace(array: DoubleArray, k_max: int, aspect: Fraction):
     array.row_limits(top, top)
     k_half = max(1, k_max // 2)
     m_half = _ceil_fraction(k_half, aspect)
-    p, q = aspect.numerator, aspect.denominator
     # Equal-width windows in K, each holding about _TRACE_ENTRIES entries
     # and at most 2**16 steps, so an entry's K less k0 + 1 fits in 16 bits.
     count = max(1, -(-bound // _TRACE_ENTRIES), -(-k_max // (1 << 16)))

@@ -60,10 +60,11 @@ class ZeroCandidate:
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """The scan grid lo, lo + step, ... through hi, counted before it is allocated."""
-    points = math.ceil((hi + 0.5 * step - lo) / step)
+    # Compared before any ceil: a subnormal step makes the count infinite.
+    points = (hi + 0.5 * step - lo) / step
     if points > MAX_SCAN_POINTS:
         raise InvalidBoundError(
-            f"a grid of {points} points from t = {lo} to {hi} at step {step:g} "
+            f"a grid of {points:.6g} points from t = {lo} to {hi} at step {step:g} "
             f"exceeds the {MAX_SCAN_POINTS} accepted; use a larger step or a "
             "shorter window"
         )

@@ -1,4 +1,7 @@
-"""Shared fixtures: whole sieves, the first refined zero, numpy and sieve stubs."""
+"""Shared fixtures: whole sieves, the first refined zero, numpy and sieve
+stubs, and the traced peak of a call."""
+
+import tracemalloc
 
 import pytest
 
@@ -66,3 +69,17 @@ def no_sieve(monkeypatch):
 
     monkeypatch.setattr(double_array, "sieve", refuse)
     return ranges
+
+
+@pytest.fixture
+def traced_peak():
+    """Call with fn and its arguments: fn's result and the peak bytes traced during the call."""
+
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

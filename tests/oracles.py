@@ -11,10 +11,11 @@ whole-table iterated sum and the row-by-row divisor listing at the end
 are the exception: they are the package's former code, frozen as the
 bitwise references of the slab walk, the block-extent settle profiles,
 the windowed limits and the quotient listing that replaced them.
-Three helpers import the package: settle_profile_reference fills in
+Four helpers import the package: settle_profile_reference fills in
 its settle-profile record, analyze_reference builds its probes from
-those profiles with summation_diagnostics' own verdict helpers, and
-slab_cell reads a cell off the package's own slabs.
+those profiles with summation_diagnostics' own verdict helpers,
+slab_cell reads a cell off the package's own slabs, and negated_cesaro
+builds a test array on CesaroArray.
 """
 
 import cmath
@@ -235,6 +236,21 @@ def verified_sup_brute(term, n_start: int, block: int, m_reach: int) -> float:
             run += term(m, n)
             best = max(best, abs(run))
     return best
+
+
+def negated_cesaro():
+    """CesaroArray with every entry negated, so each imaginary part is -0.0.
+
+    Not an oracle: a test array whose signed zeros a sum started from a
+    +0 carry, row or column would flip.
+    """
+    from zdl import CesaroArray
+
+    class NegatedCesaro(CesaroArray):
+        def rectangle(self, m_lo, m_hi, n_max, n_lo=1):
+            return -super().rectangle(m_lo, m_hi, n_max, n_lo)
+
+    return NegatedCesaro()
 
 
 def dense_grid_reference(array, m_max: int, n_max: int) -> np.ndarray:

@@ -1,7 +1,6 @@
 """The sieve and the divisor-transform coefficient against brute force."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,15 +76,10 @@ def test_sieve_segments_match_trial_division(n_lo, monkeypatch):
     assert lam.tolist() == [liouville_brute(n) if n else 0 for n in rows]
 
 
-def test_sieve_keeps_two_bytes_per_n():
+def test_sieve_keeps_two_bytes_per_n(traced_peak):
     # int8 omega and liouville; the int32 cofactor is the peak.
     n_max = 10**6
-    tracemalloc.start()
-    try:
-        omega, lam = sieve(n_max)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (omega, lam), peak = traced_peak(sieve, n_max)
     assert peak <= 8 * n_max, peak / n_max
     assert omega.dtype == np.int8
     assert lam.dtype == np.int8

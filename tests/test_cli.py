@@ -1,12 +1,12 @@
 """Command-line behavior through the in-process entry point."""
 
+import argparse
 import csv
 import io
 import json
 import math
 import re
 import time
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,7 +16,6 @@ import pytest
 
 from zdl import arithmetic, cli, double_array, summation_diagnostics, zeta_at_exceptional
 from zdl.cli import main, parse_aspect, parse_complex, parse_positive, parse_window
-from zdl.errors import DomainError
 
 from oracles import ZETA2
 
@@ -33,23 +32,23 @@ def test_parse_complex_forms():
     assert parse_complex("-3i") == -3j
     assert parse_complex("1+2j") == 1 + 2j
     assert parse_complex(" 0.75 ") == 0.75 + 0j
-    with pytest.raises(DomainError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_complex("abc")
-    with pytest.raises(DomainError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_complex("nan")
 
 
 def test_parse_window_and_aspect():
     assert parse_window("512x4096") == (512, 4096)
     assert parse_window("16X32") == (16, 32)
-    with pytest.raises(DomainError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_window("512")
-    with pytest.raises(DomainError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_window("0x16")
     assert parse_aspect("2/3") == Fraction(2, 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_aspect("-1")
-    with pytest.raises(DomainError):
+    with pytest.raises(argparse.ArgumentTypeError):
         parse_aspect("zero")
 
 
@@ -146,6 +145,37 @@ def test_evaluations_without_a_finite_result_exit_two(capsys, argv, error):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # From |im s| = 3e307 on, default_order took the ceil of an
+        # infinite order; near 1e300 it printed two 300-digit numbers.
+        ("eta", "--s", "2+1e308i"),
+        ("eta", "--s", "2+1e300i"),
+        ("zeta", "--s", "2+1e308i"),
+        ("modes", "--array", "lee", "--s", "2+1e308i"),
+        ("uniformity", "--array", "lee", "--s", "2+1e308i"),
+        ("zeros", "--t-hi", "1e308"),
+        # _grid took the ceil of an infinite point count.
+        ("zeros", "--t-lo", "10", "--t-hi", "20", "--step", "1e-310"),
+        # cmd_zeta formed k * EXCEPTIONAL_SPACING before k was refused.
+        ("zeta", "--k", str(10**400)),
+        # _rectangle_trace multiplied int64 rows by a term past int64.
+        ("modes", "--array", "cesaro", "--aspect", "1/100000000000000000000", "--k-max", "4"),
+        ("modes", "--array", "zeros", "--aspect", "1e-300", "--k-max", "4"),
+        # The signed-square series overflowed, with four RuntimeWarnings,
+        # before zeta(2s) refused.
+        ("identity", "--s", "1e308"),
+    ],
+)
+def test_numbers_the_parser_takes_are_refused_with_one_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    failure = json.loads(err)
+    assert list(failure) == ["schema", "error", "message"]
+    assert len(failure["message"]) < 200
 
 
 def test_zeta_needs_exactly_one_selector(capsys):
@@ -364,7 +394,7 @@ def test_parse_positive():
     assert parse_positive("1e-6") == 1e-6
     assert parse_positive("0.02") == 0.02
     for bad in ("nan", "inf", "-1", "0", "-0.0", "small"):
-        with pytest.raises(DomainError):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_positive(bad)
 
 
@@ -444,8 +474,8 @@ def test_streamed_rows_write_the_bytes_of_the_whole_record(capsys, count):
               "trace": np.array([1 + 1j, 2]), "pair": (np.float64(0.1), True)}
     for fmt in ("json", "csv"):
         args = SimpleNamespace(format=fmt, out=None, command="test")
-        cli._write(args, {**record, "rows": iter(_writer_rows(count))}, header,
-                   _writer_csv_rows)
+        rows = cli._RowStream(iter(_writer_rows(count)))
+        cli._write(args, {**record, "rows": rows}, header, _writer_csv_rows)
         out, err = capsys.readouterr()
         whole = {**record, "rows": _writer_rows(count)}
         if fmt == "json":
@@ -462,15 +492,12 @@ def test_streamed_rows_write_the_bytes_of_the_whole_record(capsys, count):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_beta_table_streams_in_flat_memory(tmp_path, fmt):
+def test_beta_table_streams_in_flat_memory(tmp_path, fmt, traced_peak):
     # Holding every row took 197 MiB (JSON) and 60 MiB (CSV) at this size.
     target = tmp_path / f"beta.{fmt}"
-    tracemalloc.start()
-    try:
-        code = main(["beta", "--n-max", "131072", "--format", fmt, "--out", str(target)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(
+        main, ["beta", "--n-max", "131072", "--format", fmt, "--out", str(target)]
+    )
     assert code == 0
     assert peak <= 16 * 2**20, peak
     lines = target.read_text().splitlines()

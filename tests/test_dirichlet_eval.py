@@ -2,7 +2,7 @@
 
 import cmath
 import math
-import tracemalloc
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +66,15 @@ def test_default_order_stays_in_range():
         assert 1 <= default_order(s) <= 380
 
 
+@pytest.mark.parametrize("t", [1e300, 2.99e307, 3e307, 1e308, sys.float_info.max])
+def test_default_order_refuses_every_height_past_its_reach(t):
+    # From |im(s)| = 3e307 on the needed order is infinite, and its ceil
+    # overflowed; near 1e300 the message printed two 300-digit numbers.
+    with pytest.raises(DomainError, match="beyond the supported 380") as info:
+        default_order(complex(2.0, t))
+    assert len(str(info.value)) < 100
+
+
 def test_eta_domain_and_order_guards():
     with pytest.raises(DomainError):
         eta(-0.5 + 3j)
@@ -123,30 +132,25 @@ def test_eta_line_rows_do_not_depend_on_chunking(length, t0, dt, order):
     assert part.tobytes() == full[i : i + length].tobytes()
 
 
-def _eta_line_peak(ts):
+def _eta_line_peak(traced_peak, ts):
     """Traced peak bytes of eta_line(0.5, ts), its plan built beforehand."""
     eta_line(0.5, ts[-3:])  # same order: weights and plan cached outside the trace
-    tracemalloc.start()
-    try:
-        eta_line(0.5, ts)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(eta_line, 0.5, ts)[1]
 
 
-def test_eta_line_peak_memory_is_one_chunk():
+def test_eta_line_peak_memory_is_one_chunk(traced_peak):
     # A whole-grid phase matrix traces 58.6 MB on this grid, and one
     # 4096-row chunk of every phase 6.2 MB; one 2048-row chunk of the
     # phases later products read (order 74, 47 rows) traced 2.49 MB, one
     # 1024-row chunk of the live rows (29) 1.21 MB.
-    assert _eta_line_peak(np.arange(10.5, 60.0, 0.002)) <= 1.5e6
+    assert _eta_line_peak(traced_peak, np.arange(10.5, 60.0, 0.002)) <= 1.5e6
 
 
-def test_eta_line_peak_memory_at_the_order_cap():
+def test_eta_line_peak_memory_at_the_order_cap(traced_peak):
     # Order 380, the cap: one 4096-row chunk of every phase traced 27.8
     # MB, one 2048-row chunk of the 224 rows later products read 8.95
     # MB, one 1024-row chunk of the 133 live rows 3.14 MB.
-    assert _eta_line_peak(np.arange(390.0, 402.0, 0.002)) <= 4e6
+    assert _eta_line_peak(traced_peak, np.arange(390.0, 402.0, 0.002)) <= 4e6
 
 
 def test_eta_line_against_mpmath_across_a_chunk_boundary():
@@ -356,11 +360,14 @@ def test_zeta_refuses_an_overflow_next_to_the_pole(s):
 
 @pytest.mark.parametrize(
     "order, t_finite, t_refused",
-    [(1, 441.7, 441.8), (60, 507.8, 507.9), (380, 866.6, 866.7), (380, 866.6, 1e6)],
+    [(1, 441.7, 441.8), (60, 507.8, 507.9), (380, 866.6, 866.7), (380, 866.6, 1e6),
+     (380, 866.6, 1e308)],
 )
 def test_eta_refuses_an_order_whose_bound_overflows(order, t_finite, t_refused):
     # truncation_bound is inf past these heights; an explicit order gets
-    # there, the default order refuses first, near |t| = 402.
+    # there, the default order refuses first, near |t| = 402.  At 1e308
+    # the rounding bound, once taken first, was NaN (inf * log 1), and
+    # eta returned a NaN estimate.
     assert math.isfinite(eta(complex(0.5, t_finite), order).error_estimate)
     with pytest.raises(DomainError, match=rf"\|im\(s\)\| = .* at acceleration order {order} "):
         eta(complex(0.5, t_refused), order)
@@ -408,7 +415,16 @@ def test_exceptional_reaches_k_44(k):
 def test_exceptional_refuses_k_45(k):
     # 1/2 + i(|t0| + 1/2) needs order 386, past the cap
     with pytest.raises(DomainError):
+        default_order(complex(0.5, abs(k) * EXCEPTIONAL_SPACING + 0.5))
+    with pytest.raises(DomainError):
         zeta_at_exceptional(k)
+
+
+def test_exceptional_refuses_a_k_past_float_before_forming_its_point():
+    # k * EXCEPTIONAL_SPACING overflowed before k was refused.
+    for k in (10**400, -(10**400)):
+        with pytest.raises(DomainError, match="must be in -44..44"):
+            zeta_at_exceptional(k)
 
 
 def test_estimates_bound_the_error_against_mpmath():
@@ -463,13 +479,8 @@ def test_lambda_series_is_bitwise_the_chunked_table_sum(s):
     assert got.tobytes() == np.complex128(total).tobytes()
 
 
-def test_lambda_series_memory_is_one_chunk():
-    tracemalloc.start()
-    try:
-        lambda_series_partial(2.0, 4 * 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_lambda_series_memory_is_one_chunk(traced_peak):
+    _, peak = traced_peak(lambda_series_partial, 2.0, 4 * 10**6)
     # One 2**18-row chunk peaked at 10.3 MiB, as at M = 1e6; a table of
     # 4e6 rows alone took 12 MB.
     assert peak <= 11 * 2**20, f"lambda series peaked at {peak / 2**20:.1f} MiB"
@@ -539,13 +550,8 @@ def test_beta_series_chunk_sums_are_near_the_exact_sum(s, K):
         assert abs(value - math.fsum(part)) <= 3.0 * eps * math.fsum(np.abs(part))
 
 
-def test_beta_series_memory_is_chunked():
-    tracemalloc.start()
-    try:
-        beta_series_partial(0.75 + 3j, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_beta_series_memory_is_chunked(traced_peak):
+    _, peak = traced_peak(beta_series_partial, 0.75 + 3j, 10**6)
     # One chunk of about 1.1e5 terms at a time: 6.68 MiB measured, and
     # 7.54 MiB while a chunk's arrays stayed alive into the next one's
     # build.  The whole series would be 2e6 terms.

@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +33,7 @@ from oracles import (
     lee_pairs_per_row,
     lee_term_brute,
     liouville_brute,
+    negated_cesaro,
     slab_cell,
 )
 
@@ -379,11 +379,27 @@ def test_one_definition_serves_every_consumer():
     for aspect in (Fraction(1), Fraction(3, 2)):
         got, want = (pringsheim_trace(a, 200, aspect) for a in (sparse, dense))
         assert got.trace.tobytes() == want.trace.tobytes()
-        assert repr((got.verdict, got.notes)) == repr((want.verdict, want.notes))
+        assert repr(got.verdict) == repr(want.verdict)
+        got, want = (double_array._rectangle_trace(a, 200, aspect)[1] for a in (sparse, dense))
+        assert repr(got) == repr(want)
 
 
 def _same_pairs(a, b, *window):
     return all(x.tobytes() == y.tobytes() for x, y in zip(a.pairs(*window), b.pairs(*window)))
+
+
+def test_lee_row_limits_refuse_a_row_before_allocating(monkeypatch, traced_peak):
+    # The float64 span of rows 1..1e6 took 7.6 MiB before the sieve
+    # refused its top row; at the real cap, rows to 2**27 would take 1 GiB.
+    monkeypatch.setattr(double_array, "MAX_GRID_CELLS", 4096)
+    lee = LeeArray(2)
+
+    def refused():
+        with pytest.raises(InvalidBoundError, match="the most rows the lee array sieves"):
+            lee.row_limits(10**6)
+
+    _, peak = traced_peak(refused)
+    assert peak <= 2**16, peak
 
 
 def test_lee_entries_past_the_sieve_match_a_sieve_to_n(sieved):
@@ -522,15 +538,10 @@ def test_iterated_sum_keeps_a_leading_signed_zero(monkeypatch):
     assert trace.tobytes() == iterated_trace_reference(array.row_limits, 23).tobytes()
 
 
-def test_iterated_sum_memory_is_the_trace():
+def test_iterated_sum_memory_is_the_trace(traced_peak):
     lee = LeeArray(1.75 + 12.5j)
     for order in ("rows_then_m", "columns_then_n"):
-        tracemalloc.start()
-        try:
-            iterated_sum(lee, order, 1_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(iterated_sum, lee, order, 1_000_000)
         # The 16 MB trace and one window of 2**16 limits; the whole
         # limits table and its temporaries were about 70 MB.
         assert peak <= 24 * 2**20, f"{order} peaked at {peak / 2**20:.1f} MB"
@@ -540,7 +551,8 @@ def test_pringsheim_diagonal_trap_demoted():
     # the pure diagonal settles near 1 but the rectangle corners disagree
     rep = pringsheim_trace(CesaroArray(), 64)
     assert rep.verdict.kind == "inconclusive"
-    assert rep.notes["corner_spread"] > 1e-4
+    # a demoted verdict carries the corner spread as its residual
+    assert rep.verdict.residual > 1e-4
     assert abs(rep.trace[-1] - 1.0) <= 1e-6
 
 
@@ -570,8 +582,8 @@ def test_pringsheim_trace_matches_closed_forms(aspect):
         m = -((-k * aspect.numerator) // aspect.denominator)
         assert abs(ces.trace[k - 1] - cesaro_rectangle(m, k)) <= 1e-13
         assert abs(ratio.trace[k - 1] - m / (m + k)) <= 1e-13
-    for corner in ces.notes["corner_samples"]:
-        assert abs(corner["value"] - cesaro_rectangle(corner["m"], corner["n"])) <= 1e-13
+    for m, n, value in double_array._rectangle_trace(CesaroArray(), 64, aspect)[1]:
+        assert abs(value - cesaro_rectangle(m, n)) <= 1e-13
 
 
 def test_pringsheim_needs_a_real_rectangle(no_numpy):
@@ -581,6 +593,36 @@ def test_pringsheim_needs_a_real_rectangle(no_numpy):
     no_numpy(double_array)
     with pytest.raises(InvalidBoundError, match="rectangle of rows 1..9000"):
         pringsheim_trace(CesaroArray(), 9000)
+
+
+def test_pringsheim_caps_k_max_before_counting(monkeypatch):
+    # Lee's pair_bound is a loop of about 2 * isqrt(k_max) steps: k_max
+    # 1e14 was refused after 10.8 s, and 1e20 would take hours.
+    lee = LeeArray(2)
+
+    def count(*args):
+        raise AssertionError("the rectangle was counted before k_max was checked")
+
+    monkeypatch.setattr(double_array, "_quotient_sum", count)
+    with pytest.raises(InvalidBoundError, match=f"k_max must be in 4..{MAX_GRID_CELLS}"):
+        pringsheim_trace(lee, 10**20)
+
+
+def test_rectangle_trace_refuses_an_aspect_past_int64(no_numpy):
+    # An entry joins at K = (m - 1) * q // p + 1, taken in int64.  The
+    # largest denominator still traces.
+    trace = pringsheim_trace(CesaroArray(), 4, Fraction(1, 2**63 - 1)).trace
+    assert np.allclose(trace, [cesaro_rectangle(1, k) for k in range(1, 5)], rtol=0, atol=1e-13)
+    # A term past int64 raised OverflowError, and a product past it
+    # wrapped: row 4 of the last Lee rectangle joined at K = 4, not 6,
+    # and the trace was 0.11 off at K = 3.
+    lee = LeeArray(2)
+    no_numpy(double_array)
+    for array, k_max, aspect in ((CesaroArray(), 4, Fraction(1, 10**20)),
+                                 (lee, 4, Fraction(10**20)),
+                                 (lee, 8, Fraction(2**61 + 1, 2**62))):
+        with pytest.raises(InvalidBoundError, match="use an aspect with smaller terms"):
+            pringsheim_trace(array, k_max, aspect)
 
 
 def _reference_rectangle_trace(array, k_max, aspect):
@@ -682,17 +724,10 @@ def test_rectangle_trace_keys_fit_in_sixteen_bits():
     assert values[0] == values[1]
 
 
-class _NegatedCesaro(CesaroArray):
-    """Cesaro entries negated, so each imaginary part is -0.0."""
-
-    def rectangle(self, m_lo, m_hi, n_max, n_lo=1):
-        return -super().rectangle(m_lo, m_hi, n_max, n_lo)
-
-
 def test_rectangle_trace_keeps_signed_zeros(monkeypatch):
     # 0.0 + -0.0 is +0.0, so a running sum started from a zero carry
     # would flip every imaginary part of this trace.
-    array = _NegatedCesaro()
+    array = negated_cesaro()
     expected_trace, _ = _reference_rectangle_trace(array, 17, Fraction(1))
     assert np.signbit(expected_trace.imag).all()
     for budget in (5, double_array._TRACE_ENTRIES):
@@ -712,14 +747,9 @@ def test_dense_rectangle_trace_evaluates_each_cell_once(k_max, aspect, monkeypat
     assert sum(cells) == -((-k_max * aspect.numerator) // aspect.denominator) * k_max
 
 
-def test_rectangle_trace_memory_is_windowed():
+def test_rectangle_trace_memory_is_windowed(traced_peak):
     lee = LeeArray(1.7 + 12.3j)
-    tracemalloc.start()
-    try:
-        pringsheim_trace(lee, 200_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(pringsheim_trace, lee, 200_000)
     # 2,472,113 divisor hits, none of them held past its window: the
     # trace (3.1 MiB) and one window peak at about 12.2 MiB; listing every
     # old row of a window took 18.1 MiB.
@@ -728,29 +758,19 @@ def test_rectangle_trace_memory_is_windowed():
 
 @pytest.mark.parametrize("k0, k1", [(100_000, 105_264), (199_000, 200_000),
                                     (150_000, 150_001)])
-def test_lee_pairs_memory_follows_the_hits(k0, k1):
+def test_lee_pairs_memory_follows_the_hits(k0, k1, traced_peak):
     # The old rows of one rectangle-trace window at k_max 200000.
     lee = LeeArray(1.7 + 12.3j)
     lee.row_limits(200_000, 200_000)
     hits = lee.pair_bound(1, 200_000, k1, k0 + 1)
-    tracemalloc.start()
-    try:
-        lee.pairs(1, 200_000, k1, k0 + 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lee.pairs, 1, 200_000, k1, k0 + 1)
     # 32 B per hit returned and about 45 B of temporaries, not some 30 B
     # for each of the 200,000 rows (6.0 MB for 2 hits when listed by row).
     assert peak <= 96 * hits + 2**18, f"{hits} hits took {peak} B"
 
 
-def test_dense_rectangle_trace_memory_is_windowed():
-    tracemalloc.start()
-    try:
-        pringsheim_trace(CesaroArray(), 3000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_dense_rectangle_trace_memory_is_windowed(traced_peak):
+    _, peak = traced_peak(pringsheim_trace, CesaroArray(), 3000)
     # About 6.4e6 nonzero cells (Cesaro terms underflow past n = 2146),
     # summed window by window in one pass: about 11 MB.
     assert peak <= 24 * 2**20, f"rectangle trace peaked at {peak / 2**20:.1f} MB"

@@ -2,7 +2,6 @@
 
 import functools
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from oracles import (
     dense_grid_reference,
     lee_term_brute,
     needed_sup_brute,
+    negated_cesaro,
     ratio_term,
     settle_profile_reference,
     slab_cell,
@@ -257,14 +257,9 @@ def test_needed_scan_refuses_blocks_past_one_scan_window(no_sieve):
     assert no_sieve == []
 
 
-def test_needed_scan_memory_is_flat_in_reach():
+def test_needed_scan_memory_is_flat_in_reach(traced_peak):
     lee = LeeArray(0.5 + 14.134725141734695j)
-    tracemalloc.start()
-    try:
-        needed_uniformity_scan(lee, (16, 256), 8, 4_000_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(needed_uniformity_scan, lee, (16, 256), 8, 4_000_000)
     # Windows of 127,875 cells peak at 3.8 MiB; they peaked at 5.6 MiB
     # while a window's sums stayed alive as the next was built, and
     # windows of 2**19 cells at 20.9 MiB.
@@ -564,13 +559,6 @@ def test_slab_probes_are_the_dense_reference_on_ragged_windows(
         _assert_report_is_the_dense_reference(monkeypatch, array, m_max, n_max, sums, tolerance)
 
 
-class _NegatedCesaro(CesaroArray):
-    """Cesaro entries negated, so each imaginary part is -0.0."""
-
-    def rectangle(self, m_lo, m_hi, n_max, n_lo=1):
-        return -super().rectangle(m_lo, m_hi, n_max, n_lo)
-
-
 class _NegativeZeros(CesaroArray):
     """Every entry -0.0 - 0.0j."""
 
@@ -578,7 +566,7 @@ class _NegativeZeros(CesaroArray):
         return np.full((m_hi - m_lo + 1, n_max - n_lo + 1), complex(-0.0, -0.0))
 
 
-@pytest.mark.parametrize("array", [_NegativeZeros(), _NegatedCesaro()], ids=["zeros", "cesaro"])
+@pytest.mark.parametrize("array", [_NegativeZeros(), negated_cesaro()], ids=["zeros", "cesaro"])
 def test_slab_probes_keep_the_signed_zeros_of_the_dense_grid(array, monkeypatch):
     # The dense grid sums from a +0 row and column, so -0.0 parts become
     # +0.0 on the grid edges; a slab summed without them keeps -0.0.
@@ -588,15 +576,6 @@ def test_slab_probes_keep_the_signed_zeros_of_the_dense_grid(array, monkeypatch)
     _assert_report_is_the_dense_reference(monkeypatch, array, 70, 130, sums, 1e-6)
     for m, n in ((1, 1), (1, 130), (70, 1), (64, 65), (65, 130), (70, 130)):
         assert np.complex128(slab_cell((array, 70, 130), m, n)).tobytes() == sums[m, n].tobytes()
-
-
-def _analyze_peak(array, m_max, n_max):
-    tracemalloc.start()
-    try:
-        summation_diagnostics._analyze(array, m_max, n_max, 1e-6)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
@@ -628,16 +607,16 @@ def test_slab_probes_chunk_the_settle_blocks_bitwise(array, chunks, monkeypatch)
     _assert_report_is_the_dense_reference(monkeypatch, array, m_max, n_max, sums, tolerance)
 
 
-def test_analyze_memory_is_block_extents():
-    peak = _analyze_peak(CesaroArray(), 512, 4096)
+def test_analyze_memory_is_block_extents(traced_peak):
+    _, peak = traced_peak(summation_diagnostics._analyze, CesaroArray(), 512, 4096, 1e-6)
     # A 4 MiB slab and its terms in either pass, and one chunk of the
     # last settle block's columns in the second: 7.5 MiB measured; the
     # grid would be 32 MiB.
     assert peak <= 10 * 2**20, f"probes peaked at {peak / 2**20:.1f} MiB"
 
 
-def test_analyze_memory_at_the_window_cap():
-    peak = _analyze_peak(CesaroArray(), 8191, 8191)
+def test_analyze_memory_at_the_window_cap(traced_peak):
+    _, peak = traced_peak(summation_diagnostics._analyze, CesaroArray(), 8191, 8191, 1e-6)
     # The first pass: the column block extents (34 MiB), the row above
     # each slab (17 MiB) and an 8 MiB slab, 59.0 MiB measured; the grid
     # would be 1 GiB.

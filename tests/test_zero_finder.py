@@ -107,6 +107,10 @@ def test_scan_guards():
         (10.0, math.nan, 0.01, InvalidBoundError),
         (10.0, 1e9, 0.01, DomainError),  # past eta's reach, t ~ 414
         (10.0, 20.0, 1e-12, InvalidBoundError),  # 1e13 grid points
+        # an infinite grid count, and an infinite needed order: each
+        # overflowed a ceil before it was refused
+        (10.0, 20.0, 1e-310, InvalidBoundError),
+        (10.0, 1e308, 0.01, DomainError),
     ],
 )
 def test_scan_rejects_bad_input_before_allocating(no_numpy, t_lo, t_hi, step, error):
