@@ -21,6 +21,7 @@ a beta table mismatch exits with status 1.
 """
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -215,6 +216,11 @@ def cmd_identity(args) -> tuple:
     if s.real <= 0.5:
         raise DomainError(
             f"identity comparison needs re(s) > 1/2 for a convergent series, got {s}"
+        )
+    if not cmath.isfinite(2 * s):
+        raise DomainError(
+            f"identity evaluates zeta(2s), and 2s overflows at --s {s}; use an s "
+            "with |re(s)| and |im(s)| below 8.9e307"
         )
     # zeta(2s) first: it refuses what the series would only overflow on.
     bridge = bridge_factor(s) * zeta(2 * s).value

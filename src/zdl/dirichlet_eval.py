@@ -94,6 +94,19 @@ def _require_point(s: complex) -> complex:
     return s
 
 
+def _capped(s: complex) -> complex:
+    """s with re(s) capped at 1100, where every n**(-s) is taken.
+
+    The package's rule for large re(s): each power n**(-s) = exp(-s log
+    n) is formed at this point, never at s itself.  Past re(s) = 1100
+    every term with n >= 2 underflows to 0 with or without the cap
+    (2**-1100 is below 2**-1075, half the least subnormal), and n = 1
+    gives 1 either way, so the cap changes no bit; it only keeps -re(s)
+    log n finite, which re(s) = 1e308 would overflow to -inf.
+    """
+    return complex(min(s.real, 1100.0), s.imag)
+
+
 @functools.cache
 def _weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Signed acceleration weights and log k for k = 1..order, cached per order.
@@ -118,7 +131,7 @@ def _eta_value(s: complex, order: int, power: int = 0) -> complex:
     w, logk = _weights(order)
     if power:
         w = w * (-logk) ** power
-    return complex(np.sum(w * np.exp(-s * logk)))
+    return complex(np.sum(w * np.exp(-_capped(s) * logk)))
 
 
 def _rounding_bound(s: complex, order: int, power: int) -> float:
@@ -129,7 +142,7 @@ def _rounding_bound(s: complex, order: int, power: int) -> float:
     k and t * log k are each rounded, so a phase is off by eps * |t| log k.
     """
     w, logk = _weights(order)
-    size = np.abs(w) * logk**power * np.exp(-s.real * logk)
+    size = np.abs(w) * logk**power * np.exp(-_capped(s).real * logk)
     phase = 8.0 + 2.0 * abs(s.imag) * logk
     return float(np.finfo(float).eps * np.sum(size * phase))
 
@@ -283,7 +296,7 @@ def eta_line(sigma: float, ts: np.ndarray, order: int | None = None) -> np.ndarr
     elif not 1 <= order <= _MAX_ORDER:
         raise InvalidBoundError(f"order must be in 1..{_MAX_ORDER}, got {order}")
     w, logk, n_primes, n_rows, steps = _line_plan(order)
-    amp = (w * np.exp(-sigma * logk)).tolist()
+    amp = (w * np.exp(-_capped(sigma).real * logk)).tolist()
     primes = slice(1, n_primes + 1)
     rows = min(ts.size, _LINE_CHUNK)
     x = np.empty((n_primes, rows))
@@ -321,8 +334,17 @@ def _nearest_exceptional(s: complex) -> tuple[int, float]:
 
 
 def bridge_factor(s: complex) -> complex:
-    """The eta-to-zeta conversion factor 1 - 2**(1-s)."""
-    return 1.0 - cmath.exp((1.0 - s) * math.log(2.0))
+    """The eta-to-zeta conversion factor 1 - 2**(1-s), as -expm1((1 - s) log 2).
+
+    With x = (1 - re(s)) log 2 and y = im(s) log 2 that is 2 sin(y/2)**2
+    - expm1(x) cos y + i e**x sin y, whose parts do not cancel as s -> 1:
+    at s = 1 + 2**-52 it keeps every digit that 1 - exp((1 - s) log 2)
+    loses.
+    """
+    ln2 = math.log(2.0)
+    x, y = (1.0 - s.real) * ln2, s.imag * ln2
+    return complex(2.0 * math.sin(0.5 * y) ** 2 - math.expm1(x) * math.cos(y),
+                   math.exp(x) * math.sin(y))
 
 
 def zeta(s: complex) -> EvalResult:
@@ -412,7 +434,7 @@ def _liouville_chunks(s: complex, M: int):
     for lo in range(1, M + 1, _SERIES_CHUNK):
         hi = min(lo + _SERIES_CHUNK - 1, M)
         m = np.arange(lo, hi + 1, dtype=np.float64)
-        yield complex(np.sum(sieve(hi, lo)[1] * np.exp(-s * np.log(m))))
+        yield complex(np.sum(sieve(hi, lo)[1] * np.exp(-_capped(s) * np.log(m))))
 
 
 def lambda_series_partial(s: complex, M: int) -> complex:
@@ -440,8 +462,10 @@ def _signed_square_chunks(s: complex, K: int):
     A chunk covers n_lo < n <= n_hi with isqrt(n_hi) = isqrt(n_lo) +
     _SQUARE_CHUNK: the squares k*k and twice-squares 2*j*j there (k, j
     <= K), merged by n and summed in that order.  The two never tie, as
-    k*k = 2*j*j has no solution in positive integers.
+    k*k = 2*j*j has no solution in positive integers.  Every power is
+    taken at _capped(s).
     """
+    s = _capped(s)
     twice = -2.0 * cmath.exp(-s * math.log(2.0))
     n_lo, n_end = 0, 2 * K * K
     while n_lo < n_end:

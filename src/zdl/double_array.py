@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arithmetic import beta_closed_table, sieve
-from .dirichlet_eval import eta
+from .dirichlet_eval import _capped, eta
 from .errors import DomainError, InvalidBoundError
 
 # Largest number of cells of a partial-sum window, of a rectangle and of
@@ -299,6 +299,10 @@ class LeeArray(DoubleArray):
                 "holds n exactly; use a smaller reach"
             )
 
+    def _powers(self, n: np.ndarray) -> np.ndarray:
+        """n**(-s) at float64 n, taken at _capped(s): no overflow at any re(s)."""
+        return np.exp(-_capped(self.s) * np.log(n))
+
     def _entries(self, m, j, n, n_lo: int, n_max: int) -> np.ndarray:
         """a(m, n) at divisor hits n = m * j, all in columns n_lo..n_max.
 
@@ -308,9 +312,9 @@ class LeeArray(DoubleArray):
         signs = np.where(j % 2 == 1, 1.0, -1.0)
         lam = self._lam[m]
         if len(n) > n_max - n_lo + 1:
-            power = np.exp(-self.s * np.log(_span(n_lo, n_max, np.float64)))[n - n_lo]
+            power = self._powers(_span(n_lo, n_max, np.float64))[n - n_lo]
         else:
-            power = np.exp(-self.s * np.log(n.astype(np.float64)))
+            power = self._powers(n.astype(np.float64))
         return lam * signs * power
 
     def row_limits(self, m_max: int, m_lo: int = 1) -> np.ndarray:
@@ -318,7 +322,7 @@ class LeeArray(DoubleArray):
         # the span is allocated.
         _check_start(m_lo)
         lam = self._liouville(m_max)[m_lo : m_max + 1]
-        return lam * np.exp(-self.s * np.log(_span(m_lo, m_max, np.float64))) * self._eta_value
+        return lam * self._powers(_span(m_lo, m_max, np.float64)) * self._eta_value
 
     def column_limits(self, n_max: int, n_lo: int = 1) -> np.ndarray:
         """Column sums through the closed form of the divisor transform.
@@ -329,8 +333,7 @@ class LeeArray(DoubleArray):
         n**(-s).  No sieve is read.
         """
         self._check_columns(n_max)
-        log_n = np.log(_span(n_lo, n_max, np.float64))
-        return beta_closed_table(n_max, n_lo) * np.exp(-self.s * log_n)
+        return beta_closed_table(n_max, n_lo) * self._powers(_span(n_lo, n_max, np.float64))
 
     def pair_bound(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> int:
         """The exact count of divisor hits m | n in the window (m_lo >= 1).
@@ -438,20 +441,16 @@ class SyntheticArray(DoubleArray):
         self.rule = rule
         self.label = rule
 
-    @staticmethod
-    def _ratio(m, n):
-        m = np.asarray(m, dtype=np.float64)
-        n = np.asarray(n, dtype=np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where((m >= 1) & (n >= 1), m / np.maximum(m + n, 1.0), 0.0)
-        return out
-
     def rectangle(self, m_lo: int, m_hi: int, n_max: int, n_lo: int = 1) -> np.ndarray:
         m, n = _axes(m_lo, m_hi, n_max, n_lo)
         if self.rule == "zeros":
             return np.zeros((m.size, n.size), dtype=np.complex128)
-        f = self._ratio
-        return (f(m, n) - f(m - 1, n) - f(m, n - 1) + f(m - 1, n - 1)).astype(np.complex128)
+        # S once over rows m_lo - 1..m_hi and columns n_lo - 1..n_max, 0 on
+        # row and column 0; the terms are its second differences.
+        rows = np.arange(m_lo - 1, m_hi + 1, dtype=np.float64)[:, None]
+        cols = np.arange(n_lo - 1, n_max + 1, dtype=np.float64)
+        f = np.where((rows >= 1) & (cols >= 1), rows / np.maximum(rows + cols, 1.0), 0.0)
+        return (f[1:, 1:] - f[:-1, 1:] - f[1:, :-1] + f[:-1, :-1]).astype(np.complex128)
 
     def row_limits(self, m_max: int, m_lo: int = 1) -> np.ndarray:
         # Both rules have vanishing row tails; the ratio rows telescope to

@@ -178,6 +178,32 @@ def test_numbers_the_parser_takes_are_refused_with_one_error(capsys, argv):
     assert len(failure["message"]) < 200
 
 
+def test_identity_names_the_s_whose_double_overflows(capsys):
+    code, out, err = run(capsys, "identity", "--s", "1e308")
+    assert (code, out) == (2, "")
+    assert "--s (1e+308+0j)" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Each took -re(s) log n past the float range, with a RuntimeWarning.
+        ("eta", "--s", "1e308"),
+        ("zeta", "--s", "1e308"),
+        ("eta", "--s", "1e308+1i"),
+        ("modes", "--array", "lee", "--s", "1e308"),
+        ("uniformity", "--array", "lee", "--s", "1e308", "--window", "16x16"),
+        ("identity", "--s", "5e307"),
+        # The bridge factor rounded to 0 here, and zeta was refused.
+        ("zeta", "--s", "0.9999999999999999"),
+    ],
+)
+def test_extreme_accepted_numbers_run_without_a_warning(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    json.loads(out, parse_constant=lambda c: pytest.fail(f"non-finite {c}"))
+
+
 def test_zeta_needs_exactly_one_selector(capsys):
     code, out, err = run(capsys, "zeta", "--s", "2", "--k", "1")
     assert code == 2

@@ -348,14 +348,49 @@ def test_zeta_guards_pole_and_exceptional_points():
     assert info.value.k == 2
 
 
-@pytest.mark.parametrize("s", [complex(1.0, 1e-310), 0.9999999999999999])
-def test_zeta_refuses_an_overflow_next_to_the_pole(s):
-    # 1 + 1e-310i: the bridge factor is about 7e-311 and eta / factor
-    # overflows; 1 - 2**-53: the factor rounds to 0.
+def test_zeta_refuses_an_overflow_next_to_the_pole():
+    # The bridge factor is about 7e-311 and eta / factor overflows.
     with pytest.raises(PoleError, match="from its pole at s = 1"):
-        zeta(s)
+        zeta(complex(1.0, 1e-310))
     near = zeta(complex(1.0, 1e-300))
     assert cmath.isfinite(near.value) and math.isfinite(near.error_estimate)
+
+
+def test_zeta_at_the_last_float_below_the_pole():
+    # 1 - exp((1 - s) log 2) rounded to 0 at s = 1 - 2**-53, which was
+    # refused.  There zeta = 1 / (s - 1) + Euler's gamma + O(2**-53).
+    s = 1.0 - 2.0**-53
+    result = zeta(s)
+    assert cmath.isfinite(result.value) and math.isfinite(result.error_estimate)
+    assert abs(result.value - (1.0 / (s - 1.0) + 0.5772156649015329)) <= result.error_estimate
+
+
+def test_zeta_estimate_bounds_the_error_next_to_the_pole():
+    # Without expm1 in the bridge factor, 335 of these points missed, the
+    # worst by 6.7e12 times its estimate.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(22)
+    radius = 10.0 ** rng.uniform(-15.0, 0.0, size=400)
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=400)
+    misses = []
+    with mpmath.workdps(40):
+        for s in 1.0 + radius * np.exp(1j * angle):
+            result = zeta(complex(s))
+            actual = abs(result.value - complex(mpmath.zeta(mpmath.mpc(s))))
+            if not actual <= result.error_estimate:
+                misses.append((s, actual / result.error_estimate))
+    assert misses == []
+
+
+@pytest.mark.parametrize("sigma", [1100.0, 1100.5, 4000.0, 1e300, 1e308])
+def test_the_re_s_cap_changes_no_bit(sigma):
+    # Past the cap every n**(-s) with n >= 2 underflows to 0 either way.
+    logn = np.log(np.arange(1.0, 2.0**53, 2.0**40))
+    for s in (complex(sigma, 0.0), complex(sigma, 14.5)):
+        with np.errstate(over="ignore"):
+            uncapped = np.exp(-s * logn)
+        capped = np.exp(-dirichlet_eval._capped(s) * logn)
+        assert capped.tobytes() == uncapped.tobytes()
 
 
 @pytest.mark.parametrize(

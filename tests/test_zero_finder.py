@@ -50,6 +50,20 @@ def test_zeros_past_the_doubled_order_cap():
         assert z.residual <= 1e-9
 
 
+def test_newton_finds_the_first_202_zeros_to_2e_13():
+    # Golden-section search on |eta|**2 was off by up to 2.5e-12 here.
+    # 202 disjoint intervals t +- 2e-13, each with a sign change of
+    # Hardy's Z, against N(400) - N(10) = 202: each t lies within 2e-13
+    # of its mpmath.zetazero, one to one (zetazero itself takes 30 s).
+    mpmath = pytest.importorskip("mpmath")
+    ts = [z.s.imag for z in zeros_between(10.0, 400.0, 0.01)]
+    assert len(ts) == mpmath.nzeros(400) - mpmath.nzeros(10) == 202
+    assert all(b - a > 4e-13 for a, b in zip(ts, ts[1:]))
+    with mpmath.workdps(20):
+        for t in map(mpmath.mpf, ts):
+            assert mpmath.siegelz(t - 2e-13) * mpmath.siegelz(t + 2e-13) <= 0, t
+
+
 def test_refined_zero_mirrors_to_the_conjugate(first_zero):
     assert abs(eta(first_zero.s.conjugate()).value) <= 1e-9
 
@@ -64,7 +78,7 @@ def test_refine_is_deterministic():
 
 
 def test_plain_minimum_is_not_a_zero():
-    with pytest.raises(NotAZeroError):
+    with pytest.raises(NotAZeroError, match="Newton leaves"):
         refine((17.0, 18.0))
 
 
